@@ -13,19 +13,20 @@ Schema (all keys except ``problem`` and ``scheme`` optional)::
       "scheme": "1a" | "1b" | "2a" | "2b" | "semi" | "sav",
       "time":   {"t0": ..., "tf": ..., "dt": ...},
       "output": {"dir": "out", "history_every": 1, "snapshot_every": 0},
-      "dealias": false,
-      "seed": 0
+      "dealias": false
     }
 
 Defaults: c0 = 1, lambda = 0, dealias = false; the manufactured problem
 defaults to the 20x20 convergence-test setup, drop_array to the desk-scale
-benchmark.
+benchmark.  A key not in the schema, at any level, is rejected, as is a
+non-finite number.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +53,6 @@ class RunConfig:
     history_every: int = 1
     snapshot_every: int = 0
     dealias: bool = False
-    seed: int = 0  # reserved; the shipped problems are deterministic
 
     def __post_init__(self) -> None:
         if self.history_every < 1:
@@ -67,7 +67,13 @@ def _get(mapping: dict, key: str, kind, field: str, default=None):
     if value is None:
         return default
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValidationError(field, f"must be a finite number, got {value}")
+        return value
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is bool and isinstance(value, bool):
@@ -77,6 +83,23 @@ def _get(mapping: dict, key: str, kind, field: str, default=None):
     if kind is dict and isinstance(value, dict):
         return value
     raise ValidationError(field, f"expected {kind.__name__}, got {type(value).__name__}")
+
+
+def _check_keys(mapping: dict, allowed: tuple[str, ...], prefix: str) -> None:
+    """Reject keys outside the schema, naming the first one by its dotted path."""
+    for key in mapping:
+        if key not in allowed:
+            expected = ", ".join(allowed)
+            raise ValidationError(f"{prefix}{key}", f"unknown key; expected one of {expected}")
+
+
+TOP_KEYS = ("problem", "scheme", "time", "output", "dealias")
+TIME_KEYS = ("t0", "tf", "dt")
+OUTPUT_KEYS = ("dir", "history_every", "snapshot_every")
+MANUFACTURED_KEYS = ("kind", "nx", "ny", "m0", "beta", "eta", "lambda", "c0")
+DROP_KEYS = MANUFACTURED_KEYS + (
+    "preset", "lx", "ly", "sigma", "count_x", "count_y", "spacing", "radius",
+)
 
 
 def _positive(mapping: dict, key: str, field: str, default: float) -> float:
@@ -98,6 +121,7 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("<document>", "top level must be an object")
+    _check_keys(doc, TOP_KEYS, "")
 
     problem_doc = _get(doc, "problem", dict, "problem")
     if problem_doc is None:
@@ -115,6 +139,7 @@ def parse_config(text: str) -> RunConfig:
     problem = _apply_time(problem, _get(doc, "time", dict, "time", {}))
 
     output_doc = _get(doc, "output", dict, "output", {})
+    _check_keys(output_doc, OUTPUT_KEYS, "output.")
     return RunConfig(
         problem=problem,
         scheme=scheme,
@@ -122,7 +147,6 @@ def parse_config(text: str) -> RunConfig:
         history_every=_get(output_doc, "history_every", int, "output.history_every", 1),
         snapshot_every=_get(output_doc, "snapshot_every", int, "output.snapshot_every", 0),
         dealias=_get(doc, "dealias", bool, "dealias", False),
-        seed=_get(doc, "seed", int, "seed", 0),
     )
 
 
@@ -131,8 +155,10 @@ def _parse_problem(doc: dict) -> ProblemSpec:
     if kind is None:
         raise ValidationError("problem.kind", "missing required key")
     if kind == MANUFACTURED:
+        _check_keys(doc, MANUFACTURED_KEYS, "problem.")
         return _parse_manufactured(doc)
     if kind == DROP_ARRAY:
+        _check_keys(doc, DROP_KEYS, "problem.")
         return _parse_drop(doc)
     raise ValidationError("problem.kind", f"unknown kind {kind!r}")
 
@@ -209,6 +235,7 @@ def _parse_drop(doc: dict) -> ProblemSpec:
 
 
 def _apply_time(problem: ProblemSpec, doc: dict) -> ProblemSpec:
+    _check_keys(doc, TIME_KEYS, "time.")
     updates = {}
     t0 = _get(doc, "t0", float, "time.t0")
     tf = _get(doc, "tf", float, "time.tf")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,7 +161,3 @@ def full_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
     params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=151.15, eta=0.01, c0=1.0)
     drops = DropLayout(count_x=19, count_y=19, spacing=0.2, radius=0.085)
     return ProblemSpec(kind=DROP_ARRAY, grid=grid, params=params, t0=0.0, tf=100.0, dt=dt, drops=drops)
-
-
-def with_dt(spec: ProblemSpec, dt: float) -> ProblemSpec:
-    return replace(spec, dt=dt)

@@ -8,11 +8,11 @@ from pathlib import Path
 
 from .diagnostics import HistoryRecord, error_norms
 from .errors import Diverged
-from .grid import RealField, h2_norm, integrate
-from .model import chemical_potential_exact, dissipation, energy_total
+from .grid import h2_norm, integrate
+from .model import chemical_potential_exact, energy_total
 from .output import write_snapshot
-from .problems import MANUFACTURED, ProblemSpec, exact_solution, source_term
-from .schemes import STEPPERS, SchemeKind, SchemeState, init_state
+from .problems import ProblemSpec, exact_solution, source_term
+from .schemes import SCHEMES, STEPPERS, SchemeKind, SchemeState, init_state
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,6 @@ def _record(
     scheme: SchemeKind,
     state: SchemeState,
     t: float,
-    diss: float,
-    xi: float | None,
 ) -> HistoryRecord:
     phi = state.phi_cur
     linf = l2 = None
@@ -41,12 +39,12 @@ def _record(
         step=state.step,
         t=t,
         mass=integrate(phi),
-        energy=energy_total(phi, problem.params),
+        energy=state.energy,
         r=state.r_cur if scheme.is_pav else None,
-        xi=xi if scheme.is_pav else None,
+        xi=state.xi_cur if scheme.is_pav else None,
         sav_r=state.sav_r_cur if scheme is SchemeKind.SAV else None,
         h2=h2_norm(phi),
-        dissipation=diss,
+        dissipation=state.dissipation,
         linf_err=linf,
         l2_err=l2,
     )
@@ -96,15 +94,16 @@ def run_simulation(
     if history_every < 1:
         raise ValueError("history_every must be >= 1")
     step_fn = STEPPERS[scheme]
+    # time level of the source in the scheme's xi update, in steps past t^n;
+    # sav has no xi update and reads only the source at t^{n+1}
+    drain_level = SCHEMES[scheme].drain_level if scheme in SCHEMES else 1.0
     params = problem.params
 
     state = init_state(problem.initial_condition(), params)
     if exact_history:
         state = seed_exact_history(state, problem, dt)
 
-    history = [
-        _record(problem, scheme, state, problem.t0, dissipation(state.mu_cur, params), 1.0)
-    ]
+    history = [_record(problem, scheme, state, problem.t0)]
     if snapshot_every and output_dir is not None:
         write_snapshot(state.phi_cur, problem.t0, Path(output_dir) / _snap_name(0))
 
@@ -115,16 +114,17 @@ def run_simulation(
         f_new = f_mid = None
         if problem.has_exact:
             f_new = source_term(t_new, problem.grid, params)
-            f_mid = _source_mid(problem, scheme, n, dt, f_new)
+            if drain_level != 1.0:
+                f_mid = source_term(problem.t0 + (n + drain_level) * dt, problem.grid, params)
         try:
-            state, report = step_fn(state, dt, params, f_new, f_src_mid=f_mid, dealias=dealias)
+            state = step_fn(state, dt, params, f_new, f_src_mid=f_mid, dealias=dealias)
         except Diverged as exc:
             diverged = True
             diverged_step = exc.step
             break
         last = n == n_steps - 1
         if state.step % history_every == 0 or last:
-            history.append(_record(problem, scheme, state, t_new, report.dissipation, report.xi))
+            history.append(_record(problem, scheme, state, t_new))
         if snapshot_every and output_dir is not None and (state.step % snapshot_every == 0 or last):
             write_snapshot(state.phi_cur, t_new, Path(output_dir) / _snap_name(state.step))
 
@@ -136,17 +136,6 @@ def run_simulation(
         diverged=diverged,
         diverged_step=diverged_step,
     )
-
-
-def _source_mid(
-    problem: ProblemSpec, scheme: SchemeKind, n: int, dt: float, f_new: RealField
-) -> RealField:
-    """Source term at the time level the scheme's auxiliary update lives on."""
-    if scheme is SchemeKind.PAV_1A:
-        return source_term(problem.t0 + n * dt, problem.grid, problem.params)
-    if scheme in (SchemeKind.PAV_2A, SchemeKind.PAV_2B):
-        return source_term(problem.t0 + (n + 0.5) * dt, problem.grid, problem.params)
-    return f_new  # 1b and the baselines use the step-(n+1) level
 
 
 def _snap_name(step: int) -> str:

@@ -1,27 +1,39 @@
 """Energy-stable time steppers for the Cahn-Hilliard equation.
 
 Four schemes evolve an auxiliary scalar R tracking sqrt(E) alongside the
-phase field, with the nonlinear term scaled by xi^2 where xi = R / sqrt(E):
+phase field, with the nonlinear term scaled by xi^2 where xi = R / sqrt(E).
+They differ in two choices only: the BDF order, and whether the (xi, R)
+update runs before the field solve (A) or after it (B).  One IMEX step
+serves them and the ``semi`` baseline, driven by this table (``SCHEMES``):
 
-* ``1a`` / ``2a`` update (xi, R) by a closed-form positive expression first,
-  then solve the field equation (BDF1 / BDF2 with extrapolated nonlinearity).
-* ``1b`` / ``2b`` solve the field equation first (with a lagged or
-  extrapolated xi), then update (xi, R) from the new fields.
+    kind  order  xi update   xi in the field solve             drain level
+    1a    1      A (before)  xi^{n+1}                          t^n
+    1b    1      B (after)   lagged xi^n, xi^0 = 1             t^{n+1}
+    2a    2      A (before)  xi^{n+1}                          t^{n+1/2}
+    2b    2      B (after)   (2 R^n - R^{n-1}) / sqrt(E[ext])  t^{n+1/2}
+    semi  2      none        1 (plain explicit nonlinearity)   -
 
-This ordering asymmetry is the defining difference between the A and B
-variants and must not be rearranged.  All four guarantee 0 < R^{n+1} <= R^n
-for every time step size, and conserve the mean of phi exactly.
+Order 1 is BDF1 (sigma = 1, g = phi^n, ext = mid = phi^n, mu_mid = mu^n);
+order 2 is BDF2 (sigma = 3/2, g = 2 phi^n - phi^{n-1}/2, ext = 2 phi^n -
+phi^{n-1}, mid = 3/2 phi^n - 1/2 phi^{n-1}, mu_mid likewise).  The field
+solve uses xi^2 h(ext).  The xi update is
 
-Two baselines are provided for contrast: ``semi`` (BDF2 with the nonlinear
-term fully explicit, conditionally stable) and ``sav`` (BDF2 scalar auxiliary
-variable built on the potential energy only, stable but with no positivity
-guarantee on its auxiliary variable).
+    xi = R^n / (sqrt(E_num) + dt drain / (2 sqrt(E_den))),   R^{n+1} = xi sqrt(E_num)
 
-Every step requires one constant-coefficient spectral solve (two for SAV).
+with drain = m0 ||grad mu_d||^2 - int(f mu_d), f the source at the drain
+level.  A: E_num = E[ext], E_den = E[mid], mu_d = mu_mid.  B: E_num =
+E[phi^{n+1}]; 1b takes E_den = E[phi^{n+1}], mu_d = mu^{n+1}, and 2b
+E_den = E[mid], mu_d = (mu^{n+1} + mu^n)/2.  The A/B ordering asymmetry is
+the defining difference between the variants and must not be rearranged.
+All four guarantee 0 < R^{n+1} <= R^n for every step size and conserve the
+mean of phi exactly.
 
-When a manufactured source f is present, the auxiliary updates subtract the
-work int(f mu) from the dissipation so that R keeps tracking sqrt(E); with
-f = 0 this reduces exactly to the plain formulas.
+The baselines: ``semi`` (BDF2, nonlinear term fully explicit, conditionally
+stable) and ``sav`` (BDF2 scalar auxiliary variable on the potential energy
+only, stable, but its auxiliary variable may go negative), which couples two
+solves and keeps its own body.  Every step does one constant-coefficient
+spectral solve (two for SAV).  A state carries E[phi^n] and
+m0 ||grad mu^n||^2, so each energy is computed once per step.
 """
 
 from __future__ import annotations
@@ -60,9 +72,24 @@ class SchemeKind(str, Enum):
     def is_pav(self) -> bool:
         return self in (SchemeKind.PAV_1A, SchemeKind.PAV_1B, SchemeKind.PAV_2A, SchemeKind.PAV_2B)
 
-    @property
-    def is_baseline(self) -> bool:
-        return not self.is_pav
+
+@dataclass(frozen=True)
+class Scheme:
+    """A row of the table above: BDF order (1 or 2), xi update ("a", "b" or
+    None) and drain level in steps past t^n, where the runner evaluates a source."""
+
+    order: int
+    xi: str | None
+    drain_level: float
+
+
+SCHEMES = {
+    SchemeKind.PAV_1A: Scheme(order=1, xi="a", drain_level=0.0),
+    SchemeKind.PAV_1B: Scheme(order=1, xi="b", drain_level=1.0),
+    SchemeKind.PAV_2A: Scheme(order=2, xi="a", drain_level=0.5),
+    SchemeKind.PAV_2B: Scheme(order=2, xi="b", drain_level=0.5),
+    SchemeKind.SEMI_IMPLICIT: Scheme(order=2, xi=None, drain_level=1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -70,7 +97,9 @@ class SchemeState:
     """Two time levels of the discrete solution plus the auxiliary variables.
 
     At step 0 the previous slots equal the current ones (cold start); the
-    second-order schemes read them as phi^{-1} = phi^0 etc.
+    second-order schemes read them as phi^{-1} = phi^0 etc.  ``energy`` is
+    E[phi_cur] and ``dissipation`` is m0 ||grad mu_cur||^2, kept so no step
+    recomputes them.  ``xi_cur`` is the last xi (1 until a PAV step runs).
     """
 
     phi_cur: RealField
@@ -79,25 +108,16 @@ class SchemeState:
     mu_prev: RealField
     r_cur: float
     r_prev: float
+    energy: float
+    dissipation: float
     step: int = 0
-    xi_cur: float = 1.0  # lagged xi consumed by scheme 1b
+    xi_cur: float = 1.0
     sav_r_cur: float = 0.0
     sav_r_prev: float = 0.0
 
     @property
     def grid(self) -> GridSpec:
         return self.phi_cur.grid
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """Diagnostics from a single step; xi and r_new are None for baselines."""
-
-    xi: float | None
-    r_new: float | None
-    energy: float
-    dissipation: float
-    dt: float
 
 
 def init_state(phi0: RealField, p: PhysicalParams) -> SchemeState:
@@ -107,22 +127,15 @@ def init_state(phi0: RealField, p: PhysicalParams) -> SchemeState:
     NonPositiveEnergy when either square root is undefined.
     """
     mu0 = chemical_potential_exact(phi0, p)
-    r0 = math.sqrt(energy_total(phi0, p))
+    e0 = energy_total(phi0, p)
+    r0 = math.sqrt(e0)
     e1 = potential_integral(phi0, p) + p.c0
     if not e1 > 0:
         raise NonPositiveEnergy(f"potential energy + c0 = {e1} is not positive")
     sav_r = math.sqrt(e1)
     return SchemeState(
-        phi_cur=phi0,
-        phi_prev=phi0,
-        mu_cur=mu0,
-        mu_prev=mu0,
-        r_cur=r0,
-        r_prev=r0,
-        step=0,
-        xi_cur=1.0,
-        sav_r_cur=sav_r,
-        sav_r_prev=sav_r,
+        phi_cur=phi0, phi_prev=phi0, mu_cur=mu0, mu_prev=mu0, r_cur=r0, r_prev=r0,
+        energy=e0, dissipation=dissipation(mu0, p), sav_r_cur=sav_r, sav_r_prev=sav_r,
     )
 
 
@@ -149,19 +162,13 @@ def solve_linear_step(
     return RealField(grid, grid.ifft(phi_hat)), RealField(grid, grid.ifft(mu_hat))
 
 
-def compute_xi_1a(r_n: float, e_n: float, diss_n: float, dt: float) -> float:
-    """Closed-form xi update: r / (sqrt(e) + dt * diss / (2 sqrt(e))).
-
-    With r > 0 and diss >= 0 the result satisfies 0 < xi <= r / sqrt(e).
-    Shared by all four schemes with scheme-specific (e, diss) arguments via
-    the two-energy generalization below.
-    """
-    return _xi_update(r_n, e_n, e_n, diss_n, dt)
-
-
 def _xi_update(r_n: float, e_num: float, e_den: float, drain: float, dt: float) -> float:
-    # e_num sits under R in xi = R/sqrt(e_num); e_den scales the drain term.
-    # drain = dissipation - source work; may be negative only in manufactured runs.
+    """Closed-form xi = r / (sqrt(e_num) + dt * drain / (2 sqrt(e_den))).
+
+    With r > 0 and drain >= 0 the result satisfies 0 < xi <= r / sqrt(e_num).
+    drain = dissipation - source work; it may be negative only in
+    manufactured runs.
+    """
     if not e_num > 0 or not e_den > 0:
         raise InvalidState(f"energy must be positive in xi update, got {e_num}, {e_den}")
     denom = math.sqrt(e_num) + dt * drain / (2.0 * math.sqrt(e_den))
@@ -177,15 +184,6 @@ def _dealias(field: RealField, enabled: bool) -> RealField:
     return RealField(grid, grid.ifft(grid.fft(field.values) * grid.dealias_mask))
 
 
-def _lin(*pairs: tuple[float, RealField]) -> RealField:
-    """Linear combination of fields on a shared grid."""
-    grid = pairs[0][1].grid
-    out = np.zeros(grid.shape)
-    for coeff, field in pairs:
-        out += coeff * field.values
-    return RealField(grid, out)
-
-
 def _work(f_src: RealField | None, mu: RealField) -> float:
     """Energy input rate int(f mu) of a source term; 0 when absent."""
     if f_src is None:
@@ -193,167 +191,32 @@ def _work(f_src: RealField | None, mu: RealField) -> float:
     return integrate(RealField(mu.grid, f_src.values * mu.values))
 
 
-def _bdf1_g(state: SchemeState, dt: float, f_src: RealField | None) -> RealField:
-    if f_src is None:
-        return state.phi_cur
-    return _lin((1.0, state.phi_cur), (dt, f_src))
+def _mid(cur: RealField, prev: RealField) -> RealField:
+    """Second-order extrapolant to t^{n+1/2}: 3/2 cur - 1/2 prev."""
+    return RealField(cur.grid, 1.5 * cur.values - 0.5 * prev.values)
 
 
-def _bdf2_g(state: SchemeState, dt: float, f_src: RealField | None) -> RealField:
-    pairs = [(2.0, state.phi_cur), (-0.5, state.phi_prev)]
+def _bdf(order: int, state: SchemeState, dt: float, f_src: RealField | None):
+    """BDF coefficient sigma, right-hand side g (plus dt f) and extrapolant of phi^{n+1}."""
+    phi = state.phi_cur
+    if order == 1:
+        sigma, g, ext = 1.0, phi.values, phi
+    else:
+        v, v_prev = phi.values, state.phi_prev.values
+        sigma, g, ext = 1.5, 2.0 * v - 0.5 * v_prev, RealField(phi.grid, 2.0 * v - v_prev)
     if f_src is not None:
-        pairs.append((dt, f_src))
-    return _lin(*pairs)
+        g = g + dt * f_src.values
+    return sigma, RealField(phi.grid, g), ext
 
 
 def _advance(
-    state: SchemeState,
-    phi_new: RealField,
-    mu_new: RealField,
-    r_new: float,
-    xi: float,
-    p: PhysicalParams,
-    dt: float,
-    sav_r_new: float | None = None,
-) -> tuple[SchemeState, StepReport]:
-    new_state = replace(
-        state,
-        phi_cur=phi_new,
-        phi_prev=state.phi_cur,
-        mu_cur=mu_new,
-        mu_prev=state.mu_cur,
-        r_cur=r_new,
-        r_prev=state.r_cur,
-        step=state.step + 1,
-        xi_cur=xi,
-        sav_r_cur=sav_r_new if sav_r_new is not None else state.sav_r_cur,
-        sav_r_prev=state.sav_r_cur,
+    state: SchemeState, phi_new: RealField, mu_new: RealField, energy: float, diss: float, **aux
+) -> SchemeState:
+    """The next state; ``aux`` sets the auxiliary variables the scheme updated."""
+    return replace(
+        state, phi_cur=phi_new, phi_prev=state.phi_cur, mu_cur=mu_new, mu_prev=state.mu_cur,
+        energy=energy, dissipation=diss, step=state.step + 1, **aux,
     )
-    report = StepReport(
-        xi=xi,
-        r_new=r_new,
-        energy=energy_total(phi_new, p),
-        dissipation=dissipation(mu_new, p),
-        dt=dt,
-    )
-    return new_state, report
-
-
-def step_1a(
-    state: SchemeState,
-    dt: float,
-    p: PhysicalParams,
-    f_src: RealField | None = None,
-    *,
-    f_src_mid: RealField | None = None,
-    dealias: bool = False,
-) -> tuple[SchemeState, StepReport]:
-    """First-order scheme, auxiliary-first ordering.
-
-    Computes xi and R^{n+1} from the step-n energy and dissipation, then does
-    one BDF1 solve with the nonlinear term xi^2 h(phi^n).
-    """
-    if f_src_mid is None:
-        f_src_mid = f_src
-    e_n = energy_total(state.phi_cur, p)
-    drain = dissipation(state.mu_cur, p) - _work(f_src_mid, state.mu_cur)
-    xi = _xi_update(state.r_cur, e_n, e_n, drain, dt)
-    r_new = xi * math.sqrt(e_n)
-    s = _dealias(potential_h(state.phi_cur, p), dealias)
-    s = RealField(s.grid, xi**2 * s.values)
-    phi_new, mu_new = solve_linear_step(1.0, _bdf1_g(state, dt, f_src), s, dt, p)
-    return _advance(state, phi_new, mu_new, r_new, xi, p, dt)
-
-
-def step_1b(
-    state: SchemeState,
-    dt: float,
-    p: PhysicalParams,
-    f_src: RealField | None = None,
-    *,
-    f_src_mid: RealField | None = None,
-    dealias: bool = False,
-) -> tuple[SchemeState, StepReport]:
-    """First-order scheme, field-first ordering.
-
-    Solves the BDF1 field equation with the lagged xi^n, then updates xi and
-    R^{n+1} from the step-(n+1) energy and dissipation.  xi^0 = 1.
-    """
-    if f_src_mid is None:
-        f_src_mid = f_src
-    s = _dealias(potential_h(state.phi_cur, p), dealias)
-    s = RealField(s.grid, state.xi_cur**2 * s.values)
-    phi_new, mu_new = solve_linear_step(1.0, _bdf1_g(state, dt, f_src), s, dt, p)
-    e_new = energy_total(phi_new, p)
-    drain = dissipation(mu_new, p) - _work(f_src_mid, mu_new)
-    xi = _xi_update(state.r_cur, e_new, e_new, drain, dt)
-    r_new = xi * math.sqrt(e_new)
-    return _advance(state, phi_new, mu_new, r_new, xi, p, dt)
-
-
-def step_2a(
-    state: SchemeState,
-    dt: float,
-    p: PhysicalParams,
-    f_src: RealField | None = None,
-    *,
-    f_src_mid: RealField | None = None,
-    dealias: bool = False,
-) -> tuple[SchemeState, StepReport]:
-    """Second-order scheme, auxiliary-first ordering (BDF2 field, CN2 auxiliary).
-
-    xi uses the extrapolants phi_bar = 2 phi^n - phi^{n-1} (under R) and
-    phi_tilde, mu_tilde at step n+1/2 (in the drain term); the two energy
-    denominators are deliberately different.  The field solve uses
-    xi^2 h(phi_bar).  f_src_mid, when given, is the source at t^{n+1/2}.
-    """
-    if f_src_mid is None:
-        f_src_mid = f_src
-    phi_bar = _lin((2.0, state.phi_cur), (-1.0, state.phi_prev))
-    phi_tilde = _lin((1.5, state.phi_cur), (-0.5, state.phi_prev))
-    mu_tilde = _lin((1.5, state.mu_cur), (-0.5, state.mu_prev))
-    e_bar = energy_total(phi_bar, p)
-    e_tilde = energy_total(phi_tilde, p)
-    drain = dissipation(mu_tilde, p) - _work(f_src_mid, mu_tilde)
-    xi = _xi_update(state.r_cur, e_bar, e_tilde, drain, dt)
-    r_new = xi * math.sqrt(e_bar)
-    s = _dealias(potential_h(phi_bar, p), dealias)
-    s = RealField(s.grid, xi**2 * s.values)
-    phi_new, mu_new = solve_linear_step(1.5, _bdf2_g(state, dt, f_src), s, dt, p)
-    return _advance(state, phi_new, mu_new, r_new, xi, p, dt)
-
-
-def step_2b(
-    state: SchemeState,
-    dt: float,
-    p: PhysicalParams,
-    f_src: RealField | None = None,
-    *,
-    f_src_mid: RealField | None = None,
-    dealias: bool = False,
-) -> tuple[SchemeState, StepReport]:
-    """Second-order scheme, field-first ordering.
-
-    The field solve uses the extrapolated xi_hat = (2 R^n - R^{n-1}) /
-    sqrt(E[phi_bar]); afterwards xi^{n+1} and R^{n+1} follow from E[phi^{n+1}]
-    and the Crank-Nicolson dissipation of mu^{n+1/2} = (mu^{n+1} + mu^n)/2.
-    """
-    if f_src_mid is None:
-        f_src_mid = f_src
-    phi_bar = _lin((2.0, state.phi_cur), (-1.0, state.phi_prev))
-    phi_tilde = _lin((1.5, state.phi_cur), (-0.5, state.phi_prev))
-    e_bar = energy_total(phi_bar, p)
-    xi_hat = (2.0 * state.r_cur - state.r_prev) / math.sqrt(e_bar)
-    s = _dealias(potential_h(phi_bar, p), dealias)
-    s = RealField(s.grid, xi_hat**2 * s.values)
-    phi_new, mu_new = solve_linear_step(1.5, _bdf2_g(state, dt, f_src), s, dt, p)
-    mu_half = _lin((0.5, mu_new), (0.5, state.mu_cur))
-    e_new = energy_total(phi_new, p)
-    e_tilde = energy_total(phi_tilde, p)
-    drain = dissipation(mu_half, p) - _work(f_src_mid, mu_half)
-    xi = _xi_update(state.r_cur, e_new, e_tilde, drain, dt)
-    r_new = xi * math.sqrt(e_new)
-    return _advance(state, phi_new, mu_new, r_new, xi, p, dt)
 
 
 def _guard(phi: RealField, step: int) -> None:
@@ -362,51 +225,83 @@ def _guard(phi: RealField, step: int) -> None:
         raise Diverged(f"field blew up at step {step}", step=step)
 
 
-def step_semi_implicit2(
-    state: SchemeState,
-    dt: float,
-    p: PhysicalParams,
-    f_src: RealField | None = None,
-    *,
-    f_src_mid: RealField | None = None,
-    dealias: bool = False,
-) -> tuple[SchemeState, StepReport]:
-    """Baseline: BDF2 with h(phi_bar) fully explicit and no auxiliary variable.
+def _imex_step(
+    scheme: Scheme, state: SchemeState, dt: float, p: PhysicalParams,
+    f_src: RealField | None = None, *, f_src_mid: RealField | None = None, dealias: bool = False,
+) -> SchemeState:
+    """Advance one step of a table scheme (see the module docstring).
 
-    Only conditionally stable; raises Diverged when the new field is
-    non-finite or exceeds the overflow guard.
+    ``f_src`` is the source at t^{n+1}; ``f_src_mid``, when given, is the
+    source at the scheme's drain level.  The ``semi`` row raises Diverged when
+    the new field is non-finite or exceeds the overflow guard.
     """
-    phi_bar = _lin((2.0, state.phi_cur), (-1.0, state.phi_prev))
-    s = _dealias(potential_h(phi_bar, p), dealias)
-    phi_new, mu_new = solve_linear_step(1.5, _bdf2_g(state, dt, f_src), s, dt, p)
-    _guard(phi_new, state.step + 1)
-    new_state = replace(
-        state,
-        phi_cur=phi_new,
-        phi_prev=state.phi_cur,
-        mu_cur=mu_new,
-        mu_prev=state.mu_cur,
-        step=state.step + 1,
+    if f_src_mid is None:
+        f_src_mid = f_src
+    first = scheme.order == 1
+    sigma, g, ext = _bdf(scheme.order, state, dt, f_src)
+    xi = None  # the xi scaling h(ext) in the field solve
+    if scheme.xi == "a":
+        if first:
+            e_num = e_den = state.energy
+            mu_d, diss_d = state.mu_cur, state.dissipation
+        else:
+            e_num = energy_total(ext, p)
+            e_den = energy_total(_mid(state.phi_cur, state.phi_prev), p)
+            mu_d = _mid(state.mu_cur, state.mu_prev)
+            diss_d = dissipation(mu_d, p)
+        xi = _xi_update(state.r_cur, e_num, e_den, diss_d - _work(f_src_mid, mu_d), dt)
+    elif scheme.xi == "b" and first:
+        xi = state.xi_cur
+    elif scheme.xi == "b":
+        xi = (2.0 * state.r_cur - state.r_prev) / math.sqrt(energy_total(ext, p))
+
+    s = _dealias(potential_h(ext, p), dealias)
+    if xi is not None:
+        s = RealField(s.grid, xi**2 * s.values)
+    phi_new, mu_new = solve_linear_step(sigma, g, s, dt, p)
+    if scheme.xi is None:
+        _guard(phi_new, state.step + 1)
+    e_new, d_new = energy_total(phi_new, p), dissipation(mu_new, p)
+    if scheme.xi is None:
+        return _advance(state, phi_new, mu_new, e_new, d_new)
+    if scheme.xi == "b":
+        e_num = e_new
+        if first:
+            e_den, mu_d, diss_d = e_new, mu_new, d_new
+        else:
+            e_den = energy_total(_mid(state.phi_cur, state.phi_prev), p)
+            mu_d = RealField(mu_new.grid, 0.5 * mu_new.values + 0.5 * state.mu_cur.values)
+            diss_d = dissipation(mu_d, p)
+        xi = _xi_update(state.r_cur, e_num, e_den, diss_d - _work(f_src_mid, mu_d), dt)
+    r_new = xi * math.sqrt(e_num)
+    return _advance(
+        state, phi_new, mu_new, e_new, d_new, r_cur=r_new, r_prev=state.r_cur, xi_cur=xi
     )
-    report = StepReport(
-        xi=None,
-        r_new=None,
-        energy=energy_total(phi_new, p),
-        dissipation=dissipation(mu_new, p),
-        dt=dt,
-    )
-    return new_state, report
+
+
+def _table_stepper(kind: SchemeKind, name: str):
+    """The named stepper of one table row, with the signature every stepper shares."""
+    scheme = SCHEMES[kind]
+
+    def step(state, dt, p, f_src=None, *, f_src_mid=None, dealias=False) -> SchemeState:
+        return _imex_step(scheme, state, dt, p, f_src, f_src_mid=f_src_mid, dealias=dealias)
+
+    step.__name__ = step.__qualname__ = name
+    step.__doc__ = f"One {kind.value} step ({scheme}); returns the new state."
+    return step
+
+
+step_1a = _table_stepper(SchemeKind.PAV_1A, "step_1a")
+step_1b = _table_stepper(SchemeKind.PAV_1B, "step_1b")
+step_2a = _table_stepper(SchemeKind.PAV_2A, "step_2a")
+step_2b = _table_stepper(SchemeKind.PAV_2B, "step_2b")
+step_semi_implicit2 = _table_stepper(SchemeKind.SEMI_IMPLICIT, "step_semi_implicit2")
 
 
 def step_sav2(
-    state: SchemeState,
-    dt: float,
-    p: PhysicalParams,
-    f_src: RealField | None = None,
-    *,
-    f_src_mid: RealField | None = None,
-    dealias: bool = False,
-) -> tuple[SchemeState, StepReport]:
+    state: SchemeState, dt: float, p: PhysicalParams,
+    f_src: RealField | None = None, *, f_src_mid: RealField | None = None, dealias: bool = False,
+) -> SchemeState:
     """Baseline: BDF2 scalar-auxiliary-variable scheme.
 
     The auxiliary r1 tracks sqrt(int H(phi) + c0) (potential energy only) and
@@ -422,13 +317,13 @@ def step_sav2(
     guarantee and may go negative.
     """
     grid = state.grid
-    phi_bar = _lin((2.0, state.phi_cur), (-1.0, state.phi_prev))
+    sigma, g, phi_bar = _bdf(2, state, dt, f_src)
     e1_bar = potential_integral(phi_bar, p) + p.c0
     b = _dealias(potential_h(phi_bar, p), dealias)
     b = RealField(grid, b.values / math.sqrt(e1_bar))
     zero = RealField.constant(grid, 0.0)
-    phi_1, mu_1 = solve_linear_step(1.5, _bdf2_g(state, dt, f_src), zero, dt, p)
-    phi_2, mu_2 = solve_linear_step(1.5, zero, b, dt, p)
+    phi_1, mu_1 = solve_linear_step(sigma, g, zero, dt, p)
+    phi_2, mu_2 = solve_linear_step(sigma, zero, b, dt, p)
     ib_1 = integrate(RealField(grid, b.values * phi_1.values))
     ib_2 = integrate(RealField(grid, b.values * phi_2.values))
     ib_n = integrate(RealField(grid, b.values * state.phi_cur.values))
@@ -437,27 +332,13 @@ def step_sav2(
     r1_new = (4.0 * state.sav_r_cur - state.sav_r_prev + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (
         3.0 - 1.5 * ib_2
     )
-    phi_new = _lin((1.0, phi_1), (r1_new, phi_2))
-    mu_new = _lin((1.0, mu_1), (r1_new, mu_2))
+    phi_new = RealField(grid, phi_1.values + r1_new * phi_2.values)
+    mu_new = RealField(grid, mu_1.values + r1_new * mu_2.values)
     _guard(phi_new, state.step + 1)
-    new_state = replace(
-        state,
-        phi_cur=phi_new,
-        phi_prev=state.phi_cur,
-        mu_cur=mu_new,
-        mu_prev=state.mu_cur,
-        step=state.step + 1,
-        sav_r_cur=r1_new,
-        sav_r_prev=state.sav_r_cur,
+    e_new, d_new = energy_total(phi_new, p), dissipation(mu_new, p)
+    return _advance(
+        state, phi_new, mu_new, e_new, d_new, sav_r_cur=r1_new, sav_r_prev=state.sav_r_cur
     )
-    report = StepReport(
-        xi=None,
-        r_new=None,
-        energy=energy_total(phi_new, p),
-        dissipation=dissipation(mu_new, p),
-        dt=dt,
-    )
-    return new_state, report
 
 
 STEPPERS = {

@@ -71,11 +71,11 @@ def run_pav_trace(scheme: SchemeKind, dt: float, n_steps: int) -> PavTrace:
             e_den = energy_total(state.phi_cur, p)
         else:
             e_den = None  # 1b / 2b: E[phi^{n+1}], known after the step
-        state, rep = step_fn(state, dt, p)
+        state = step_fn(state, dt, p)
         if e_den is None:
             e_den = energy_total(state.phi_cur, p)
-        trace.xi.append(rep.xi)
-        trace.r.append(rep.r_new)
+        trace.xi.append(state.xi_cur)
+        trace.r.append(state.r_cur)
         trace.xi_bound.append(r_n / math.sqrt(e_den))
         trace.h2.append(h2_norm(state.phi_cur))
         trace.mass.append(integrate(state.phi_cur))
@@ -239,7 +239,7 @@ class TestCriterion8LinearOracle:
                     * np.cos(2 * np.pi * q_mode * Y / grid.ly),
                 )
                 state = init_state(f0, params)
-                state, _ = STEPPERS[scheme](state, dt, params)
+                state = STEPPERS[scheme](state, dt, params)
                 k2 = (2 * np.pi * p_mode / grid.lx) ** 2 + (2 * np.pi * q_mode / grid.ly) ** 2
                 d = params.m0 * k2 * (params.beta * k2 + params.lam)
                 amp = 1.0 / (1.0 + dt * d) if order == 1 else 1.5 / (1.5 + dt * d)
@@ -292,7 +292,7 @@ class TestCriterion10SavModifiedEnergy:
         energies = [sav_modified_energy(state, p)]
         r1 = [state.sav_r_cur]
         for _ in range(500):
-            state, _ = step_sav2(state, 0.1, p)
+            state = step_sav2(state, 0.1, p)
             energies.append(sav_modified_energy(state, p))
             r1.append(state.sav_r_cur)
         violations = [

@@ -136,6 +136,63 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            (dict(MINIMAL, dealais=True), "dealais"),
+            (dict(MINIMAL, seed=0), "seed"),
+            ({"problem": {"kind": "manufactured", "lx": 3.0}, "scheme": "1a"}, "problem.lx"),
+            ({"problem": {"kind": "drop_array", "radiuss": 0.1}, "scheme": "1a"}, "problem.radiuss"),
+            (dict(MINIMAL, time={"dt": 0.01, "steps": 3}), "time.steps"),
+            (dict(MINIMAL, output={"every": 3}), "output.every"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_unknown_key_rejected_with_dotted_name(self, doc, field):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(json.dumps(doc))
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"kind": "manufactured", "nx": 16, "ny": 16, "m0": 0.02, "beta": 0.02, "eta": 0.2,
+             "lambda": 0.1, "c0": 2.0},
+            {"kind": "drop_array", "preset": "desk", "nx": 32, "ny": 32, "lx": 2.0, "ly": 2.0,
+             "m0": 1e-5, "sigma": 100.0, "beta": 0.01, "eta": 0.05, "lambda": 0.0, "c0": 1.0,
+             "count_x": 2, "count_y": 2, "spacing": 0.6, "radius": 0.2},
+        ],
+        ids=["manufactured", "drop_array"],
+    )
+    def test_every_schema_key_accepted(self, problem):
+        doc = {
+            "problem": problem,
+            "scheme": "1a",
+            "time": {"t0": 0.0, "tf": 0.1, "dt": 0.01},
+            "output": {"dir": "o", "history_every": 2, "snapshot_every": 5},
+            "dealias": True,
+        }
+        assert parse_config(json.dumps(doc)).problem.grid.shape == (problem["nx"], problem["ny"])
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "overflow", "huge-int"],
+    )
+    @pytest.mark.parametrize(
+        "field,template",
+        [
+            ("problem.c0", '{"problem": {"kind": "manufactured", "c0": %s}, "scheme": "1a"}'),
+            ("problem.lambda", '{"problem": {"kind": "manufactured", "lambda": %s}, "scheme": "1a"}'),
+            ("problem.m0", '{"problem": {"kind": "manufactured", "m0": %s}, "scheme": "1a"}'),
+            ("time.tf", '{"problem": {"kind": "manufactured"}, "time": {"tf": %s}, "scheme": "1a"}'),
+        ],
+        ids=["c0", "lambda", "m0", "tf"],
+    )
+    def test_non_finite_number_names_field(self, field, template, literal):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(template % literal)
+        assert excinfo.value.field == field
+        assert "finite" in str(excinfo.value)
 
 def sample_records():
     return [

@@ -14,7 +14,6 @@ from cahnpav import (
     PhysicalParams,
     RealField,
     SchemeKind,
-    compute_xi_1a,
     dissipation,
     energy_total,
     init_state,
@@ -31,7 +30,7 @@ from cahnpav import (
     step_sav2,
     step_semi_implicit2,
 )
-from cahnpav.schemes import STEPPERS
+from cahnpav.schemes import STEPPERS, _xi_update
 
 THEORY = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=1.0)
 LINEAR = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=0.0, c0=1.0)
@@ -112,28 +111,28 @@ class TestSolveLinearStep:
 
 class TestComputeXi:
     def test_no_dissipation_exact_ratio(self):
-        assert compute_xi_1a(2.0, 4.0, 0.0, 0.1) == pytest.approx(1.0)
+        assert _xi_update(2.0, 4.0, 4.0, 0.0, 0.1) == pytest.approx(1.0)
 
     def test_worked_example(self):
         # 2 / (2 + 0.1 * 8 / (2 * 2)) = 2 / 2.2
-        assert compute_xi_1a(2.0, 4.0, 8.0, 0.1) == pytest.approx(2.0 / 2.2, rel=1e-15)
+        assert _xi_update(2.0, 4.0, 4.0, 8.0, 0.1) == pytest.approx(2.0 / 2.2, rel=1e-15)
 
     def test_monotone_decreasing_in_dissipation(self):
-        values = [compute_xi_1a(1.0, 1.0, d, 0.1) for d in (0.0, 1.0, 10.0, 1e6, 1e12)]
+        values = [_xi_update(1.0, 1.0, 1.0, d, 0.1) for d in (0.0, 1.0, 10.0, 1e6, 1e12)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] > 0.0
         assert values[-1] < 1e-10
 
     def test_bounded_by_r_over_sqrt_e(self):
         for diss in (0.0, 0.5, 7.0):
-            xi = compute_xi_1a(1.7, 2.3, diss, 0.25)
+            xi = _xi_update(1.7, 2.3, 2.3, diss, 0.25)
             assert 0.0 < xi <= 1.7 / math.sqrt(2.3)
 
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(InvalidState):
-            compute_xi_1a(1.0, 0.0, 1.0, 0.1)
+            _xi_update(1.0, 0.0, 0.0, 1.0, 0.1)
         with pytest.raises(InvalidState):
-            compute_xi_1a(1.0, -2.0, 1.0, 0.1)
+            _xi_update(1.0, -2.0, -2.0, 1.0, 0.1)
 
 
 class TestInitState:
@@ -161,24 +160,47 @@ class TestInitState:
         assert state.sav_r_prev == state.sav_r_cur
 
 
+class TestStepperTable:
+    def test_one_distinct_named_stepper_per_kind(self):
+        assert {kind.value: fn.__name__ for kind, fn in STEPPERS.items()} == {
+            "1a": "step_1a",
+            "1b": "step_1b",
+            "2a": "step_2a",
+            "2b": "step_2b",
+            "semi": "step_semi_implicit2",
+            "sav": "step_sav2",
+        }
+        assert len({id(fn) for fn in STEPPERS.values()}) == len(STEPPERS)
+
+    @pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
+    def test_state_carries_energy_and_dissipation_of_current_level(self, stepper):
+        # the cached values are the same function of the same arrays, so equal exactly
+        grid = GridSpec(16, 16, 2.0, 2.0)
+        state = init_state(smooth_ic(grid, 50, amp=0.8), THEORY)
+        for _ in range(4):
+            assert state.energy == energy_total(state.phi_cur, THEORY)
+            assert state.dissipation == dissipation(state.mu_cur, THEORY)
+            state = stepper(state, 0.1, THEORY, smooth_ic(grid, 51, amp=0.1))
+
+
 @pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
 class TestFixedPoint:
     def test_equilibrium_plus_one(self, stepper):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(RealField.constant(grid, 1.0), THEORY)
-        new, report = stepper(state, 0.5, THEORY)
+        new = stepper(state, 0.5, THEORY)
         assert np.max(np.abs(new.phi_cur.values - 1.0)) < 1e-13
         assert np.max(np.abs(new.mu_cur.values)) < 1e-13
         assert new.step == 1
-        if report.r_new is not None:
-            assert report.r_new == pytest.approx(1.0)
+        if stepper in PAV_STEPPERS:
+            assert new.r_cur == pytest.approx(1.0)
         if stepper is step_sav2:
             assert new.sav_r_cur == pytest.approx(1.0)
 
     def test_equilibrium_minus_one(self, stepper):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(RealField.constant(grid, -1.0), THEORY)
-        new, _ = stepper(state, 0.5, THEORY)
+        new = stepper(state, 0.5, THEORY)
         assert np.max(np.abs(new.phi_cur.values + 1.0)) < 1e-13
 
 
@@ -231,7 +253,7 @@ class TestLinearOracle:
             f0 = self.mode_field(grid, p, q)
             state = init_state(f0, params)
             for _ in range(3):
-                state, _ = stepper(state, dt, params)
+                state = stepper(state, dt, params)
             k2 = (2 * np.pi * p / grid.lx) ** 2 + (2 * np.pi * q / grid.ly) ** 2
             amp = self.closed_form_factors(k2, dt, params, 3, order)[-1]
             assert np.max(np.abs(state.phi_cur.values - amp * f0.values)) < 1e-12
@@ -243,8 +265,8 @@ class TestLinearOracle:
         s1 = init_state(smooth_ic(grid, 9), params)
         s2 = s1
         for _ in range(4):
-            s1, _ = step_sav2(s1, 0.05, params)
-            s2, _ = step_semi_implicit2(s2, 0.05, params)
+            s1 = step_sav2(s1, 0.05, params)
+            s2 = step_semi_implicit2(s2, 0.05, params)
         assert np.max(np.abs(s1.phi_cur.values - s2.phi_cur.values)) < 1e-13
         assert s1.sav_r_cur == pytest.approx(1.0)
 
@@ -257,7 +279,7 @@ class TestMassConservation:
         state = init_state(smooth_ic(grid, seed), THEORY)
         mass0 = integrate(state.phi_cur)
         for _ in range(5):
-            state, _ = stepper(state, 0.2, THEORY)
+            state = stepper(state, 0.2, THEORY)
         drift = abs(integrate(state.phi_cur) - mass0)
         assert drift <= 1e-13 * max(abs(mass0), 1.0)
 
@@ -267,7 +289,7 @@ class TestMassConservation:
         state = init_state(smooth_ic(grid, 2), THEORY)
         f_src = smooth_ic(grid, 3)
         dt = 0.13
-        new, _ = step_1a(state, dt, THEORY, f_src)
+        new = step_1a(state, dt, THEORY, f_src)
         expected = integrate(state.phi_cur) + dt * integrate(f_src)
         assert integrate(new.phi_cur) == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
@@ -279,7 +301,7 @@ class TestMassConservation:
         dt = 0.07
         m_prev = state.phi_prev.mean()
         m_cur = state.phi_cur.mean()
-        new, _ = step_2a(state, dt, THEORY, f_src)
+        new = step_2a(state, dt, THEORY, f_src)
         lhs = (3 * new.phi_cur.mean() - 4 * m_cur + m_prev) / (2 * dt)
         assert lhs == pytest.approx(f_src.mean(), rel=1e-12, abs=1e-14)
 
@@ -292,8 +314,8 @@ class TestRChain:
         state = init_state(smooth_ic(grid, 8, amp=0.8), THEORY)
         r_values = [state.r_cur]
         for _ in range(100):
-            state, report = stepper(state, dt, THEORY)
-            r_values.append(report.r_new)
+            state = stepper(state, dt, THEORY)
+            r_values.append(state.r_cur)
         assert all(r > 0 for r in r_values)
         assert all(b <= a * (1 + 1e-14) for a, b in zip(r_values, r_values[1:]))
 
@@ -303,10 +325,10 @@ class TestRChain:
         state = init_state(smooth_ic(grid, 13, amp=0.8), THEORY)
         for _ in range(30):
             prev_r = state.r_cur
-            state, report = stepper(state, 0.3, THEORY)
-            assert report.xi > 0
+            state = stepper(state, 0.3, THEORY)
+            assert state.xi_cur > 0
             # xi <= R^n / sqrt(E[denominator field]); E >= c0 always
-            assert report.xi <= prev_r / math.sqrt(THEORY.c0) + 1e-14
+            assert state.xi_cur <= prev_r / math.sqrt(THEORY.c0) + 1e-14
 
 
 class TestStepOrderingAsymmetry:
@@ -317,25 +339,28 @@ class TestStepOrderingAsymmetry:
         state = init_state(smooth_ic(grid, 21, amp=0.6), THEORY)
         e_n = energy_total(state.phi_cur, THEORY)
         diss_n = dissipation(state.mu_cur, THEORY)
-        expected_xi = compute_xi_1a(state.r_cur, e_n, diss_n, 0.2)
-        _, report = step_1a(state, 0.2, THEORY)
-        assert report.xi == pytest.approx(expected_xi, rel=1e-15)
-        assert report.r_new == pytest.approx(expected_xi * math.sqrt(e_n), rel=1e-15)
+        expected_xi = _xi_update(state.r_cur, e_n, e_n, diss_n, 0.2)
+        new = step_1a(state, 0.2, THEORY)
+        assert new.xi_cur == pytest.approx(expected_xi, rel=1e-15)
+        assert new.r_cur == pytest.approx(expected_xi * math.sqrt(e_n), rel=1e-15)
 
     def test_1b_xi_depends_on_new_fields(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 22, amp=0.6), THEORY)
-        new, report = step_1b(state, 0.2, THEORY)
+        new = step_1b(state, 0.2, THEORY)
         e_new = energy_total(new.phi_cur, THEORY)
         diss_new = dissipation(new.mu_cur, THEORY)
-        expected_xi = compute_xi_1a(state.r_cur, e_new, diss_new, 0.2)
-        assert report.xi == pytest.approx(expected_xi, rel=1e-15)
-        assert new.xi_cur == report.xi  # stored for the next lagged solve
+        expected_xi = _xi_update(state.r_cur, e_new, e_new, diss_new, 0.2)
+        assert new.xi_cur == pytest.approx(expected_xi, rel=1e-15)
+        # stored for the next lagged solve
+        s = RealField(grid, new.xi_cur**2 * potential_h(new.phi_cur, THEORY).values)
+        manual_phi, _ = solve_linear_step(1.0, new.phi_cur, s, 0.2, THEORY)
+        assert np.max(np.abs(step_1b(new, 0.2, THEORY).phi_cur.values - manual_phi.values)) < 1e-15
 
     def test_1b_first_step_uses_unit_xi(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 23, amp=0.6), THEORY)
-        new, _ = step_1b(state, 0.2, THEORY)
+        new = step_1b(state, 0.2, THEORY)
         # manual: BDF1 solve with s = 1^2 h(phi^0)
         manual_phi, _ = solve_linear_step(1.0, state.phi_cur, potential_h(state.phi_cur, THEORY), 0.2, THEORY)
         assert np.max(np.abs(new.phi_cur.values - manual_phi.values)) < 1e-15
@@ -344,7 +369,7 @@ class TestStepOrderingAsymmetry:
         # phi^{-1} = phi^0 and R^{-1} = R^0 make xi_hat = R^0 / sqrt(E^0) = 1
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 24, amp=0.6), THEORY)
-        new, _ = step_2b(state, 0.2, THEORY)
+        new = step_2b(state, 0.2, THEORY)
         g = RealField(grid, 1.5 * state.phi_cur.values)
         manual_phi, _ = solve_linear_step(1.5, g, potential_h(state.phi_cur, THEORY), 0.2, THEORY)
         assert np.max(np.abs(new.phi_cur.values - manual_phi.values)) < 1e-15
@@ -352,7 +377,7 @@ class TestStepOrderingAsymmetry:
     def test_2a_xi_uses_extrapolated_fields(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 25, amp=0.6), THEORY)
-        state, _ = step_2a(state, 0.15, THEORY)  # build distinct history
+        state = step_2a(state, 0.15, THEORY)  # build distinct history
         phi_bar = RealField(grid, 2 * state.phi_cur.values - state.phi_prev.values)
         phi_til = RealField(grid, 1.5 * state.phi_cur.values - 0.5 * state.phi_prev.values)
         mu_til = RealField(grid, 1.5 * state.mu_cur.values - 0.5 * state.mu_prev.values)
@@ -360,8 +385,8 @@ class TestStepOrderingAsymmetry:
         e_til = energy_total(phi_til, THEORY)
         diss = dissipation(mu_til, THEORY)
         expected = state.r_cur / (math.sqrt(e_bar) + 0.15 * diss / (2 * math.sqrt(e_til)))
-        _, report = step_2a(state, 0.15, THEORY)
-        assert report.xi == pytest.approx(expected, rel=1e-15)
+        new = step_2a(state, 0.15, THEORY)
+        assert new.xi_cur == pytest.approx(expected, rel=1e-15)
 
 
 class TestDivergenceGuard:
@@ -372,7 +397,7 @@ class TestDivergenceGuard:
         state = init_state(smooth_ic(grid, 30, amp=2.0), params)
         with pytest.raises(Diverged) as excinfo:
             for _ in range(200):
-                state, _ = step_semi_implicit2(state, 1.0, params)
+                state = step_semi_implicit2(state, 1.0, params)
         assert excinfo.value.step is not None
 
     def test_pav_survives_same_setup(self):
@@ -380,9 +405,9 @@ class TestDivergenceGuard:
         params = PhysicalParams(m0=1.0, beta=1e-4, eta=1.0, well_amp=1e4, c0=1.0)
         state = init_state(smooth_ic(grid, 30, amp=2.0), params)
         for _ in range(50):
-            state, report = step_2a(state, 1.0, params)
+            state = step_2a(state, 1.0, params)
         assert state.phi_cur.is_finite()
-        assert report.r_new > 0
+        assert state.r_cur > 0
 
 
 class TestSav:
@@ -391,7 +416,7 @@ class TestSav:
         state = init_state(smooth_ic(grid, 31, amp=0.8), THEORY)
         prev = sav_modified_energy(state, THEORY)
         for _ in range(50):
-            state, _ = step_sav2(state, 0.1, THEORY)
+            state = step_sav2(state, 0.1, THEORY)
             cur = sav_modified_energy(state, THEORY)
             assert cur <= prev + 1e-10
             prev = cur
@@ -404,7 +429,7 @@ class TestSav:
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 32, amp=0.5), params)
         for _ in range(20):
-            state, _ = step_sav2(state, 1e-3, params)
+            state = step_sav2(state, 1e-3, params)
         target = math.sqrt(potential_integral(state.phi_cur, params) + params.c0)
         assert state.sav_r_cur == pytest.approx(target, rel=1e-4)
 
@@ -416,13 +441,13 @@ class TestDealias:
         state = init_state(smooth_ic(grid, 40, amp=1.0), THEORY)
         dt = 0.1
         e_n = energy_total(state.phi_cur, THEORY)
-        xi = compute_xi_1a(state.r_cur, e_n, dissipation(state.mu_cur, THEORY), dt)
+        xi = _xi_update(state.r_cur, e_n, e_n, dissipation(state.mu_cur, THEORY), dt)
         s_raw = xi**2 * potential_h(state.phi_cur, THEORY).values
         s_filtered = grid.ifft(grid.fft(s_raw) * grid.dealias_mask)
         manual_phi, _ = solve_linear_step(
             1.0, state.phi_cur, RealField(grid, s_filtered), dt, THEORY
         )
-        new, _ = step_1a(state, dt, THEORY, dealias=True)
+        new = step_1a(state, dt, THEORY, dealias=True)
         assert np.max(np.abs(new.phi_cur.values - manual_phi.values)) < 1e-14
 
     def test_no_effect_on_band_limited_nonlinearity(self):
@@ -442,7 +467,7 @@ class TestDealias:
         state = init_state(smooth_ic(grid, 41, amp=1.0), THEORY)
         mass0 = integrate(state.phi_cur)
         for _ in range(3):
-            state, _ = stepper(state, 0.1, THEORY, dealias=True)
+            state = stepper(state, 0.1, THEORY, dealias=True)
         assert integrate(state.phi_cur) == pytest.approx(mass0, rel=1e-13, abs=1e-14)
 
 
