@@ -12,7 +12,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import parse_config
+from .config import _require_whole_steps, parse_config
 from .diagnostics import fit_convergence_order
 from .errors import SolverError
 from .output import write_history_csv
@@ -111,6 +111,8 @@ def cmd_convergence(args) -> int:
     scheme = SchemeKind(args.scheme)
 
     base = manufactured_spec()
+    for dt in dts:  # ValidationError -> exit 2 via main()
+        _require_whole_steps(base.tf - base.t0, dt, "dts")
     rows = []
     for dt in dts:
         n_steps = int(round((base.tf - base.t0) / dt))

@@ -19,7 +19,8 @@ Schema (all keys except ``problem`` and ``scheme`` optional)::
 Defaults: c0 = 1, lambda = 0, dealias = false; the manufactured problem
 defaults to the 20x20 convergence-test setup, drop_array to the desk-scale
 benchmark.  A key not in the schema, at any level, is rejected, as is a
-non-finite number.
+null or non-finite value and a dt that does not divide tf - t0 into whole
+steps.
 """
 
 from __future__ import annotations
@@ -62,10 +63,13 @@ class RunConfig:
 
 
 def _get(mapping: dict, key: str, kind, field: str, default=None):
-    """Typed lookup with a default; raises ValidationError on a type mismatch."""
-    value = mapping.get(key)
-    if value is None:
+    """Typed lookup, ``default`` when the key is absent; raises ValidationError
+    on a type mismatch, including a JSON null."""
+    if key not in mapping:
         return default
+    value = mapping[key]
+    if value is None:
+        raise ValidationError(field, "must not be null; omit the key for the default")
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             value = float(value)
@@ -176,7 +180,7 @@ def _grid_override(doc: dict, grid: GridSpec, allow_domain: bool) -> GridSpec:
         raise ValidationError("problem.nx", str(exc))
 
 
-def _build_params(doc: dict, **kwargs) -> PhysicalParams:
+def _build_params(**kwargs) -> PhysicalParams:
     try:
         return PhysicalParams(**kwargs)
     except ValueError as exc:
@@ -187,7 +191,6 @@ def _parse_manufactured(doc: dict) -> ProblemSpec:
     base = manufactured_spec()
     grid = _grid_override(doc, base.grid, allow_domain=False)
     params = _build_params(
-        doc,
         m0=_positive(doc, "m0", "problem.m0", base.params.m0),
         beta=_positive(doc, "beta", "problem.beta", base.params.beta),
         eta=_positive(doc, "eta", "problem.eta", base.params.eta),
@@ -215,7 +218,6 @@ def _parse_drop(doc: dict) -> ProblemSpec:
     elif not beta > 0:
         raise ValidationError("problem.beta", f"must be positive, got {beta}")
     params = _build_params(
-        doc,
         m0=_positive(doc, "m0", "problem.m0", base.params.m0),
         beta=beta,
         eta=eta,
@@ -245,9 +247,19 @@ def _apply_time(problem: ProblemSpec, doc: dict) -> ProblemSpec:
         updates["tf"] = tf
     if "dt" in doc:
         updates["dt"] = _positive(doc, "dt", "time.dt", problem.dt)
-    if not updates:
-        return problem
     try:
-        return dataclasses.replace(problem, **updates)
+        problem = dataclasses.replace(problem, **updates)
     except ValueError as exc:
         raise ValidationError("time", str(exc))
+    _require_whole_steps(problem.tf - problem.t0, problem.dt, "time.dt")
+    return problem
+
+
+def _require_whole_steps(window: float, dt: float, field: str) -> None:
+    """Reject a step size that does not divide the time window: the runner
+    takes round(window / dt) steps and would silently stop short of tf."""
+    n = round(window / dt)
+    if abs(window / dt - n) > 1e-9 * max(1, n):
+        raise ValidationError(
+            field, f"dt = {dt} does not divide the time window {window} into whole steps"
+        )

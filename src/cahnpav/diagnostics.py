@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, InvalidState
-from .grid import RealField
+from .grid import RealField, l2_norm
 from .schemes import SchemeKind
 
 #: Relative mass drift allowed per 1000 steps, calibrated to FFT round-off.
@@ -41,9 +41,7 @@ def error_norms(phi: RealField, exact: RealField) -> tuple[float, float]:
     if phi.grid != exact.grid:
         raise ValueError("fields live on different grids")
     diff = phi.values - exact.values
-    linf = float(np.max(np.abs(diff)))
-    l2 = float(np.sqrt(phi.grid.hx * phi.grid.hy * np.sum(diff**2)))
-    return linf, l2
+    return float(np.max(np.abs(diff))), l2_norm(RealField(phi.grid, diff))
 
 
 def xi_indicator(r: float, energy: float) -> float:

@@ -1,5 +1,9 @@
 """Periodic 2D grid, Fourier transforms, spectral operators and quadrature.
 
+:class:`GridSpec` is the only code that knows the transform convention: its
+``fft``/``ifft`` pair and the multipliers built on it (``laplacian``,
+``dealias``, and the Parseval reductions below) take and return plain arrays.
+
 Transform normalization: the (0, 0) Fourier coefficient equals the mean of
 the physical field, i.e. ``coeffs = fft2(values) / (nx * ny)``.  Under this
 convention Parseval reads ``integral(f^2) = sum(|coeffs|^2) * lx * ly``.
@@ -69,13 +73,13 @@ class GridSpec:
 
     @cached_property
     def kx(self) -> np.ndarray:
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.hx)
-        return np.tile(k1[:, None], (1, self.ny))
+        """Angular wavenumbers along x, shape (nx, 1); broadcasts against ky."""
+        return (2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.hx))[:, None]
 
     @cached_property
     def ky(self) -> np.ndarray:
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.hy)
-        return np.tile(k1[None, :], (self.nx, 1))
+        """Angular wavenumbers along y, shape (1, ny)."""
+        return (2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.hy))[None, :]
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -96,6 +100,14 @@ class GridSpec:
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform back to a raw real physical array."""
         return np.real(np.fft.ifft2(coeffs * (self.nx * self.ny)))
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """Spectral Laplacian of a raw physical array: mode k times -|k|^2."""
+        return self.ifft(-self.k2 * self.fft(values))
+
+    def dealias(self, values: np.ndarray) -> np.ndarray:
+        """2/3-rule truncation of a raw physical array."""
+        return self.ifft(self.fft(values) * self.dealias_mask)
 
 
 @dataclass(frozen=True)
@@ -123,38 +135,6 @@ class RealField:
 
     def mean(self) -> float:
         return float(self.values.mean())
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a real field, mean-normalized (see module docstring)."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != self.grid.shape:
-            raise ValueError(f"coeff shape {coeffs.shape} does not match grid {self.grid.shape}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-
-def transform_forward(f: RealField) -> SpectralField:
-    """Forward FFT with the (0,0) coefficient equal to the field mean."""
-    return SpectralField(f.grid, f.grid.fft(f.values))
-
-
-def transform_inverse(f: SpectralField) -> RealField:
-    """Inverse FFT; discards the (numerically zero) imaginary part."""
-    return RealField(f.grid, f.grid.ifft(f.coeffs))
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    """Spectral Laplacian: multiply mode (p, q) by -(kx^2 + ky^2)."""
-    return SpectralField(f.grid, -f.grid.k2 * f.coeffs)
 
 
 def integrate(f: RealField) -> float:

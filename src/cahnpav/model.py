@@ -45,6 +45,8 @@ class PhysicalParams:
         Coefficient of the linear phi term, >= 0 (0 in applied runs).
     c0 : float
         Energy shift chosen so the total energy stays positive.
+
+    Every field must be finite.
     """
 
     m0: float
@@ -55,18 +57,20 @@ class PhysicalParams:
     c0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.m0 > 0:
-            raise ValueError(f"m0 must be positive, got {self.m0}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        for name in ("m0", "beta", "eta"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.well_amp is None:
             object.__setattr__(self, "well_amp", self.beta / self.eta**2)
-        if self.well_amp < 0:
-            raise ValueError(f"well_amp must be nonnegative, got {self.well_amp}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        for name in ("m0", "beta", "eta", "well_amp", "lam", "c0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("well_amp", "lam"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
     @classmethod
     def from_surface_tension(
@@ -114,7 +118,6 @@ def chemical_potential_exact(phi: RealField, p: PhysicalParams) -> RealField:
     Used to initialize mu at step 0 and to evaluate manufactured source terms;
     the Laplacian is applied spectrally.
     """
-    grid = phi.grid
-    lap = grid.ifft(-grid.k2 * grid.fft(phi.values))
     v = phi.values
-    return RealField(grid, -p.beta * lap + p.lam * v + p.well_amp * (v**3 - v))
+    lap = phi.grid.laplacian(v)
+    return RealField(phi.grid, -p.beta * lap + p.lam * v + p.well_amp * (v**3 - v))

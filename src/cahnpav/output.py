@@ -6,6 +6,7 @@ byte-identical and regression files are bit-stable.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,11 @@ import numpy as np
 from .diagnostics import HistoryRecord
 from .grid import GridSpec, RealField
 
-CSV_HEADER = "step,t,mass,energy,r,xi,sav_r,h2,dissipation,linf_err,l2_err"
+#: History columns, in the field order of HistoryRecord.
+_COLUMNS = tuple(f.name for f in fields(HistoryRecord))
+CSV_HEADER = ",".join(_COLUMNS)
+#: Columns that hold None (an empty cell) when the run has no such quantity.
+_OPTIONAL = frozenset(f.name for f in fields(HistoryRecord) if "None" in str(f.type))
 
 
 def _fmt(value: float | None) -> str:
@@ -25,25 +30,16 @@ def _fmt(value: float | None) -> str:
 def write_history_csv(records: list[HistoryRecord], path: Path | str) -> None:
     """Write records under the fixed header, one row each; None -> empty cell."""
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.step),
-                    _fmt(r.t),
-                    _fmt(r.mass),
-                    _fmt(r.energy),
-                    _fmt(r.r),
-                    _fmt(r.xi),
-                    _fmt(r.sav_r),
-                    _fmt(r.h2),
-                    _fmt(r.dissipation),
-                    _fmt(r.linf_err),
-                    _fmt(r.l2_err),
-                ]
-            )
-        )
+    lines += [",".join(_fmt(getattr(r, name)) for name in _COLUMNS) for r in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _parse_cell(name: str, cell: str) -> int | float | None:
+    if name == "step":
+        return int(cell)
+    if cell == "" and name in _OPTIONAL:
+        return None
+    return float(cell)
 
 
 def read_history_csv(path: Path | str) -> list[HistoryRecord]:
@@ -52,28 +48,10 @@ def read_history_csv(path: Path | str) -> list[HistoryRecord]:
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected history header in {path}")
-
-    def opt(cell: str) -> float | None:
-        return None if cell == "" else float(cell)
-
     records = []
     for line in lines[1:]:
-        c = line.split(",")
-        records.append(
-            HistoryRecord(
-                step=int(c[0]),
-                t=float(c[1]),
-                mass=float(c[2]),
-                energy=float(c[3]),
-                r=opt(c[4]),
-                xi=opt(c[5]),
-                sav_r=opt(c[6]),
-                h2=float(c[7]),
-                dissipation=float(c[8]),
-                linf_err=opt(c[9]),
-                l2_err=opt(c[10]),
-            )
-        )
+        cells = zip(_COLUMNS, line.split(","))
+        records.append(HistoryRecord(**{name: _parse_cell(name, cell) for name, cell in cells}))
     return records
 
 

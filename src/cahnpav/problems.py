@@ -103,8 +103,7 @@ def source_term(t: float, grid: GridSpec, p: PhysicalParams) -> RealField:
         raise GridTooCoarse(f"source term needs nx, ny >= 8, got {grid.nx}x{grid.ny}")
     phi = exact_solution(t, grid)
     mu = chemical_potential_exact(phi, p)
-    lap_mu = grid.ifft(-grid.k2 * grid.fft(mu.values))
-    return RealField(grid, exact_time_derivative(t, grid).values - p.m0 * lap_mu)
+    return RealField(grid, exact_time_derivative(t, grid).values - p.m0 * grid.laplacian(mu.values))
 
 
 def ic_drop_array(grid: GridSpec, spec: ProblemSpec) -> RealField:

@@ -177,13 +177,6 @@ def _xi_update(r_n: float, e_num: float, e_den: float, drain: float, dt: float) 
     return r_n / denom
 
 
-def _dealias(field: RealField, enabled: bool) -> RealField:
-    if not enabled:
-        return field
-    grid = field.grid
-    return RealField(grid, grid.ifft(grid.fft(field.values) * grid.dealias_mask))
-
-
 def _work(f_src: RealField | None, mu: RealField) -> float:
     """Energy input rate int(f mu) of a source term; 0 when absent."""
     if f_src is None:
@@ -255,10 +248,12 @@ def _imex_step(
     elif scheme.xi == "b":
         xi = (2.0 * state.r_cur - state.r_prev) / math.sqrt(energy_total(ext, p))
 
-    s = _dealias(potential_h(ext, p), dealias)
+    s = potential_h(ext, p).values
+    if dealias:
+        s = ext.grid.dealias(s)
     if xi is not None:
-        s = RealField(s.grid, xi**2 * s.values)
-    phi_new, mu_new = solve_linear_step(sigma, g, s, dt, p)
+        s = xi**2 * s
+    phi_new, mu_new = solve_linear_step(sigma, g, RealField(ext.grid, s), dt, p)
     if scheme.xi is None:
         _guard(phi_new, state.step + 1)
     e_new, d_new = energy_total(phi_new, p), dissipation(mu_new, p)
@@ -319,8 +314,10 @@ def step_sav2(
     grid = state.grid
     sigma, g, phi_bar = _bdf(2, state, dt, f_src)
     e1_bar = potential_integral(phi_bar, p) + p.c0
-    b = _dealias(potential_h(phi_bar, p), dealias)
-    b = RealField(grid, b.values / math.sqrt(e1_bar))
+    b = potential_h(phi_bar, p).values
+    if dealias:
+        b = grid.dealias(b)
+    b = RealField(grid, b / math.sqrt(e1_bar))
     zero = RealField.constant(grid, 0.0)
     phi_1, mu_1 = solve_linear_step(sigma, g, zero, dt, p)
     phi_2, mu_2 = solve_linear_step(sigma, zero, b, dt, p)

@@ -14,11 +14,8 @@ from cahnpav import (
     RealField,
     SchemeKind,
     assert_invariants,
-    error_norms,
-    fit_convergence_order,
-    xi_indicator,
 )
-from cahnpav.diagnostics import HistoryRecord
+from cahnpav.diagnostics import HistoryRecord, error_norms, fit_convergence_order, xi_indicator
 
 
 def make_record(step, *, mass=5.0, r=1.0, xi=0.9, energy=2.0, **overrides):

@@ -5,18 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cahnpav import (
-    GridSpec,
-    RealField,
-    SpectralField,
-    grad_sq_integral,
-    h2_norm,
-    integrate,
-    l2_norm,
-    laplacian,
-    transform_forward,
-    transform_inverse,
-)
+from cahnpav import GridSpec, RealField
+from cahnpav.grid import grad_sq_integral, h2_norm, integrate, l2_norm
 
 
 def random_field(grid: GridSpec, seed: int, smooth: bool = False) -> RealField:
@@ -58,6 +48,17 @@ class TestGridSpec:
         assert grid.ky[0, 1] == pytest.approx(np.pi)
         assert grid.k2[0, 0] == 0.0
 
+    def test_wavenumbers_broadcast_to_full_grid(self):
+        grid = GridSpec(8, 6, 2.0, 3.0)
+        assert grid.kx.shape == (8, 1)
+        assert grid.ky.shape == (1, 6)
+        # independent reference: the wavenumbers as full (nx, ny) grids
+        kx = np.tile(2 * np.pi * np.fft.fftfreq(8, d=grid.hx)[:, None], (1, 6))
+        ky = np.tile(2 * np.pi * np.fft.fftfreq(6, d=grid.hy)[None, :], (8, 1))
+        assert np.array_equal(grid.k2, kx**2 + ky**2)
+        cut_x, cut_y = 2 / 3 * np.abs(kx).max(), 2 / 3 * np.abs(ky).max()
+        assert np.array_equal(grid.dealias_mask, (np.abs(kx) <= cut_x) & (np.abs(ky) <= cut_y))
+
     def test_dealias_mask_keeps_low_kills_high(self):
         grid = GridSpec(12, 12, 2.0, 2.0)
         assert grid.dealias_mask[0, 0]
@@ -80,16 +81,16 @@ class TestRealField:
 class TestTransforms:
     def test_constant_field_single_coeff(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        fh = transform_forward(RealField.constant(grid, 3.0))
-        assert fh.coeffs[0, 0] == pytest.approx(3.0)
-        rest = fh.coeffs.copy()
+        fh = grid.fft(RealField.constant(grid, 3.0).values)
+        assert fh[0, 0] == pytest.approx(3.0)
+        rest = fh.copy()
         rest[0, 0] = 0.0
         assert np.max(np.abs(rest)) < 1e-14
 
     def test_single_cosine_mode(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         f = RealField.from_function(grid, lambda X, Y: np.cos(2 * np.pi * X / grid.lx))
-        fh = transform_forward(f).coeffs
+        fh = grid.fft(f.values)
         assert fh[1, 0] == pytest.approx(0.5)
         assert fh[-1, 0] == pytest.approx(0.5)
         fh[1, 0] = fh[-1, 0] = 0.0
@@ -98,19 +99,19 @@ class TestTransforms:
     def test_mean_normalization(self):
         grid = GridSpec(10, 12, 1.0, 3.0)
         f = random_field(grid, 0)
-        assert transform_forward(f).coeffs[0, 0] == pytest.approx(f.mean())
+        assert grid.fft(f.values)[0, 0] == pytest.approx(f.mean())
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000))
     def test_round_trip_identity(self, seed):
         grid = GridSpec(16, 12, 2.0, 1.5)
         f = random_field(grid, seed)
-        back = transform_inverse(transform_forward(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-13 * np.max(np.abs(f.values))
+        back = grid.ifft(grid.fft(f.values))
+        assert np.max(np.abs(back - f.values)) <= 1e-13 * np.max(np.abs(f.values))
 
     def test_conjugate_symmetry(self):
         grid = GridSpec(12, 8, 2.0, 2.0)
-        coeffs = transform_forward(random_field(grid, 3)).coeffs
+        coeffs = grid.fft(random_field(grid, 3).values)
         for p in range(grid.nx):
             for q in range(grid.ny):
                 assert coeffs[-p % grid.nx, -q % grid.ny] == pytest.approx(
@@ -121,35 +122,43 @@ class TestTransforms:
 class TestLaplacian:
     def test_constant_maps_to_zero(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        out = laplacian(transform_forward(RealField.constant(grid, 4.0)))
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        out = grid.laplacian(RealField.constant(grid, 4.0).values)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_cosine_eigenfunction(self):
         # lap cos(pi x) = -pi^2 cos(pi x) on lx = 2
         grid = GridSpec(20, 20, 2.0, 2.0)
         f = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X))
-        out = transform_inverse(laplacian(transform_forward(f)))
+        out = grid.laplacian(f.values)
         expected = -np.pi**2 * f.values
-        assert np.max(np.abs(out.values - expected)) < 1e-12 * np.pi**2
+        assert np.max(np.abs(out - expected)) < 1e-12 * np.pi**2
 
     def test_linearity(self):
         grid = GridSpec(12, 12, 2.0, 2.0)
         f, g = random_field(grid, 1), random_field(grid, 2)
-        combo = RealField(grid, 2.0 * f.values - 3.0 * g.values)
-        lhs = laplacian(transform_forward(combo)).coeffs
-        rhs = 2.0 * laplacian(transform_forward(f)).coeffs - 3.0 * laplacian(
-            transform_forward(g)
-        ).coeffs
+        combo = 2.0 * f.values - 3.0 * g.values
+        lhs = grid.laplacian(combo)
+        rhs = 2.0 * grid.laplacian(f.values) - 3.0 * grid.laplacian(g.values)
         assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(rhs))
 
     def test_pure_mode_eigenvalue_exact(self):
         grid = GridSpec(8, 8, 2.0, 4.0)
         for p, q in [(1, 0), (2, 3), (3, 1)]:
+            # a conjugate pair of modes, so the physical field is real
             coeffs = np.zeros(grid.shape, dtype=complex)
-            coeffs[p, q] = 1.0
-            out = laplacian(SpectralField(grid, coeffs))
+            coeffs[p, q] = coeffs[-p, -q] = 1.0
+            out = grid.fft(grid.laplacian(grid.ifft(coeffs)))
             k2 = (2 * np.pi * p / grid.lx) ** 2 + (2 * np.pi * q / grid.ly) ** 2
-            assert out.coeffs[p, q] == pytest.approx(-k2)
+            assert out[p, q] == pytest.approx(-k2)
+
+
+class TestDealias:
+    def test_keeps_resolved_mode_kills_high_mode(self):
+        grid = GridSpec(12, 12, 2.0, 2.0)
+        low = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
+        high = RealField.from_function(grid, lambda X, Y: np.cos(5 * np.pi * X))
+        out = grid.dealias(low.values + high.values)
+        assert np.max(np.abs(out - low.values)) < 1e-14
 
 
 class TestQuadrature:

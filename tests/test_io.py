@@ -194,6 +194,54 @@ class TestParseConfig:
         assert excinfo.value.field == field
         assert "finite" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"problem": {"kind": "manufactured", "c0": None}, "scheme": "1a"}, "problem.c0"),
+            ({"problem": {"kind": "manufactured", "m0": None}, "scheme": "1a"}, "problem.m0"),
+            ({"problem": {"kind": "manufactured", "nx": None}, "scheme": "1a"}, "problem.nx"),
+            ({"problem": {"kind": "drop_array", "beta": None}, "scheme": "1a"}, "problem.beta"),
+            ({"problem": {"kind": "drop_array", "preset": None}, "scheme": "1a"}, "problem.preset"),
+            ({"problem": None, "scheme": "1a"}, "problem"),
+            (dict(MINIMAL, scheme=None), "scheme"),
+            (dict(MINIMAL, dealias=None), "dealias"),
+            (dict(MINIMAL, time=None), "time"),
+            (dict(MINIMAL, time={"dt": None}), "time.dt"),
+            (dict(MINIMAL, output={"dir": None}), "output.dir"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_null_rejected_names_field(self, doc, field):
+        # a key that is present must not silently mean "use the default"
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(json.dumps(doc))
+        assert excinfo.value.field == field
+        assert "null" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "time",
+        [{"t0": 0.0, "tf": 1.0, "dt": 0.3}, {"t0": 0.0, "tf": 0.05, "dt": 0.1}, {"dt": 0.024}],
+        ids=["short-last-step", "window-below-one-step", "default-window"],
+    )
+    def test_dt_not_dividing_window_rejected(self, time):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(json.dumps(dict(MINIMAL, time=time)))
+        assert excinfo.value.field == "time.dt"
+
+    @pytest.mark.parametrize(
+        "time",
+        [
+            {"t0": 0.0, "tf": 60 * 0.001, "dt": 0.001},  # 59.999999999999993 steps
+            {"t0": 0.1, "tf": 1.1, "dt": 0.025},
+            {"t0": 0.0, "tf": 1.0, "dt": 1.0},
+        ],
+        ids=["round-off", "manufactured", "single-step"],
+    )
+    def test_dt_dividing_window_up_to_round_off_accepted(self, time):
+        doc = {"problem": {"kind": "drop_array", "preset": "desk"}, "scheme": "2a", "time": time}
+        assert parse_config(json.dumps(doc)).problem.dt == time["dt"]
+
+
 def sample_records():
     return [
         HistoryRecord(
@@ -210,6 +258,9 @@ def sample_records():
 
 
 class TestHistoryCsv:
+    def test_header_literal(self):
+        assert CSV_HEADER == "step,t,mass,energy,r,xi,sav_r,h2,dissipation,linf_err,l2_err"
+
     def test_empty_history_header_only(self, tmp_path):
         path = tmp_path / "h.csv"
         write_history_csv([], path)

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cahnpav import (
-    GridSpec,
-    NonPositiveEnergy,
-    PhysicalParams,
-    RealField,
+from cahnpav import GridSpec, NonPositiveEnergy, PhysicalParams, RealField
+from cahnpav.grid import integrate
+from cahnpav.model import (
     chemical_potential_exact,
     dissipation,
     energy_total,
-    integrate,
     potential_h,
     potential_integral,
     sigma_to_beta,
@@ -55,6 +52,18 @@ class TestPhysicalParams:
             dict(m0=1.0, beta=-1.0, eta=1.0),
             dict(m0=1.0, beta=1.0, eta=0.0),
             dict(m0=1.0, beta=1.0, eta=1.0, lam=-0.1),
+            dict(m0=1.0, beta=1.0, eta=1.0, lam=float("nan")),
+            dict(m0=1.0, beta=1.0, eta=1.0, lam=float("inf")),
+            dict(m0=1.0, beta=1.0, eta=1.0, c0=float("nan")),
+            dict(m0=1.0, beta=1.0, eta=1.0, c0=float("-inf")),
+            dict(m0=float("inf"), beta=1.0, eta=1.0),
+            dict(m0=float("nan"), beta=1.0, eta=1.0),
+            dict(m0=1.0, beta=float("inf"), eta=1.0),
+            dict(m0=1.0, beta=1.0, eta=float("inf")),
+            dict(m0=1.0, beta=1.0, eta=1.0, well_amp=float("nan")),
+            dict(m0=1.0, beta=1.0, eta=1.0, well_amp=float("inf")),
+            dict(m0=1.0, beta=1.0, eta=1.0, well_amp=-1.0),
+            dict(m0=1.0, beta=1e300, eta=1e-10),  # default well_amp overflows
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -11,14 +11,18 @@ from cahnpav import (
     PhysicalParams,
     RealField,
     desk_scale_drop_spec,
-    exact_solution,
-    ic_drop_array,
-    integrate,
     manufactured_spec,
     full_scale_drop_spec,
+)
+from cahnpav.grid import integrate
+from cahnpav.problems import (
+    DropLayout,
+    ProblemSpec,
+    exact_solution,
+    exact_time_derivative,
+    ic_drop_array,
     source_term,
 )
-from cahnpav.problems import DropLayout, ProblemSpec, exact_time_derivative
 
 MFG = manufactured_spec()
 

@@ -180,6 +180,13 @@ class TestCliConvergence:
         assert main(["convergence", "--scheme", "1a", "--dts", "0.1,0.05"]) == 2
         assert "dts" in capsys.readouterr().err
 
+    def test_dt_not_dividing_window_exits_2(self, tmp_path, capsys):
+        # 0.3 does not divide the manufactured window [0.1, 1.1]; nothing runs
+        argv = ["convergence", "--scheme", "1a", "--dts", "0.3,0.1,0.05"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+        assert "error: dts:" in capsys.readouterr().err
+        assert not (tmp_path / "convergence_1a.csv").exists()
+
 
 class TestCliCompare:
     def test_compare_writes_per_scheme_histories(self, tmp_path, capsys):

@@ -14,13 +14,15 @@ from cahnpav import (
     PhysicalParams,
     RealField,
     SchemeKind,
-    dissipation,
-    energy_total,
     init_state,
-    integrate,
     manufactured_spec,
-    potential_h,
     run_simulation,
+)
+from cahnpav.grid import integrate
+from cahnpav.model import dissipation, energy_total, potential_h
+from cahnpav.schemes import (
+    STEPPERS,
+    _xi_update,
     sav_modified_energy,
     solve_linear_step,
     step_1a,
@@ -30,7 +32,6 @@ from cahnpav import (
     step_sav2,
     step_semi_implicit2,
 )
-from cahnpav.schemes import STEPPERS, _xi_update
 
 THEORY = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=1.0)
 LINEAR = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=0.0, c0=1.0)
@@ -406,7 +407,7 @@ class TestDivergenceGuard:
         state = init_state(smooth_ic(grid, 30, amp=2.0), params)
         for _ in range(50):
             state = step_2a(state, 1.0, params)
-        assert state.phi_cur.is_finite()
+        assert np.all(np.isfinite(state.phi_cur.values))
         assert state.r_cur > 0
 
 
@@ -423,7 +424,7 @@ class TestSav:
 
     def test_r1_tracks_sqrt_potential_at_small_dt(self):
         # gentle parameters so the transient is resolved at dt = 1e-3
-        from cahnpav import potential_integral
+        from cahnpav.model import potential_integral
 
         params = PhysicalParams(m0=0.01, beta=0.01, eta=1.0, well_amp=1.0, c0=1.0)
         grid = GridSpec(16, 16, 2.0, 2.0)
@@ -500,10 +501,11 @@ class TestSecondOrderPairAgreement:
         # the two second-order variants land on nearly identical errors
         problem = manufactured_spec()
         for dt in (0.05, 0.0125):
+            n_steps = round((problem.tf - problem.t0) / dt)
             err = {}
             for scheme in (SchemeKind.PAV_2A, SchemeKind.PAV_2B):
                 result = run_simulation(
-                    problem, scheme, dt=dt, history_every=10**9, exact_history=True
+                    problem, scheme, dt=dt, history_every=n_steps, exact_history=True
                 )
                 err[scheme] = result.history[-1].l2_err
             ratio = err[SchemeKind.PAV_2A] / err[SchemeKind.PAV_2B]
