@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 a baseline scheme diverged
 (an expected physical outcome for the conditionally stable baselines, not a
-tool failure).
+tool failure), 4 a runtime failure: a step raised a solver error after the
+run started.  Runs that stop early still write their history.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import _require_whole_steps, parse_config
+from .config import parse_config
 from .diagnostics import fit_convergence_order
-from .errors import SolverError
+from .errors import SolverError, ValidationError
 from .output import write_history_csv
 from .problems import desk_scale_drop_spec, manufactured_spec, full_scale_drop_spec
 from .runner import run_simulation
@@ -23,6 +24,7 @@ from .schemes import SchemeKind
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_RUNTIME = 4
 
 PAV_NAMES = [k.value for k in SchemeKind if k.is_pav]
 ALL_NAMES = [k.value for k in SchemeKind]
@@ -88,15 +90,17 @@ def cmd_run(args) -> int:
         dealias=config.dealias,
     )
     write_history_csv(result.history, out / "history.csv")
-    if result.diverged:
-        print(
-            f"{config.scheme.value} diverged at step {result.diverged_step}; "
-            f"history up to the last stable step written to {out / 'history.csv'}",
-            file=sys.stderr,
-        )
-        return EXIT_DIVERGED
+    if result.failure is not None:
+        print(f"{_stopped(config.scheme, result)}; history written to {out / 'history.csv'}", file=sys.stderr)
+        return EXIT_DIVERGED if result.diverged else EXIT_RUNTIME
     print(f"completed {result.final_state.step} steps; history in {out / 'history.csv'}")
     return EXIT_OK
+
+
+def _stopped(scheme: SchemeKind, result) -> str:
+    """Why a run stopped before its last step, naming the failing step."""
+    verb = "diverged" if result.diverged else "failed"
+    return f"{scheme.value} {verb} at step {result.final_state.step + 1}: {result.failure}"
 
 
 def cmd_convergence(args) -> int:
@@ -105,24 +109,25 @@ def cmd_convergence(args) -> int:
     except ValueError as exc:
         print(f"error: dts: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if len(dts) < 3 or any(dt <= 0 for dt in dts):
-        print("error: dts: need at least 3 positive step sizes", file=sys.stderr)
+    if len(dts) < 3:
+        print("error: dts: need at least 3 step sizes", file=sys.stderr)
         return EXIT_CONFIG
     scheme = SchemeKind(args.scheme)
 
-    base = manufactured_spec()
-    for dt in dts:  # ValidationError -> exit 2 via main()
-        _require_whole_steps(base.tf - base.t0, dt, "dts")
+    try:  # refuse every bad dt before the first run; exit 2 via main()
+        specs = [dataclasses.replace(manufactured_spec(), dt=dt) for dt in dts]
+        for spec in specs:
+            spec.n_steps
+    except ValidationError as exc:
+        raise ValidationError("dts", exc.reason) from exc
     rows = []
-    for dt in dts:
-        n_steps = int(round((base.tf - base.t0) / dt))
+    for spec in specs:
+        dt = spec.dt
         # the final record is always kept; only it and the initial one matter
-        result = run_simulation(
-            dataclasses.replace(base, dt=dt),
-            scheme,
-            history_every=max(n_steps, 1),
-            exact_history=True,
-        )
+        result = run_simulation(spec, scheme, history_every=spec.n_steps, exact_history=True)
+        if result.failure is not None:
+            print(f"error: dt={dt:.6g}: {_stopped(scheme, result)}", file=sys.stderr)
+            return EXIT_RUNTIME
         final = result.history[-1]
         rows.append((dt, final.linf_err, final.l2_err))
         print(f"dt={dt:.6g}  linf={final.linf_err:.6e}  l2={final.l2_err:.6e}")
@@ -153,9 +158,6 @@ def cmd_compare(args) -> int:
     if not schemes:
         print("error: schemes: empty list", file=sys.stderr)
         return EXIT_CONFIG
-    if args.dt <= 0:
-        print(f"error: dt: must be positive, got {args.dt}", file=sys.stderr)
-        return EXIT_CONFIG
     if args.steps < 1:
         print(f"error: steps: must be >= 1, got {args.steps}", file=sys.stderr)
         return EXIT_CONFIG
@@ -164,18 +166,21 @@ def cmd_compare(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    any_diverged = False
+    code = EXIT_OK
     for scheme in schemes:
+        # a non-positive dt raises ValidationError -> exit 2 via main()
         result = run_simulation(problem, scheme, dt=args.dt, n_steps=args.steps)
         path = out / f"history_{scheme.value}.csv"
         write_history_csv(result.history, path)
-        if result.diverged:
-            any_diverged = True
-            print(f"{scheme.value}: DIVERGED at step {result.diverged_step} ({path})")
+        if result.failure is not None:
+            verb = "DIVERGED" if result.diverged else "FAILED"
+            print(f"{scheme.value}: {verb} at step {result.final_state.step + 1}: {result.failure} ({path})")
+            # a runtime failure outranks a diverged baseline
+            code = max(code, EXIT_DIVERGED if result.diverged else EXIT_RUNTIME)
         else:
             final = result.history[-1]
             print(f"{scheme.value}: {final.step} steps, E={final.energy:.6g} ({path})")
-    return EXIT_DIVERGED if any_diverged else EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -19,8 +19,10 @@ Schema (all keys except ``problem`` and ``scheme`` optional)::
 Defaults: c0 = 1, lambda = 0, dealias = false; the manufactured problem
 defaults to the 20x20 convergence-test setup, drop_array to the desk-scale
 benchmark.  A key not in the schema, at any level, is rejected, as is a
-null or non-finite value and a dt that does not divide tf - t0 into whole
-steps.
+null or non-finite value.  Bounds are checked by the constructors of the
+types that hold the values (GridSpec, PhysicalParams, DropLayout,
+ProblemSpec, whose ``n_steps`` refuses a dt that does not divide tf - t0
+into whole steps); every error is reported under its dotted key.
 """
 
 from __future__ import annotations
@@ -28,20 +30,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .grid import GridSpec
 from .model import PhysicalParams, sigma_to_beta
 from .problems import (
     DROP_ARRAY,
+    DROP_SIGMA,
     MANUFACTURED,
-    DropLayout,
     ProblemSpec,
     desk_scale_drop_spec,
-    manufactured_spec,
     full_scale_drop_spec,
+    manufactured_spec,
 )
 from .schemes import SchemeKind
 
@@ -78,13 +80,7 @@ def _get(mapping: dict, key: str, kind, field: str, default=None):
         if not math.isfinite(value):
             raise ValidationError(field, f"must be a finite number, got {value}")
         return value
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is dict and isinstance(value, dict):
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
     raise ValidationError(field, f"expected {kind.__name__}, got {type(value).__name__}")
 
@@ -101,16 +97,25 @@ TOP_KEYS = ("problem", "scheme", "time", "output", "dealias")
 TIME_KEYS = ("t0", "tf", "dt")
 OUTPUT_KEYS = ("dir", "history_every", "snapshot_every")
 MANUFACTURED_KEYS = ("kind", "nx", "ny", "m0", "beta", "eta", "lambda", "c0")
-DROP_KEYS = MANUFACTURED_KEYS + (
-    "preset", "lx", "ly", "sigma", "count_x", "count_y", "spacing", "radius",
-)
+DROP_KEYS = MANUFACTURED_KEYS + ("preset", "lx", "ly", "sigma", "count_x", "count_y", "spacing", "radius")
+PROBLEM_KEYS = {MANUFACTURED: MANUFACTURED_KEYS, DROP_ARRAY: DROP_KEYS}
+INT_KEYS = ("nx", "ny", "count_x", "count_y")
+PRESETS = {"desk": desk_scale_drop_spec, "paper": full_scale_drop_spec}
 
 
-def _positive(mapping: dict, key: str, field: str, default: float) -> float:
-    value = _get(mapping, key, float, field, default)
-    if not value > 0:
-        raise ValidationError(field, f"must be positive, got {value}")
-    return value
+@contextmanager
+def _section(name: str, keys: tuple[str, ...], rename: dict[str, str]):
+    """Re-raise a constructor's ValidationError under its config key: the field,
+    or what ``rename`` maps it to, as ``name.key`` if it is in ``keys``, else ``name``."""
+    try:
+        yield
+    except ValidationError as exc:
+        key = rename.get(exc.field, exc.field)
+        raise ValidationError(f"{name}.{key}" if key in keys else name, exc.reason) from exc
+
+
+def _pick(values: dict, names: tuple[str, ...]) -> dict:
+    return {name: values[name] for name in names if name in values}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -140,7 +145,12 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("scheme", f"unknown scheme {scheme_name!r}; expected one of {valid}")
 
     problem = _parse_problem(problem_doc)
-    problem = _apply_time(problem, _get(doc, "time", dict, "time", {}))
+    time_doc = _get(doc, "time", dict, "time", {})
+    _check_keys(time_doc, TIME_KEYS, "time.")
+    times = {key: _get(time_doc, key, float, f"time.{key}") for key in TIME_KEYS if key in time_doc}
+    with _section("time", ("dt",), {}):
+        problem = dataclasses.replace(problem, **times)
+        problem.n_steps  # refuse a dt that would stop the run short of tf
 
     output_doc = _get(doc, "output", dict, "output", {})
     _check_keys(output_doc, OUTPUT_KEYS, "output.")
@@ -156,110 +166,39 @@ def parse_config(text: str) -> RunConfig:
 
 def _parse_problem(doc: dict) -> ProblemSpec:
     kind = _get(doc, "kind", str, "problem.kind")
-    if kind is None:
-        raise ValidationError("problem.kind", "missing required key")
-    if kind == MANUFACTURED:
-        _check_keys(doc, MANUFACTURED_KEYS, "problem.")
-        return _parse_manufactured(doc)
-    if kind == DROP_ARRAY:
-        _check_keys(doc, DROP_KEYS, "problem.")
-        return _parse_drop(doc)
-    raise ValidationError("problem.kind", f"unknown kind {kind!r}")
-
-
-def _grid_override(doc: dict, grid: GridSpec, allow_domain: bool) -> GridSpec:
-    nx = _get(doc, "nx", int, "problem.nx", grid.nx)
-    ny = _get(doc, "ny", int, "problem.ny", grid.ny)
-    lx, ly = grid.lx, grid.ly
-    if allow_domain:
-        lx = _positive(doc, "lx", "problem.lx", lx)
-        ly = _positive(doc, "ly", "problem.ly", ly)
-    try:
-        return GridSpec(nx=nx, ny=ny, lx=lx, ly=ly)
-    except ValueError as exc:
-        raise ValidationError("problem.nx", str(exc))
-
-
-def _build_params(**kwargs) -> PhysicalParams:
-    try:
-        return PhysicalParams(**kwargs)
-    except ValueError as exc:
-        raise ValidationError("problem", str(exc))
-
-
-def _parse_manufactured(doc: dict) -> ProblemSpec:
-    base = manufactured_spec()
-    grid = _grid_override(doc, base.grid, allow_domain=False)
-    params = _build_params(
-        m0=_positive(doc, "m0", "problem.m0", base.params.m0),
-        beta=_positive(doc, "beta", "problem.beta", base.params.beta),
-        eta=_positive(doc, "eta", "problem.eta", base.params.eta),
-        lam=_get(doc, "lambda", float, "problem.lambda", 0.0),
-        c0=_get(doc, "c0", float, "problem.c0", 1.0),
-    )
-    return dataclasses.replace(base, grid=grid, params=params)
-
-
-def _parse_drop(doc: dict) -> ProblemSpec:
+    if kind not in PROBLEM_KEYS:
+        raise ValidationError("problem.kind", "missing required key" if kind is None else f"unknown kind {kind!r}")
+    drop = kind == DROP_ARRAY
+    keys = PROBLEM_KEYS[kind]
+    _check_keys(doc, keys, "problem.")
     preset = _get(doc, "preset", str, "problem.preset", "desk")
-    if preset == "desk":
-        base = desk_scale_drop_spec()
-    elif preset == "paper":
-        base = full_scale_drop_spec()
-    else:
+    if preset not in PRESETS:
         raise ValidationError("problem.preset", f"unknown preset {preset!r}")
-    grid = _grid_override(doc, base.grid, allow_domain=True)
-    eta = _positive(doc, "eta", "problem.eta", base.params.eta)
-    beta = _get(doc, "beta", float, "problem.beta")
-    sigma = _get(doc, "sigma", float, "problem.sigma")
-    if beta is None:
-        # keep the preset's surface tension unless overridden
-        beta = sigma_to_beta(sigma if sigma is not None else 151.15, eta)
-    elif not beta > 0:
-        raise ValidationError("problem.beta", f"must be positive, got {beta}")
-    params = _build_params(
-        m0=_positive(doc, "m0", "problem.m0", base.params.m0),
-        beta=beta,
-        eta=eta,
-        lam=_get(doc, "lambda", float, "problem.lambda", 0.0),
-        c0=_get(doc, "c0", float, "problem.c0", 1.0),
-    )
-    try:
-        drops = DropLayout(
-            count_x=_get(doc, "count_x", int, "problem.count_x", base.drops.count_x),
-            count_y=_get(doc, "count_y", int, "problem.count_y", base.drops.count_y),
-            spacing=_positive(doc, "spacing", "problem.spacing", base.drops.spacing),
-            radius=_positive(doc, "radius", "problem.radius", base.drops.radius),
+    base = PRESETS[preset]() if drop else manufactured_spec()
+
+    values = {
+        key: _get(doc, key, int if key in INT_KEYS else float, f"problem.{key}")
+        for key in doc
+        if key not in ("kind", "preset")
+    }
+    eta = values.get("eta", base.params.eta)
+    beta = values.get("beta", base.params.beta)
+    rename = {"lam": "lambda"}
+    if drop and "beta" not in values:
+        # keep the surface tension, not beta, when eta changes; PhysicalParams
+        # checks eta first, so a bad beta then comes from sigma
+        beta = sigma_to_beta(values.get("sigma", DROP_SIGMA), eta)
+        rename["beta"] = "sigma"
+    with _section("problem", keys, rename):
+        grid = dataclasses.replace(base.grid, **_pick(values, ("nx", "ny", "lx", "ly")))
+        params = PhysicalParams(
+            m0=values.get("m0", base.params.m0),
+            beta=beta,
+            eta=eta,
+            lam=values.get("lambda", base.params.lam),
+            c0=values.get("c0", base.params.c0),
         )
-    except ValueError as exc:
-        raise ValidationError("problem", str(exc))
-    return dataclasses.replace(base, grid=grid, params=params, drops=drops)
-
-
-def _apply_time(problem: ProblemSpec, doc: dict) -> ProblemSpec:
-    _check_keys(doc, TIME_KEYS, "time.")
-    updates = {}
-    t0 = _get(doc, "t0", float, "time.t0")
-    tf = _get(doc, "tf", float, "time.tf")
-    if t0 is not None:
-        updates["t0"] = t0
-    if tf is not None:
-        updates["tf"] = tf
-    if "dt" in doc:
-        updates["dt"] = _positive(doc, "dt", "time.dt", problem.dt)
-    try:
-        problem = dataclasses.replace(problem, **updates)
-    except ValueError as exc:
-        raise ValidationError("time", str(exc))
-    _require_whole_steps(problem.tf - problem.t0, problem.dt, "time.dt")
-    return problem
-
-
-def _require_whole_steps(window: float, dt: float, field: str) -> None:
-    """Reject a step size that does not divide the time window: the runner
-    takes round(window / dt) steps and would silently stop short of tf."""
-    n = round(window / dt)
-    if abs(window / dt - n) > 1e-9 * max(1, n):
-        raise ValidationError(
-            field, f"dt = {dt} does not divide the time window {window} into whole steps"
-        )
+        drops = base.drops
+        if drop:
+            drops = dataclasses.replace(drops, **_pick(values, ("count_x", "count_y", "spacing", "radius")))
+        return dataclasses.replace(base, grid=grid, params=params, drops=drops)

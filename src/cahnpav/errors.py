@@ -36,9 +36,11 @@ class ParseError(SolverError):
     """The configuration document is not syntactically valid."""
 
 
-class ValidationError(SolverError):
-    """A configuration value violates a constraint. ``field`` names the offender."""
+class ValidationError(SolverError, ValueError):
+    """An input value violates a constraint: ``field`` names it (an attribute
+    such as ``ny``, or a dotted config key), ``reason`` says how."""
 
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
         self.field = field
+        self.reason = reason

@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -37,10 +39,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if n < 4 or n % 2 != 0:
-                raise ValueError(f"{name} must be an even integer >= 4, got {n}")
+                raise ValidationError(name, f"must be an even integer >= 4, got {n}")
         for name, length in (("lx", self.lx), ("ly", self.ly)):
             if not length > 0:
-                raise ValueError(f"{name} must be positive, got {length}")
+                raise ValidationError(name, f"must be positive, got {length}")
 
     @property
     def hx(self) -> float:

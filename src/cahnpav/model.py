@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveEnergy
+from .errors import NonPositiveEnergy, ValidationError
 from .grid import RealField, grad_sq_integral, integrate
 
 
@@ -57,20 +57,23 @@ class PhysicalParams:
     c0: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("m0", "beta", "eta"):
+        # eta before beta: drop configs derive beta from eta
+        for name in ("m0", "eta", "beta"):
             value = getattr(self, name)
             if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+                raise ValidationError(name, f"must be positive, got {value}")
         if self.well_amp is None:
+            if self.eta**2 == 0:
+                raise ValidationError("eta", f"eta**2 underflows to 0 for eta = {self.eta}")
             object.__setattr__(self, "well_amp", self.beta / self.eta**2)
         for name in ("m0", "beta", "eta", "well_amp", "lam", "c0"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValidationError(name, f"must be finite, got {value}")
         for name in ("well_amp", "lam"):
             value = getattr(self, name)
             if not value >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+                raise ValidationError(name, f"must be nonnegative, got {value}")
 
     @classmethod
     def from_surface_tension(

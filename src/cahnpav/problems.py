@@ -7,12 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, ValidationError
 from .grid import GridSpec, RealField
 from .model import PhysicalParams, chemical_potential_exact
 
 MANUFACTURED = "manufactured"
 DROP_ARRAY = "drop_array"
+
+DROP_SIGMA = 151.15  # surface tension of both drop presets
 
 
 @dataclass(frozen=True)
@@ -30,10 +32,10 @@ class DropLayout:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.count_x < 1 or self.count_y < 1:
-            raise ValueError("drop counts must be at least 1")
-        if not self.spacing > 0 or not self.radius > 0:
-            raise ValueError("spacing and radius must be positive")
+        for name in ("count_x", "count_y", "spacing", "radius"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValidationError(name, f"must be positive, got {value}")
 
     @property
     def n_drops(self) -> int:
@@ -61,15 +63,24 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in (MANUFACTURED, DROP_ARRAY):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if not self.t0 < self.tf:
-            raise ValueError(f"need t0 < tf, got [{self.t0}, {self.tf}]")
+            raise ValidationError("kind", f"unknown problem kind {self.kind!r}")
+        if not -math.inf < self.t0 < self.tf < math.inf:
+            raise ValidationError("tf", f"need finite t0 < tf, got [{self.t0}, {self.tf}]")
         if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValidationError("dt", f"must be positive, got {self.dt}")
         if self.kind == MANUFACTURED and (self.grid.lx != 2.0 or self.grid.ly != 2.0):
-            raise ValueError("the manufactured problem is posed on [0,2]x[0,2]")
+            raise ValidationError("grid", "the manufactured problem is posed on [0,2]x[0,2]")
         if self.kind == DROP_ARRAY and self.drops is None:
-            raise ValueError("drop_array problem requires a DropLayout")
+            raise ValidationError("drops", "drop_array problem requires a DropLayout")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of size ``dt`` from ``t0`` to ``tf``; a ValidationError on ``dt``
+        unless that is a whole number up to round-off, as a run must end at tf."""
+        n = round((self.tf - self.t0) / self.dt)
+        if n < 1 or abs((self.tf - self.t0) / self.dt - n) > 1e-9 * n:
+            raise ValidationError("dt", f"{self.dt} does not divide [{self.t0}, {self.tf}] into whole steps")
+        return n
 
     @property
     def has_exact(self) -> bool:
@@ -149,7 +160,7 @@ def desk_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
     19x19 configuration, and the physical constants carry over unchanged.
     """
     grid = GridSpec(nx=128, ny=128, lx=4.0, ly=4.0)
-    params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=151.15, eta=0.02, c0=1.0)
+    params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=DROP_SIGMA, eta=0.02, c0=1.0)
     drops = DropLayout(count_x=5, count_y=5, spacing=0.4, radius=0.17)
     return ProblemSpec(kind=DROP_ARRAY, grid=grid, params=params, t0=0.0, tf=1.0, dt=dt, drops=drops)
 
@@ -157,6 +168,6 @@ def desk_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
 def full_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
     """Full-size drop benchmark: 361 drops on a 512^2 grid (slow)."""
     grid = GridSpec(nx=512, ny=512, lx=4.0, ly=4.0)
-    params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=151.15, eta=0.01, c0=1.0)
+    params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=DROP_SIGMA, eta=0.01, c0=1.0)
     drops = DropLayout(count_x=19, count_y=19, spacing=0.2, radius=0.085)
     return ProblemSpec(kind=DROP_ARRAY, grid=grid, params=params, t0=0.0, tf=100.0, dt=dt, drops=drops)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .diagnostics import HistoryRecord, error_norms
-from .errors import Diverged
+from .errors import Diverged, SolverError
 from .grid import h2_norm, integrate
 from .model import chemical_potential_exact, energy_total
 from .output import write_snapshot
@@ -21,8 +21,15 @@ class RunResult:
     scheme: SchemeKind
     history: list[HistoryRecord]
     final_state: SchemeState
-    diverged: bool = False
-    diverged_step: int | None = None
+    failure: SolverError | None = None  # raised by step final_state.step + 1; None if completed
+
+    @property
+    def diverged(self) -> bool:
+        return isinstance(self.failure, Diverged)
+
+    @property
+    def diverged_step(self) -> int | None:
+        return self.final_state.step + 1 if self.diverged else None
 
 
 def _record(
@@ -84,13 +91,16 @@ def run_simulation(
 ) -> RunResult:
     """Advance the problem n_steps times, collecting history records.
 
-    A Diverged baseline is caught and reported in the result, with the
-    history complete up to the last finished step.
+    ``dt`` overrides ``problem.dt``; ``n_steps`` defaults to ``problem.n_steps``.
+    A SolverError raised by a step, such as a Diverged baseline, is caught and
+    reported as the result's ``failure``, with the history complete up to the
+    last finished step.
     """
-    if dt is None:
-        dt = problem.dt
+    if dt is not None:
+        problem = replace(problem, dt=dt)
+    dt = problem.dt
     if n_steps is None:
-        n_steps = int(round((problem.tf - problem.t0) / dt))
+        n_steps = problem.n_steps
     if history_every < 1:
         raise ValueError("history_every must be >= 1")
     step_fn = STEPPERS[scheme]
@@ -107,8 +117,7 @@ def run_simulation(
     if snapshot_every and output_dir is not None:
         write_snapshot(state.phi_cur, problem.t0, Path(output_dir) / _snap_name(0))
 
-    diverged = False
-    diverged_step = None
+    failure = None
     for n in range(n_steps):
         t_new = problem.t0 + (n + 1) * dt
         f_new = f_mid = None
@@ -118,9 +127,8 @@ def run_simulation(
                 f_mid = source_term(problem.t0 + (n + drain_level) * dt, problem.grid, params)
         try:
             state = step_fn(state, dt, params, f_new, f_src_mid=f_mid, dealias=dealias)
-        except Diverged as exc:
-            diverged = True
-            diverged_step = exc.step
+        except SolverError as exc:
+            failure = exc
             break
         last = n == n_steps - 1
         if state.step % history_every == 0 or last:
@@ -133,8 +141,7 @@ def run_simulation(
         scheme=scheme,
         history=history,
         final_state=state,
-        diverged=diverged,
-        diverged_step=diverged_step,
+        failure=failure,
     )
 
 

@@ -219,6 +219,25 @@ class TestParseConfig:
         assert "null" in str(excinfo.value)
 
     @pytest.mark.parametrize(
+        "problem,field",
+        [
+            ({"kind": "manufactured", "ny": 7}, "problem.ny"),
+            ({"kind": "manufactured", "eta": 1e-200}, "problem.eta"),
+            ({"kind": "manufactured", "lambda": -1.0}, "problem.lambda"),
+            ({"kind": "drop_array", "count_y": 0}, "problem.count_y"),
+            ({"kind": "drop_array", "sigma": -1.0}, "problem.sigma"),
+            ({"kind": "drop_array", "eta": 0.0}, "problem.eta"),
+            ({"kind": "drop_array", "ly": 0.0}, "problem.ly"),
+            ({"kind": "manufactured", "beta": 1e300, "eta": 1e-10}, "problem"),  # well_amp
+        ],
+        ids=["ny", "eta-underflow", "lambda", "count_y", "sigma", "drop-eta", "ly", "well_amp"],
+    )
+    def test_out_of_range_value_names_field(self, problem, field):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(json.dumps({"problem": problem, "scheme": "1a"}))
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize(
         "time",
         [{"t0": 0.0, "tf": 1.0, "dt": 0.3}, {"t0": 0.0, "tf": 0.05, "dt": 0.1}, {"dt": 0.024}],
         ids=["short-last-step", "window-below-one-step", "default-window"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cahnpav import GridSpec, NonPositiveEnergy, PhysicalParams, RealField
+from cahnpav import GridSpec, NonPositiveEnergy, PhysicalParams, RealField, ValidationError
 from cahnpav.grid import integrate
 from cahnpav.model import (
     chemical_potential_exact,
@@ -64,11 +64,27 @@ class TestPhysicalParams:
             dict(m0=1.0, beta=1.0, eta=1.0, well_amp=float("inf")),
             dict(m0=1.0, beta=1.0, eta=1.0, well_amp=-1.0),
             dict(m0=1.0, beta=1e300, eta=1e-10),  # default well_amp overflows
+            dict(m0=1.0, beta=1.0, eta=1e-200),  # eta**2 underflows to 0
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             PhysicalParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            (dict(m0=1.0, beta=1.0, eta=1e-200), "eta"),
+            (dict(m0=1.0, beta=0.0, eta=0.0), "eta"),  # eta first: drop configs derive beta from it
+            (dict(m0=1.0, beta=1.0, eta=1.0, lam=-0.1), "lam"),
+            (dict(m0=1.0, beta=1e300, eta=1e-10), "well_amp"),
+        ],
+        ids=["eta-underflow", "eta-before-beta", "lam", "well_amp"],
+    )
+    def test_names_the_offending_field(self, kwargs, field):
+        with pytest.raises(ValidationError) as excinfo:
+            PhysicalParams(**kwargs)
+        assert excinfo.value.field == field
 
     def test_zero_well_amp_allowed(self):
         # the linear regime used by the closed-form oracle tests

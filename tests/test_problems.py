@@ -1,15 +1,19 @@
 """Tests for the manufactured problem and the drop-array benchmark."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cahnpav import (
     GridSpec,
     GridTooCoarse,
     PhysicalParams,
     RealField,
+    ValidationError,
     desk_scale_drop_spec,
     manufactured_spec,
     full_scale_drop_spec,
@@ -190,6 +194,16 @@ class TestProblemSpecValidation:
             DropLayout(count_x=0, count_y=5, spacing=0.4, radius=0.17)
         with pytest.raises(ValueError):
             DropLayout(count_x=5, count_y=5, spacing=-0.4, radius=0.17)
+
+    @settings(deadline=None, max_examples=200)
+    @given(t0=st.floats(-10.0, 10.0), n=st.integers(1, 10**5), dt=st.floats(1e-4, 10.0))
+    def test_n_steps_whole_windows_only(self, t0, n, dt):
+        spec = dataclasses.replace(MFG, t0=t0, tf=t0 + n * dt, dt=dt)
+        assert spec.n_steps == n
+        short = dataclasses.replace(spec, tf=t0 + dt * (n + 0.5))
+        with pytest.raises(ValidationError) as excinfo:
+            short.n_steps
+        assert excinfo.value.field == "dt"
 
     def test_initial_condition_dispatch(self):
         mfg = manufactured_spec()

@@ -1,11 +1,19 @@
 """End-to-end tests for the simulation driver and the command-line interface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cahnpav import SchemeKind, desk_scale_drop_spec, manufactured_spec, run_simulation
+from cahnpav import (
+    NonPositiveEnergy,
+    SchemeKind,
+    ValidationError,
+    desk_scale_drop_spec,
+    manufactured_spec,
+    run_simulation,
+)
 from cahnpav.cli import main
 from cahnpav.output import read_history_csv, read_snapshot
 
@@ -53,6 +61,28 @@ class TestRunSimulation:
         assert len(result.history) >= 2  # step 0 plus everything before the blow-up
         assert result.history[-1].step < 60
         assert all(np.isfinite(rec.energy) for rec in result.history)
+
+    @pytest.mark.parametrize(
+        "problem,kwargs",
+        [
+            (manufactured_spec(tf=0.5), dict(dt=0.3)),  # one step would end at t = 0.4
+            (desk_scale_drop_spec(), dict(dt=-1e-3, n_steps=2)),  # would run backward
+        ],
+        ids=["dt-not-dividing-window", "negative-dt"],
+    )
+    def test_bad_dt_refused_before_stepping(self, problem, kwargs):
+        with pytest.raises(ValidationError) as excinfo:
+            run_simulation(problem, SchemeKind.PAV_1A, **kwargs)
+        assert excinfo.value.field == "dt"
+
+    def test_runtime_failure_keeps_partial_history(self):
+        # E[phi^0] > 0 at c0 = -0.95, but the 12th 2a step drives the energy below 0
+        problem = manufactured_spec(c0=-0.95)
+        result = run_simulation(problem, SchemeKind.PAV_2A)
+        assert isinstance(result.failure, NonPositiveEnergy)
+        assert not result.diverged and result.diverged_step is None
+        assert [rec.step for rec in result.history] == list(range(12))
+        assert result.final_state.step == 11
 
     def test_exact_history_changes_second_order_start(self):
         problem = manufactured_spec()
@@ -140,6 +170,19 @@ class TestCliRun:
         main(["run", "--config", str(path)])
         assert (tmp_path / "out" / "history.csv").read_bytes() == first
 
+    def test_out_of_range_value_exits_2_naming_field(self, mfg_config, capsys):
+        path = mfg_config(problem={"kind": "manufactured", "eta": 1e-200})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: problem.eta:" in capsys.readouterr().err
+
+    def test_runtime_failure_exits_4_with_partial_history(self, mfg_config, tmp_path, capsys):
+        # a failure after the first step is not a configuration error
+        path = mfg_config(problem={"kind": "manufactured", "c0": -0.95}, time={})
+        assert main(["run", "--config", str(path)]) == 4
+        assert "2a failed at step 12: total energy" in capsys.readouterr().err
+        records = read_history_csv(tmp_path / "out" / "history.csv")
+        assert [rec.step for rec in records] == list(range(12))
+
     def test_diverged_baseline_exits_3(self, tmp_path, capsys):
         doc = {
             "problem": {"kind": "drop_array"},
@@ -216,6 +259,15 @@ class TestCliCompare:
              "--output-dir", str(tmp_path)]
         )
         assert code == 2
+
+    def test_compare_non_positive_dt_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["compare", "--schemes", "2a", "--dt", "-0.1", "--steps", "2",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "error: dt: must be positive, got -0.1" in capsys.readouterr().err
+        assert not (tmp_path / "history_2a.csv").exists()
 
     def test_compare_diverging_baseline_exits_3(self, tmp_path, capsys):
         code = main(
