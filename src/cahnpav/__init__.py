@@ -8,8 +8,6 @@ other name is imported from its submodule.
 from .diagnostics import assert_invariants
 from .errors import (
     Diverged,
-    GridTooCoarse,
-    InsufficientData,
     InvalidState,
     NonPositiveEnergy,
     ParseError,
@@ -26,8 +24,6 @@ __all__ = [
     "STEPPERS",
     "Diverged",
     "GridSpec",
-    "GridTooCoarse",
-    "InsufficientData",
     "InvalidState",
     "NonPositiveEnergy",
     "ParseError",

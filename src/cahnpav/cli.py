@@ -17,7 +17,7 @@ from .config import parse_config
 from .diagnostics import fit_convergence_order
 from .errors import SolverError, ValidationError
 from .output import write_history_csv
-from .problems import desk_scale_drop_spec, manufactured_spec, full_scale_drop_spec
+from .problems import PRESETS, manufactured_spec
 from .runner import run_simulation
 from .schemes import SchemeKind
 
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--schemes", required=True, help=f"comma-separated subset of {','.join(ALL_NAMES)}")
     p_cmp.add_argument("--dt", required=True, type=float)
     p_cmp.add_argument("--steps", required=True, type=int)
-    p_cmp.add_argument("--problem", choices=["desk", "paper"], default="desk")
+    p_cmp.add_argument("--problem", choices=list(PRESETS), default="desk")
     p_cmp.add_argument("--output-dir", type=Path, default=Path("out"))
     p_cmp.set_defaults(handler=cmd_compare)
 
@@ -158,17 +158,14 @@ def cmd_compare(args) -> int:
     if not schemes:
         print("error: schemes: empty list", file=sys.stderr)
         return EXIT_CONFIG
-    if args.steps < 1:
-        print(f"error: steps: must be >= 1, got {args.steps}", file=sys.stderr)
-        return EXIT_CONFIG
 
-    problem = desk_scale_drop_spec() if args.problem == "desk" else full_scale_drop_spec()
+    problem = PRESETS[args.problem]()
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     code = EXIT_OK
     for scheme in schemes:
-        # a non-positive dt raises ValidationError -> exit 2 via main()
+        # a non-positive dt or --steps raises ValidationError -> exit 2 via main()
         result = run_simulation(problem, scheme, dt=args.dt, n_steps=args.steps)
         path = out / f"history_{scheme.value}.csv"
         write_history_csv(result.history, path)

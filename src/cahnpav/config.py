@@ -36,15 +36,7 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .model import PhysicalParams, sigma_to_beta
-from .problems import (
-    DROP_ARRAY,
-    DROP_SIGMA,
-    MANUFACTURED,
-    ProblemSpec,
-    desk_scale_drop_spec,
-    full_scale_drop_spec,
-    manufactured_spec,
-)
+from .problems import DROP_ARRAY, DROP_SIGMA, MANUFACTURED, PRESETS, ProblemSpec, manufactured_spec
 from .schemes import SchemeKind
 
 
@@ -100,7 +92,6 @@ MANUFACTURED_KEYS = ("kind", "nx", "ny", "m0", "beta", "eta", "lambda", "c0")
 DROP_KEYS = MANUFACTURED_KEYS + ("preset", "lx", "ly", "sigma", "count_x", "count_y", "spacing", "radius")
 PROBLEM_KEYS = {MANUFACTURED: MANUFACTURED_KEYS, DROP_ARRAY: DROP_KEYS}
 INT_KEYS = ("nx", "ny", "count_x", "count_y")
-PRESETS = {"desk": desk_scale_drop_spec, "paper": full_scale_drop_spec}
 
 
 @contextmanager

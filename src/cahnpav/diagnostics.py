@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidState
+from .errors import InvalidState, ValidationError
 from .grid import RealField, l2_norm
 from .schemes import SchemeKind
 
@@ -59,7 +59,7 @@ def fit_convergence_order(dts: list[float], errors: list[float]) -> float:
     if len(dts) != len(errors):
         raise ValueError("dts and errors must have equal length")
     if len(dts) < 3:
-        raise InsufficientData(f"need at least 3 samples, got {len(dts)}")
+        raise ValidationError("dts", f"need at least 3 samples, got {len(dts)}")
     dts_arr = np.asarray(dts, dtype=float)
     errs_arr = np.asarray(errors, dtype=float)
     if np.any(dts_arr <= 0) or np.any(errs_arr <= 0):

@@ -24,14 +24,6 @@ class Diverged(SolverError):
         self.step = step
 
 
-class GridTooCoarse(SolverError):
-    """The grid cannot represent the requested band-limited data without aliasing."""
-
-
-class InsufficientData(SolverError):
-    """Not enough samples to perform the requested fit."""
-
-
 class ParseError(SolverError):
     """The configuration document is not syntactically valid."""
 

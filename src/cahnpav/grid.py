@@ -11,6 +11,7 @@ convention Parseval reads ``integral(f^2) = sum(|coeffs|^2) * lx * ly``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +29,7 @@ class GridSpec:
     nx, ny : int
         Number of collocation points per direction; even, at least 4.
     lx, ly : float
-        Domain lengths.  Point (i, j) sits at (i * lx/nx, j * ly/ny).
+        Domain lengths, positive and finite.  Point (i, j) sits at (i * lx/nx, j * ly/ny).
     """
 
     nx: int
@@ -41,8 +42,8 @@ class GridSpec:
             if n < 4 or n % 2 != 0:
                 raise ValidationError(name, f"must be an even integer >= 4, got {n}")
         for name, length in (("lx", self.lx), ("ly", self.ly)):
-            if not length > 0:
-                raise ValidationError(name, f"must be positive, got {length}")
+            if not 0 < length < math.inf:
+                raise ValidationError(name, f"must be positive and finite, got {length}")
 
     @property
     def hx(self) -> float:

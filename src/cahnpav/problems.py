@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, ValidationError
+from .errors import ValidationError
 from .grid import GridSpec, RealField
 from .model import PhysicalParams, chemical_potential_exact
 
@@ -68,8 +68,12 @@ class ProblemSpec:
             raise ValidationError("tf", f"need finite t0 < tf, got [{self.t0}, {self.tf}]")
         if not self.dt > 0:
             raise ValidationError("dt", f"must be positive, got {self.dt}")
-        if self.kind == MANUFACTURED and (self.grid.lx != 2.0 or self.grid.ly != 2.0):
-            raise ValidationError("grid", "the manufactured problem is posed on [0,2]x[0,2]")
+        if self.kind == MANUFACTURED:
+            if self.grid.lx != 2.0 or self.grid.ly != 2.0:
+                raise ValidationError("grid", "the manufactured problem is posed on [0,2]x[0,2]")
+            for name, n in (("nx", self.grid.nx), ("ny", self.grid.ny)):
+                if n < 8:  # the source's cubic term reaches mode 3
+                    raise ValidationError(name, f"the manufactured source needs >= 8 points, got {n}")
         if self.kind == DROP_ARRAY and self.drops is None:
             raise ValidationError("drops", "drop_array problem requires a DropLayout")
 
@@ -108,10 +112,8 @@ def source_term(t: float, grid: GridSpec, p: PhysicalParams) -> RealField:
 
     Evaluated pseudo-spectrally from the closed-form solution.  The cubic term
     is band-limited at mode 3, so the result is exact (no aliasing) on any
-    grid with nx, ny >= 8.
+    grid with nx, ny >= 8, which ProblemSpec requires of a manufactured problem.
     """
-    if grid.nx < 8 or grid.ny < 8:
-        raise GridTooCoarse(f"source term needs nx, ny >= 8, got {grid.nx}x{grid.ny}")
     phi = exact_solution(t, grid)
     mu = chemical_potential_exact(phi, p)
     return RealField(grid, exact_time_derivative(t, grid).values - p.m0 * grid.laplacian(mu.values))
@@ -171,3 +173,6 @@ def full_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
     params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=DROP_SIGMA, eta=0.01, c0=1.0)
     drops = DropLayout(count_x=19, count_y=19, spacing=0.2, radius=0.085)
     return ProblemSpec(kind=DROP_ARRAY, grid=grid, params=params, t0=0.0, tf=100.0, dt=dt, drops=drops)
+
+
+PRESETS = {"desk": desk_scale_drop_spec, "paper": full_scale_drop_spec}  # drop-array presets by name

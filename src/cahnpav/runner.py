@@ -7,12 +7,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .diagnostics import HistoryRecord, error_norms
-from .errors import Diverged, SolverError
+from .errors import Diverged, SolverError, ValidationError
 from .grid import h2_norm, integrate
 from .model import chemical_potential_exact, energy_total
 from .output import write_snapshot
 from .problems import ProblemSpec, exact_solution, source_term
-from .schemes import SCHEMES, STEPPERS, SchemeKind, SchemeState, init_state
+from .schemes import SCHEMES, STEPPERS, SchemeKind, SchemeState, init_state, sav_energy
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,21 @@ def run_simulation(
 ) -> RunResult:
     """Advance the problem n_steps times, collecting history records.
 
-    ``dt`` overrides ``problem.dt``; ``n_steps`` defaults to ``problem.n_steps``.
-    A SolverError raised by a step, such as a Diverged baseline, is caught and
-    reported as the result's ``failure``, with the history complete up to the
-    last finished step.
+    ``dt`` overrides ``problem.dt``; ``n_steps`` defaults to ``problem.n_steps``
+    and must be >= 1.  A bad argument, or an initial state the scheme cannot
+    start from, raises before the first step.  A SolverError raised by a step,
+    such as a Diverged baseline, is caught and reported as the result's
+    ``failure``, with the history complete up to the last finished step.
     """
     if dt is not None:
         problem = replace(problem, dt=dt)
     dt = problem.dt
     if n_steps is None:
         n_steps = problem.n_steps
+    elif n_steps < 1:
+        raise ValidationError("n_steps", f"must be >= 1, got {n_steps}")
     if history_every < 1:
-        raise ValueError("history_every must be >= 1")
+        raise ValidationError("history_every", f"must be >= 1, got {history_every}")
     step_fn = STEPPERS[scheme]
     # time level of the source in the scheme's xi update, in steps past t^n;
     # sav has no xi update and reads only the source at t^{n+1}
@@ -110,6 +113,8 @@ def run_simulation(
     params = problem.params
 
     state = init_state(problem.initial_condition(), params)
+    if scheme is SchemeKind.SAV:
+        sav_energy(state.phi_cur, params)  # NonPositiveEnergy: sav cannot start from phi^0
     if exact_history:
         state = seed_exact_history(state, problem, dt)
 

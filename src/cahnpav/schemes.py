@@ -120,19 +120,30 @@ class SchemeState:
         return self.phi_cur.grid
 
 
+def sav_energy(phi: RealField, p: PhysicalParams) -> float:
+    """int H(phi) + c0, the square of the SAV auxiliary r1.
+
+    Only the ``sav`` scheme needs it positive; raises NonPositiveEnergy when
+    it is not, since r1 = sqrt(int H(phi) + c0) is then undefined.
+    """
+    e1 = potential_integral(phi, p) + p.c0
+    if not e1 > 0:
+        raise NonPositiveEnergy(f"potential energy + c0 = {e1} is not positive; sav needs a larger c0")
+    return e1
+
+
 def init_state(phi0: RealField, p: PhysicalParams) -> SchemeState:
     """Initialize from phi^0: mu^0 continuous-form, R^0 = sqrt(E[phi^0]).
 
-    The SAV auxiliary starts at sqrt(int H(phi^0) + c0).  Raises
-    NonPositiveEnergy when either square root is undefined.
+    Raises NonPositiveEnergy when E[phi^0] <= 0.  The SAV auxiliary starts at
+    sqrt(int H(phi^0) + c0), or NaN where that root is undefined: only the
+    ``sav`` scheme reads it, and step_sav2 refuses such a phi^0 (see sav_energy).
     """
     mu0 = chemical_potential_exact(phi0, p)
     e0 = energy_total(phi0, p)
     r0 = math.sqrt(e0)
     e1 = potential_integral(phi0, p) + p.c0
-    if not e1 > 0:
-        raise NonPositiveEnergy(f"potential energy + c0 = {e1} is not positive")
-    sav_r = math.sqrt(e1)
+    sav_r = math.sqrt(e1) if e1 > 0 else math.nan
     return SchemeState(
         phi_cur=phi0, phi_prev=phi0, mu_cur=mu0, mu_prev=mu0, r_cur=r0, r_prev=r0,
         energy=e0, dissipation=dissipation(mu0, p), sav_r_cur=sav_r, sav_r_prev=sav_r,
@@ -309,11 +320,12 @@ def step_sav2(
 
     The coupled linear system is resolved by superposition with two spectral
     solves (phi^{n+1} = phi_1 + r1^{n+1} phi_2).  r1 carries no positivity
-    guarantee and may go negative.
+    guarantee and may go negative.  Raises NonPositiveEnergy when
+    int H(phi_bar) + c0 <= 0, which at a cold start is int H(phi^0) + c0.
     """
     grid = state.grid
     sigma, g, phi_bar = _bdf(2, state, dt, f_src)
-    e1_bar = potential_integral(phi_bar, p) + p.c0
+    e1_bar = sav_energy(phi_bar, p)
     b = potential_h(phi_bar, p).values
     if dealias:
         b = grid.dealias(b)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from cahnpav import (
     GridSpec,
-    InsufficientData,
     InvalidState,
     RealField,
     SchemeKind,
+    ValidationError,
     assert_invariants,
 )
 from cahnpav.diagnostics import HistoryRecord, error_norms, fit_convergence_order, xi_indicator
@@ -92,8 +92,9 @@ class TestFitConvergenceOrder:
         assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(ValidationError) as excinfo:
             fit_convergence_order([0.1, 0.05], [1.0, 0.5])
+        assert excinfo.value.field == "dts"
 
     def test_rejects_nondecreasing_dts(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """Tests for the spectral grid, transforms, operators and quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cahnpav import GridSpec, RealField
+from cahnpav import GridSpec, RealField, ValidationError
 from cahnpav.grid import grad_sq_integral, h2_norm, integrate, l2_norm
 
 
@@ -40,6 +42,14 @@ class TestGridSpec:
     def test_rejects_bad_lengths(self, lx, ly):
         with pytest.raises(ValueError):
             GridSpec(8, 8, lx, ly)
+
+    @pytest.mark.parametrize(
+        "lx,ly,field", [(math.inf, 1.0, "lx"), (1.0, math.inf, "ly"), (math.nan, 1.0, "lx")]
+    )
+    def test_rejects_non_finite_lengths(self, lx, ly, field):
+        with pytest.raises(ValidationError) as excinfo:
+            GridSpec(8, 8, lx, ly)
+        assert excinfo.value.field == field
 
     def test_wavenumbers(self):
         grid = GridSpec(8, 8, 2.0, 2.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cahnpav import (
     GridSpec,
-    GridTooCoarse,
     PhysicalParams,
     RealField,
     ValidationError,
@@ -77,8 +76,11 @@ class TestSourceTerm:
         assert abs(integrate(source_term(t, MFG.grid, MFG.params))) < 1e-13
 
     def test_rejects_coarse_grid(self):
-        with pytest.raises(GridTooCoarse):
-            source_term(0.5, GridSpec(6, 20, 2.0, 2.0), MFG.params)
+        # refused when the problem is built, not when a step evaluates the source
+        for nx, ny, field in ((6, 20, "nx"), (20, 6, "ny")):
+            with pytest.raises(ValidationError) as excinfo:
+                manufactured_spec(nx=nx, ny=ny)
+            assert excinfo.value.field == field
 
     def test_band_limited_exactness(self):
         # the cubic tops out at mode 3: the 8^2 and 64^2 sources agree at

@@ -15,7 +15,23 @@ from cahnpav import (
     run_simulation,
 )
 from cahnpav.cli import main
+from cahnpav.model import potential_integral
 from cahnpav.output import read_history_csv, read_snapshot
+
+DESK = desk_scale_drop_spec()
+# E[phi^0] ~ 941 > 0 on the desk preset, but int H(phi^0) + c0 ~ -941
+SAV_ONLY_BAD_C0 = -3015.34
+# int H(phi^0) + c0 = 0.5: sav starts, and int H(phi_bar) + c0 turns negative mid-run
+SAV_MID_RUN_C0 = -2073.4398171253597
+
+
+def with_c0(problem, c0):
+    return dataclasses.replace(problem, params=dataclasses.replace(problem.params, c0=c0))
+
+
+def written(root):
+    """History and snapshot files anywhere under root: an exit-2 run writes none."""
+    return sorted(p.name for pattern in ("history*.csv", "snapshot_*.dat") for p in root.rglob(pattern))
 
 
 class TestRunSimulation:
@@ -74,6 +90,31 @@ class TestRunSimulation:
         with pytest.raises(ValidationError) as excinfo:
             run_simulation(problem, SchemeKind.PAV_1A, **kwargs)
         assert excinfo.value.field == "dt"
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_n_steps_below_one_refused(self, n_steps):
+        with pytest.raises(ValidationError) as excinfo:
+            run_simulation(manufactured_spec(), SchemeKind.PAV_1A, n_steps=n_steps)
+        assert excinfo.value.field == "n_steps"
+
+    @pytest.mark.parametrize(
+        "scheme", [k for k in SchemeKind if k is not SchemeKind.SAV], ids=lambda k: k.value
+    )
+    def test_sav_energy_rule_does_not_apply_to_other_schemes(self, scheme):
+        result = run_simulation(with_c0(DESK, SAV_ONLY_BAD_C0), scheme, n_steps=3)
+        assert result.failure is None
+        assert [rec.step for rec in result.history] == [0, 1, 2, 3]
+
+    def test_sav_refused_before_first_step(self):
+        with pytest.raises(NonPositiveEnergy, match="potential energy"):
+            run_simulation(with_c0(DESK, SAV_ONLY_BAD_C0), SchemeKind.SAV, n_steps=3)
+
+    def test_sav_mid_run_failure_is_reported(self):
+        assert SAV_MID_RUN_C0 == pytest.approx(0.5 - potential_integral(DESK.initial_condition(), DESK.params))
+        result = run_simulation(with_c0(DESK, SAV_MID_RUN_C0), SchemeKind.SAV, dt=1e-2, n_steps=200)
+        assert isinstance(result.failure, NonPositiveEnergy)
+        assert 1 <= result.final_state.step < 200
+        assert [rec.step for rec in result.history] == list(range(result.final_state.step + 1))
 
     def test_runtime_failure_keeps_partial_history(self):
         # E[phi^0] > 0 at c0 = -0.95, but the 12th 2a step drives the energy below 0
@@ -144,17 +185,20 @@ class TestCliRun:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+        assert not written(tmp_path)
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
         assert main(["run", "--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+        assert not written(tmp_path)
 
-    def test_invalid_field_exits_2(self, mfg_config, capsys):
+    def test_invalid_field_exits_2(self, mfg_config, tmp_path, capsys):
         path = mfg_config(scheme="9z")
         assert main(["run", "--config", str(path)]) == 2
         assert "scheme" in capsys.readouterr().err
+        assert not written(tmp_path)
 
     def test_successful_run_writes_history(self, mfg_config, tmp_path):
         path = mfg_config()
@@ -170,10 +214,53 @@ class TestCliRun:
         main(["run", "--config", str(path)])
         assert (tmp_path / "out" / "history.csv").read_bytes() == first
 
-    def test_out_of_range_value_exits_2_naming_field(self, mfg_config, capsys):
+    def test_out_of_range_value_exits_2_naming_field(self, mfg_config, tmp_path, capsys):
         path = mfg_config(problem={"kind": "manufactured", "eta": 1e-200})
         assert main(["run", "--config", str(path)]) == 2
         assert "error: problem.eta:" in capsys.readouterr().err
+        assert not written(tmp_path)
+
+    def test_coarse_manufactured_grid_exits_2_before_writing(self, mfg_config, tmp_path, capsys):
+        path = mfg_config(
+            problem={"kind": "manufactured", "nx": 6, "ny": 6},
+            output={"dir": str(tmp_path / "out"), "snapshot_every": 1},
+        )
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: problem.nx:" in capsys.readouterr().err
+        assert not written(tmp_path)
+
+    def test_sav_energy_rule_exits_2_before_writing(self, tmp_path, capsys):
+        doc = {
+            "problem": {"kind": "drop_array", "c0": SAV_ONLY_BAD_C0},
+            "scheme": "sav",
+            "time": {"tf": 0.003},
+            "output": {"dir": str(tmp_path / "out"), "snapshot_every": 1},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: potential energy + c0" in capsys.readouterr().err
+        assert not written(tmp_path)
+        doc["scheme"] = "2a"  # the rule is sav's alone
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 0
+        assert [rec.step for rec in read_history_csv(tmp_path / "out" / "history.csv")] == [0, 1, 2, 3]
+
+    def test_sav_mid_run_failure_exits_4_with_partial_history(self, tmp_path, capsys):
+        doc = {
+            "problem": {"kind": "drop_array", "c0": SAV_MID_RUN_C0},
+            "scheme": "sav",
+            "time": {"dt": 1e-2, "tf": 2.0},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "sav failed at step" in err and "potential energy + c0" in err
+        records = read_history_csv(tmp_path / "out" / "history.csv")
+        assert 2 <= len(records) < 201
+        assert [rec.step for rec in records] == list(range(len(records)))
 
     def test_runtime_failure_exits_4_with_partial_history(self, mfg_config, tmp_path, capsys):
         # a failure after the first step is not a configuration error
@@ -220,15 +307,17 @@ class TestCliConvergence:
         assert len(csv) == 5
 
     def test_too_few_dts_exits_2(self, tmp_path, capsys):
-        assert main(["convergence", "--scheme", "1a", "--dts", "0.1,0.05"]) == 2
+        argv = ["convergence", "--scheme", "1a", "--dts", "0.1,0.05"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
         assert "dts" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_dt_not_dividing_window_exits_2(self, tmp_path, capsys):
         # 0.3 does not divide the manufactured window [0.1, 1.1]; nothing runs
         argv = ["convergence", "--scheme", "1a", "--dts", "0.3,0.1,0.05"]
         assert main(argv + ["--output-dir", str(tmp_path)]) == 2
         assert "error: dts:" in capsys.readouterr().err
-        assert not (tmp_path / "convergence_1a.csv").exists()
+        assert not list(tmp_path.iterdir())
 
 
 class TestCliCompare:
@@ -259,6 +348,7 @@ class TestCliCompare:
              "--output-dir", str(tmp_path)]
         )
         assert code == 2
+        assert not written(tmp_path)
 
     def test_compare_non_positive_dt_exits_2(self, tmp_path, capsys):
         code = main(
@@ -267,7 +357,17 @@ class TestCliCompare:
         )
         assert code == 2
         assert "error: dt: must be positive, got -0.1" in capsys.readouterr().err
-        assert not (tmp_path / "history_2a.csv").exists()
+        assert not written(tmp_path)
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_compare_steps_below_one_exits_2(self, tmp_path, capsys, steps):
+        code = main(
+            ["compare", "--schemes", "2a,1a", "--dt", "0.001", "--steps", steps,
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert f"error: n_steps: must be >= 1, got {steps}" in capsys.readouterr().err
+        assert not written(tmp_path)
 
     def test_compare_diverging_baseline_exits_3(self, tmp_path, capsys):
         code = main(

@@ -11,6 +11,7 @@ from cahnpav import (
     Diverged,
     GridSpec,
     InvalidState,
+    NonPositiveEnergy,
     PhysicalParams,
     RealField,
     SchemeKind,
@@ -18,6 +19,7 @@ from cahnpav import (
     manufactured_spec,
     run_simulation,
 )
+from cahnpav.diagnostics import MASS_DRIFT_TOL, R_MONOTONE_SLACK
 from cahnpav.grid import integrate
 from cahnpav.model import dissipation, energy_total, potential_h
 from cahnpav.schemes import (
@@ -331,6 +333,38 @@ class TestRChain:
             # xi <= R^n / sqrt(E[denominator field]); E >= c0 always
             assert state.xi_cur <= prev_r / math.sqrt(THEORY.c0) + 1e-14
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        kind=st.sampled_from([SchemeKind.PAV_1A, SchemeKind.PAV_1B, SchemeKind.PAV_2A, SchemeKind.PAV_2B]),
+        dt=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+        nx=st.integers(4, 16).map(lambda n: 2 * n),
+        ny=st.integers(4, 16).map(lambda n: 2 * n),
+        eta=st.floats(0.05, 1.0),
+        c0=st.floats(1e-3, 10.0),
+        amp=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guarantees_for_random_parameters(self, kind, dt, nx, ny, eta, c0, amp, seed):
+        # 0 < R^{n+1} <= R^n, 0 < xi <= R^n / sqrt(E_num) and exact mass at every
+        # step; E_num is the energy in the xi numerator, as in test_acceptance
+        grid = GridSpec(nx, ny, 2.0, 2.0)
+        params = PhysicalParams(m0=0.01, beta=0.01, eta=eta, c0=c0)
+        state = init_state(smooth_ic(grid, seed, amp=amp), params)
+        mass0 = integrate(state.phi_cur)
+        for _ in range(6):
+            r_n = state.r_cur
+            if kind is SchemeKind.PAV_1A:
+                e_num = state.energy
+            elif kind is SchemeKind.PAV_2A:
+                e_num = energy_total(RealField(grid, 2 * state.phi_cur.values - state.phi_prev.values), params)
+            state = STEPPERS[kind](state, dt, params)
+            if kind in (SchemeKind.PAV_1B, SchemeKind.PAV_2B):
+                e_num = state.energy
+            assert 0 < state.r_cur <= r_n * (1 + R_MONOTONE_SLACK)
+            assert 0 < state.xi_cur <= r_n / math.sqrt(e_num) * (1 + R_MONOTONE_SLACK)
+            budget = MASS_DRIFT_TOL * max(abs(mass0), 1.0) * max(1.0, state.step / 1000.0)
+            assert abs(integrate(state.phi_cur) - mass0) <= budget
+
 
 class TestStepOrderingAsymmetry:
     """1A consumes step-n dissipation for xi; 1B consumes step-(n+1)."""
@@ -433,6 +467,17 @@ class TestSav:
             state = step_sav2(state, 1e-3, params)
         target = math.sqrt(potential_integral(state.phi_cur, params) + params.c0)
         assert state.sav_r_cur == pytest.approx(target, rel=1e-4)
+
+
+    def test_energy_rule_applies_to_sav_only(self):
+        # int H(cos pi x) + c0 = 0.375 - 1 < 0 < E = pi^2 - 0.625: the sav root is undefined
+        grid = GridSpec(16, 16, 2.0, 2.0)
+        params = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=-1.0)
+        state = init_state(RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X)), params)
+        assert math.isnan(state.sav_r_cur)
+        assert 0 < step_2a(state, 0.1, params).r_cur <= state.r_cur
+        with pytest.raises(NonPositiveEnergy, match="potential energy"):
+            step_sav2(state, 0.1, params)
 
 
 class TestDealias:
