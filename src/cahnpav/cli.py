@@ -79,8 +79,7 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     config = parse_config(text)  # SolverError -> exit 2 via main()
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.output_dir)  # made by the first write: a refused run leaves no directory
     result = run_simulation(
         config.problem,
         config.scheme,
@@ -160,8 +159,7 @@ def cmd_compare(args) -> int:
         return EXIT_CONFIG
 
     problem = PRESETS[args.problem]()
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.output_dir)  # made by the first write, as in cmd_run
 
     code = EXIT_OK
     for scheme in schemes:

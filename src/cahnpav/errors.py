@@ -19,10 +19,6 @@ class Diverged(SolverError):
     Raised by the baseline integrators, which are only conditionally stable.
     """
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
 
 class ParseError(SolverError):
     """The configuration document is not syntactically valid."""

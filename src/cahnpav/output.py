@@ -31,6 +31,7 @@ def write_history_csv(records: list[HistoryRecord], path: Path | str) -> None:
     """Write records under the fixed header, one row each; None -> empty cell."""
     lines = [CSV_HEADER]
     lines += [",".join(_fmt(getattr(r, name)) for name in _COLUMNS) for r in records]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

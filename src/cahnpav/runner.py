@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .diagnostics import HistoryRecord, error_norms
 from .errors import Diverged, SolverError, ValidationError
 from .grid import h2_norm, integrate
-from .model import chemical_potential_exact, energy_total
 from .output import write_snapshot
 from .problems import ProblemSpec, exact_solution, source_term
-from .schemes import SCHEMES, STEPPERS, SchemeKind, SchemeState, init_state, sav_energy
+from .schemes import SCHEMES, STEPPERS, Level, SchemeKind, SchemeState, init_state, sav_energy
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,8 @@ def _record(
     state: SchemeState,
     t: float,
 ) -> HistoryRecord:
-    phi = state.phi_cur
+    cur = state.cur
+    phi = cur.phi
     linf = l2 = None
     if problem.has_exact:
         linf, l2 = error_norms(phi, exact_solution(t, problem.grid))
@@ -46,19 +45,20 @@ def _record(
         step=state.step,
         t=t,
         mass=integrate(phi),
-        energy=state.energy,
-        r=state.r_cur if scheme.is_pav else None,
-        xi=state.xi_cur if scheme.is_pav else None,
-        sav_r=state.sav_r_cur if scheme is SchemeKind.SAV else None,
+        energy=cur.energy,
+        r=cur.r if scheme.is_pav else None,
+        xi=state.xi if scheme.is_pav else None,
+        sav_r=cur.sav_r if scheme is SchemeKind.SAV else None,
         h2=h2_norm(phi),
-        dissipation=state.dissipation,
+        dissipation=cur.dissipation,
         linf_err=linf,
         l2_err=l2,
     )
 
 
 def seed_exact_history(state: SchemeState, problem: ProblemSpec, dt: float) -> SchemeState:
-    """Replace the cold-start previous time level with exact data at t0 - dt.
+    """Replace the cold-start previous time level with the level of the exact
+    solution at t0 - dt.
 
     Only meaningful for the manufactured problem.  The multistep schemes start
     with phi^{-1} = phi^0 by definition, which costs one O(dt) first step;
@@ -68,13 +68,7 @@ def seed_exact_history(state: SchemeState, problem: ProblemSpec, dt: float) -> S
     if not problem.has_exact:
         raise ValueError("exact history seeding requires a problem with an exact solution")
     phi_m1 = exact_solution(problem.t0 - dt, problem.grid)
-    mu_m1 = chemical_potential_exact(phi_m1, problem.params)
-    return replace(
-        state,
-        phi_prev=phi_m1,
-        mu_prev=mu_m1,
-        r_prev=math.sqrt(energy_total(phi_m1, problem.params)),
-    )
+    return replace(state, prev=Level.from_field(phi_m1, problem.params))
 
 
 def run_simulation(
@@ -106,6 +100,8 @@ def run_simulation(
         raise ValidationError("n_steps", f"must be >= 1, got {n_steps}")
     if history_every < 1:
         raise ValidationError("history_every", f"must be >= 1, got {history_every}")
+    if snapshot_every < 0:
+        raise ValidationError("snapshot_every", f"must be >= 0, got {snapshot_every}")
     step_fn = STEPPERS[scheme]
     # time level of the source in the scheme's xi update, in steps past t^n;
     # sav has no xi update and reads only the source at t^{n+1}
@@ -114,13 +110,13 @@ def run_simulation(
 
     state = init_state(problem.initial_condition(), params)
     if scheme is SchemeKind.SAV:
-        sav_energy(state.phi_cur, params)  # NonPositiveEnergy: sav cannot start from phi^0
+        sav_energy(state.cur.phi, params)  # NonPositiveEnergy: sav cannot start from phi^0
     if exact_history:
         state = seed_exact_history(state, problem, dt)
 
     history = [_record(problem, scheme, state, problem.t0)]
     if snapshot_every and output_dir is not None:
-        write_snapshot(state.phi_cur, problem.t0, Path(output_dir) / _snap_name(0))
+        write_snapshot(state.cur.phi, problem.t0, Path(output_dir) / _snap_name(0))
 
     failure = None
     for n in range(n_steps):
@@ -139,7 +135,7 @@ def run_simulation(
         if state.step % history_every == 0 or last:
             history.append(_record(problem, scheme, state, t_new))
         if snapshot_every and output_dir is not None and (state.step % snapshot_every == 0 or last):
-            write_snapshot(state.phi_cur, t_new, Path(output_dir) / _snap_name(state.step))
+            write_snapshot(state.cur.phi, t_new, Path(output_dir) / _snap_name(state.step))
 
     return RunResult(
         problem=problem,

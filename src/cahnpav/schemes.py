@@ -32,8 +32,9 @@ The baselines: ``semi`` (BDF2, nonlinear term fully explicit, conditionally
 stable) and ``sav`` (BDF2 scalar auxiliary variable on the potential energy
 only, stable, but its auxiliary variable may go negative), which couples two
 solves and keeps its own body.  Every step does one constant-coefficient
-spectral solve (two for SAV).  A state carries E[phi^n] and
-m0 ||grad mu^n||^2, so each energy is computed once per step.
+spectral solve (two for SAV).  A state is two time levels (``Level``:
+phi, mu, E, m0 ||grad mu||^2, R and r1), so each energy is computed once
+per step; a step turns the current level into the previous one.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import Diverged, InvalidState, NonPositiveEnergy
-from .grid import GridSpec, RealField, grad_sq_integral, integrate
+from .grid import RealField, grad_sq_integral, integrate
 from .model import (
     PhysicalParams,
     chemical_potential_exact,
@@ -93,31 +94,43 @@ SCHEMES = {
 
 
 @dataclass(frozen=True)
-class SchemeState:
-    """Two time levels of the discrete solution plus the auxiliary variables.
+class Level:
+    """One time level: phi, mu, E[phi] and m0 ||grad mu||^2 (kept so no step
+    recomputes them), the PAV auxiliary R and the SAV auxiliary r1.  A step
+    builds its new level from the solve and its R (or r1) update."""
 
-    At step 0 the previous slots equal the current ones (cold start); the
-    second-order schemes read them as phi^{-1} = phi^0 etc.  ``energy`` is
-    E[phi_cur] and ``dissipation`` is m0 ||grad mu_cur||^2, kept so no step
-    recomputes them.  ``xi_cur`` is the last xi (1 until a PAV step runs).
-    """
-
-    phi_cur: RealField
-    phi_prev: RealField
-    mu_cur: RealField
-    mu_prev: RealField
-    r_cur: float
-    r_prev: float
+    phi: RealField
+    mu: RealField
     energy: float
     dissipation: float
-    step: int = 0
-    xi_cur: float = 1.0
-    sav_r_cur: float = 0.0
-    sav_r_prev: float = 0.0
+    r: float
+    sav_r: float
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.phi_cur.grid
+    @classmethod
+    def from_field(cls, phi: RealField, p: PhysicalParams) -> Level:
+        """The level of phi alone: mu continuous-form, R = sqrt(E[phi]) and
+        r1 = sqrt(int H(phi) + c0), or NaN where that root is undefined (only
+        ``sav`` reads r1, and step_sav2 refuses such a phi; see sav_energy).
+        Raises NonPositiveEnergy when E[phi] <= 0."""
+        mu = chemical_potential_exact(phi, p)
+        energy = energy_total(phi, p)
+        e1 = potential_integral(phi, p) + p.c0
+        return cls(
+            phi=phi, mu=mu, energy=energy, dissipation=dissipation(mu, p),
+            r=math.sqrt(energy), sav_r=math.sqrt(e1) if e1 > 0 else math.nan,
+        )
+
+
+@dataclass(frozen=True)
+class SchemeState:
+    """The current and previous time levels, the step count and the last xi
+    (1 until a PAV step runs).  At a cold start ``prev`` is ``cur``: the
+    second-order schemes read it as phi^{-1} = phi^0, R^{-1} = R^0 and so on."""
+
+    cur: Level
+    prev: Level
+    step: int = 0
+    xi: float = 1.0
 
 
 def sav_energy(phi: RealField, p: PhysicalParams) -> float:
@@ -133,21 +146,9 @@ def sav_energy(phi: RealField, p: PhysicalParams) -> float:
 
 
 def init_state(phi0: RealField, p: PhysicalParams) -> SchemeState:
-    """Initialize from phi^0: mu^0 continuous-form, R^0 = sqrt(E[phi^0]).
-
-    Raises NonPositiveEnergy when E[phi^0] <= 0.  The SAV auxiliary starts at
-    sqrt(int H(phi^0) + c0), or NaN where that root is undefined: only the
-    ``sav`` scheme reads it, and step_sav2 refuses such a phi^0 (see sav_energy).
-    """
-    mu0 = chemical_potential_exact(phi0, p)
-    e0 = energy_total(phi0, p)
-    r0 = math.sqrt(e0)
-    e1 = potential_integral(phi0, p) + p.c0
-    sav_r = math.sqrt(e1) if e1 > 0 else math.nan
-    return SchemeState(
-        phi_cur=phi0, phi_prev=phi0, mu_cur=mu0, mu_prev=mu0, r_cur=r0, r_prev=r0,
-        energy=e0, dissipation=dissipation(mu0, p), sav_r_cur=sav_r, sav_r_prev=sav_r,
-    )
+    """Cold start from phi^0: both levels are Level.from_field(phi^0)."""
+    level = Level.from_field(phi0, p)
+    return SchemeState(cur=level, prev=level)
 
 
 def solve_linear_step(
@@ -202,31 +203,30 @@ def _mid(cur: RealField, prev: RealField) -> RealField:
 
 def _bdf(order: int, state: SchemeState, dt: float, f_src: RealField | None):
     """BDF coefficient sigma, right-hand side g (plus dt f) and extrapolant of phi^{n+1}."""
-    phi = state.phi_cur
+    phi = state.cur.phi
     if order == 1:
         sigma, g, ext = 1.0, phi.values, phi
     else:
-        v, v_prev = phi.values, state.phi_prev.values
-        sigma, g, ext = 1.5, 2.0 * v - 0.5 * v_prev, RealField(phi.grid, 2.0 * v - v_prev)
+        v, v_old = phi.values, state.prev.phi.values
+        sigma, g, ext = 1.5, 2.0 * v - 0.5 * v_old, RealField(phi.grid, 2.0 * v - v_old)
     if f_src is not None:
         g = g + dt * f_src.values
     return sigma, RealField(phi.grid, g), ext
 
 
-def _advance(
-    state: SchemeState, phi_new: RealField, mu_new: RealField, energy: float, diss: float, **aux
-) -> SchemeState:
-    """The next state; ``aux`` sets the auxiliary variables the scheme updated."""
+def _advance(state: SchemeState, xi: float | None = None, **fields) -> SchemeState:
+    """The next state: ``fields`` are the new values of the current level's
+    fields (the rest carry over), and the current level becomes the previous one."""
     return replace(
-        state, phi_cur=phi_new, phi_prev=state.phi_cur, mu_cur=mu_new, mu_prev=state.mu_cur,
-        energy=energy, dissipation=diss, step=state.step + 1, **aux,
+        state, cur=replace(state.cur, **fields), prev=state.cur, step=state.step + 1,
+        xi=state.xi if xi is None else xi,
     )
 
 
 def _guard(phi: RealField, step: int) -> None:
     values = phi.values
     if not np.all(np.isfinite(values)) or np.max(np.abs(values)) > OVERFLOW_GUARD:
-        raise Diverged(f"field blew up at step {step}", step=step)
+        raise Diverged(f"field blew up at step {step}")
 
 
 def _imex_step(
@@ -242,22 +242,23 @@ def _imex_step(
     if f_src_mid is None:
         f_src_mid = f_src
     first = scheme.order == 1
+    cur, prev = state.cur, state.prev
     sigma, g, ext = _bdf(scheme.order, state, dt, f_src)
     xi = None  # the xi scaling h(ext) in the field solve
     if scheme.xi == "a":
         if first:
-            e_num = e_den = state.energy
-            mu_d, diss_d = state.mu_cur, state.dissipation
+            e_num = e_den = cur.energy
+            mu_d, diss_d = cur.mu, cur.dissipation
         else:
             e_num = energy_total(ext, p)
-            e_den = energy_total(_mid(state.phi_cur, state.phi_prev), p)
-            mu_d = _mid(state.mu_cur, state.mu_prev)
+            e_den = energy_total(_mid(cur.phi, prev.phi), p)
+            mu_d = _mid(cur.mu, prev.mu)
             diss_d = dissipation(mu_d, p)
-        xi = _xi_update(state.r_cur, e_num, e_den, diss_d - _work(f_src_mid, mu_d), dt)
+        xi = _xi_update(cur.r, e_num, e_den, diss_d - _work(f_src_mid, mu_d), dt)
     elif scheme.xi == "b" and first:
-        xi = state.xi_cur
+        xi = state.xi
     elif scheme.xi == "b":
-        xi = (2.0 * state.r_cur - state.r_prev) / math.sqrt(energy_total(ext, p))
+        xi = (2.0 * cur.r - prev.r) / math.sqrt(energy_total(ext, p))
 
     s = potential_h(ext, p).values
     if dealias:
@@ -269,19 +270,18 @@ def _imex_step(
         _guard(phi_new, state.step + 1)
     e_new, d_new = energy_total(phi_new, p), dissipation(mu_new, p)
     if scheme.xi is None:
-        return _advance(state, phi_new, mu_new, e_new, d_new)
+        return _advance(state, phi=phi_new, mu=mu_new, energy=e_new, dissipation=d_new)
     if scheme.xi == "b":
         e_num = e_new
         if first:
             e_den, mu_d, diss_d = e_new, mu_new, d_new
         else:
-            e_den = energy_total(_mid(state.phi_cur, state.phi_prev), p)
-            mu_d = RealField(mu_new.grid, 0.5 * mu_new.values + 0.5 * state.mu_cur.values)
+            e_den = energy_total(_mid(cur.phi, prev.phi), p)
+            mu_d = RealField(mu_new.grid, 0.5 * mu_new.values + 0.5 * cur.mu.values)
             diss_d = dissipation(mu_d, p)
-        xi = _xi_update(state.r_cur, e_num, e_den, diss_d - _work(f_src_mid, mu_d), dt)
-    r_new = xi * math.sqrt(e_num)
+        xi = _xi_update(cur.r, e_num, e_den, diss_d - _work(f_src_mid, mu_d), dt)
     return _advance(
-        state, phi_new, mu_new, e_new, d_new, r_cur=r_new, r_prev=state.r_cur, xi_cur=xi
+        state, xi, phi=phi_new, mu=mu_new, energy=e_new, dissipation=d_new, r=xi * math.sqrt(e_num)
     )
 
 
@@ -323,7 +323,8 @@ def step_sav2(
     guarantee and may go negative.  Raises NonPositiveEnergy when
     int H(phi_bar) + c0 <= 0, which at a cold start is int H(phi^0) + c0.
     """
-    grid = state.grid
+    cur, prev = state.cur, state.prev
+    grid = cur.phi.grid
     sigma, g, phi_bar = _bdf(2, state, dt, f_src)
     e1_bar = sav_energy(phi_bar, p)
     b = potential_h(phi_bar, p).values
@@ -335,19 +336,17 @@ def step_sav2(
     phi_2, mu_2 = solve_linear_step(sigma, zero, b, dt, p)
     ib_1 = integrate(RealField(grid, b.values * phi_1.values))
     ib_2 = integrate(RealField(grid, b.values * phi_2.values))
-    ib_n = integrate(RealField(grid, b.values * state.phi_cur.values))
-    ib_p = integrate(RealField(grid, b.values * state.phi_prev.values))
+    ib_n = integrate(RealField(grid, b.values * cur.phi.values))
+    ib_p = integrate(RealField(grid, b.values * prev.phi.values))
     # int(b phi_2) <= 0, hence the denominator stays >= 3.
-    r1_new = (4.0 * state.sav_r_cur - state.sav_r_prev + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (
+    r1_new = (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (
         3.0 - 1.5 * ib_2
     )
     phi_new = RealField(grid, phi_1.values + r1_new * phi_2.values)
     mu_new = RealField(grid, mu_1.values + r1_new * mu_2.values)
     _guard(phi_new, state.step + 1)
     e_new, d_new = energy_total(phi_new, p), dissipation(mu_new, p)
-    return _advance(
-        state, phi_new, mu_new, e_new, d_new, sav_r_cur=r1_new, sav_r_prev=state.sav_r_cur
-    )
+    return _advance(state, phi=phi_new, mu=mu_new, energy=e_new, dissipation=d_new, sav_r=r1_new)
 
 
 STEPPERS = {
@@ -362,6 +361,6 @@ STEPPERS = {
 
 def sav_modified_energy(state: SchemeState, p: PhysicalParams) -> float:
     """SAV modified energy beta/2 ||grad phi||^2 + lam/2 ||phi||^2 + r1^2 - c0."""
-    phi = state.phi_cur
+    phi = state.cur.phi
     quad = 0.5 * p.lam * integrate(RealField(phi.grid, phi.values**2)) if p.lam != 0.0 else 0.0
-    return 0.5 * p.beta * grad_sq_integral(phi) + quad + state.sav_r_cur**2 - p.c0
+    return 0.5 * p.beta * grad_sq_integral(phi) + quad + state.cur.sav_r**2 - p.c0

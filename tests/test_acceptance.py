@@ -55,26 +55,26 @@ def run_pav_trace(scheme: SchemeKind, dt: float, n_steps: int) -> PavTrace:
     step_fn = STEPPERS[scheme]
     state = init_state(problem.initial_condition(), p)
     trace = PavTrace(
-        xi=[], r=[state.r_cur], xi_bound=[], h2=[h2_norm(state.phi_cur)], mass=[integrate(state.phi_cur)]
+        xi=[], r=[state.cur.r], xi_bound=[], h2=[h2_norm(state.cur.phi)], mass=[integrate(state.cur.phi)]
     )
     for _ in range(n_steps):
-        r_n = state.r_cur
+        r_n = state.cur.r
         if scheme is SchemeKind.PAV_2A:
             # denominator field is the extrapolant 2 phi^n - phi^{n-1}
-            bar = RealField(problem.grid, 2 * state.phi_cur.values - state.phi_prev.values)
+            bar = RealField(problem.grid, 2 * state.cur.phi.values - state.prev.phi.values)
             e_den = energy_total(bar, p)
         elif scheme is SchemeKind.PAV_1A:
-            e_den = energy_total(state.phi_cur, p)
+            e_den = energy_total(state.cur.phi, p)
         else:
             e_den = None  # 1b / 2b: E[phi^{n+1}], known after the step
         state = step_fn(state, dt, p)
         if e_den is None:
-            e_den = energy_total(state.phi_cur, p)
-        trace.xi.append(state.xi_cur)
-        trace.r.append(state.r_cur)
+            e_den = energy_total(state.cur.phi, p)
+        trace.xi.append(state.xi)
+        trace.r.append(state.cur.r)
         trace.xi_bound.append(r_n / math.sqrt(e_den))
-        trace.h2.append(h2_norm(state.phi_cur))
-        trace.mass.append(integrate(state.phi_cur))
+        trace.h2.append(h2_norm(state.cur.phi))
+        trace.mass.append(integrate(state.cur.phi))
     return trace
 
 
@@ -240,7 +240,7 @@ class TestCriterion8LinearOracle:
                 k2 = (2 * np.pi * p_mode / grid.lx) ** 2 + (2 * np.pi * q_mode / grid.ly) ** 2
                 d = params.m0 * k2 * (params.beta * k2 + params.lam)
                 amp = 1.0 / (1.0 + dt * d) if order == 1 else 1.5 / (1.5 + dt * d)
-                err = np.max(np.abs(state.phi_cur.values - amp * f0.values))
+                err = np.max(np.abs(state.cur.phi.values - amp * f0.values))
                 worst = max(worst, err)
         ok = worst < 1e-12
         report(8, "linear oracle", ok, f"worst deviation {worst:.2e}")
@@ -287,11 +287,11 @@ class TestCriterion10SavModifiedEnergy:
         p = problem.params
         state = init_state(problem.initial_condition(), p)
         energies = [sav_modified_energy(state, p)]
-        r1 = [state.sav_r_cur]
+        r1 = [state.cur.sav_r]
         for _ in range(500):
             state = step_sav2(state, 0.1, p)
             energies.append(sav_modified_energy(state, p))
-            r1.append(state.sav_r_cur)
+            r1.append(state.cur.sav_r)
         violations = [
             i for i, (a, b) in enumerate(zip(energies, energies[1:])) if b > a + 1e-10
         ]

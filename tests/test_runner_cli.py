@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from cahnpav import (
     SchemeKind,
     ValidationError,
     desk_scale_drop_spec,
+    init_state,
     manufactured_spec,
     run_simulation,
 )
 from cahnpav.cli import main
 from cahnpav.model import potential_integral
 from cahnpav.output import read_history_csv, read_snapshot
+from cahnpav.problems import exact_solution
+from cahnpav.runner import seed_exact_history
+from cahnpav.schemes import Level
 
 DESK = desk_scale_drop_spec()
 # E[phi^0] ~ 941 > 0 on the desk preset, but int H(phi^0) + c0 ~ -941
@@ -139,6 +144,20 @@ class TestRunSimulation:
             result = run_simulation(problem, scheme, dt=1e-2, n_steps=30)
             assert assert_invariants(result.history, scheme).all_passed
 
+    def test_exact_history_seeds_the_whole_previous_level(self):
+        # every field of the level at t0 - dt, the SAV auxiliary r1 included
+        problem, dt = manufactured_spec(), 0.05
+        cold = init_state(problem.initial_condition(), problem.params)
+        seeded = seed_exact_history(cold, problem, dt)
+        phi_m1 = exact_solution(problem.t0 - dt, problem.grid)
+        assert seeded.prev.sav_r == math.sqrt(potential_integral(phi_m1, problem.params) + problem.params.c0)
+        expected = Level.from_field(phi_m1, problem.params)
+        assert np.array_equal(seeded.prev.phi.values, expected.phi.values)
+        assert np.array_equal(seeded.prev.mu.values, expected.mu.values)
+        for name in ("energy", "dissipation", "r", "sav_r"):
+            assert getattr(seeded.prev, name) == getattr(expected, name), name
+        assert seeded.cur is cold.cur and seeded.step == 0 and seeded.xi == 1.0
+
     def test_exact_history_rejected_for_drop_problem(self):
         with pytest.raises(ValueError):
             run_simulation(
@@ -162,6 +181,14 @@ class TestRunSimulation:
         field, t = read_snapshot(snaps[0])
         assert field.grid.shape == (20, 20)
         assert t == pytest.approx(0.1)
+
+    def test_negative_snapshot_every_refused(self, tmp_path):
+        with pytest.raises(ValidationError) as excinfo:
+            run_simulation(
+                manufactured_spec(), SchemeKind.PAV_1A, n_steps=5, snapshot_every=-2, output_dir=tmp_path
+            )
+        assert excinfo.value.field == "snapshot_every"
+        assert not written(tmp_path)
 
 
 @pytest.fixture()
@@ -241,6 +268,7 @@ class TestCliRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "error: potential energy + c0" in capsys.readouterr().err
         assert not written(tmp_path)
+        assert not (tmp_path / "out").exists()
         doc["scheme"] = "2a"  # the rule is sav's alone
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 0
@@ -353,11 +381,12 @@ class TestCliCompare:
     def test_compare_non_positive_dt_exits_2(self, tmp_path, capsys):
         code = main(
             ["compare", "--schemes", "2a", "--dt", "-0.1", "--steps", "2",
-             "--output-dir", str(tmp_path)]
+             "--output-dir", str(tmp_path / "out")]
         )
         assert code == 2
         assert "error: dt: must be positive, got -0.1" in capsys.readouterr().err
         assert not written(tmp_path)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_compare_steps_below_one_exits_2(self, tmp_path, capsys, steps):
