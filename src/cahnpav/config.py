@@ -7,7 +7,7 @@ Schema (all keys except ``problem`` and ``scheme`` optional)::
         "kind": "manufactured" | "drop_array",
         // manufactured: nx, ny, m0, beta, eta, lambda, c0
         // drop_array:   preset ("desk" | "paper"), nx, ny, lx, ly, m0,
-        //               sigma or beta, eta, lambda, c0,
+        //               sigma or beta (not both), eta, lambda, c0,
         //               count_x, count_y, spacing, radius
       },
       "scheme": "1a" | "1b" | "2a" | "2b" | "semi" | "sav",
@@ -36,7 +36,7 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .model import PhysicalParams, sigma_to_beta
-from .problems import DROP_ARRAY, DROP_SIGMA, MANUFACTURED, PRESETS, ProblemSpec, manufactured_spec
+from .problems import DROP_SIGMA, PRESETS, ProblemSpec, manufactured_spec
 from .schemes import SchemeKind
 
 
@@ -88,6 +88,7 @@ def _check_keys(mapping: dict, allowed: tuple[str, ...], prefix: str) -> None:
 TOP_KEYS = ("problem", "scheme", "time", "output", "dealias")
 TIME_KEYS = ("t0", "tf", "dt")
 OUTPUT_KEYS = ("dir", "history_every", "snapshot_every")
+MANUFACTURED, DROP_ARRAY = "manufactured", "drop_array"  # the values of problem.kind
 MANUFACTURED_KEYS = ("kind", "nx", "ny", "m0", "beta", "eta", "lambda", "c0")
 DROP_KEYS = MANUFACTURED_KEYS + ("preset", "lx", "ly", "sigma", "count_x", "count_y", "spacing", "radius")
 PROBLEM_KEYS = {MANUFACTURED: MANUFACTURED_KEYS, DROP_ARRAY: DROP_KEYS}
@@ -172,6 +173,8 @@ def _parse_problem(doc: dict) -> ProblemSpec:
         for key in doc
         if key not in ("kind", "preset")
     }
+    if "sigma" in values and "beta" in values:
+        raise ValidationError("problem.sigma", "give sigma or beta, not both")
     eta = values.get("eta", base.params.eta)
     beta = values.get("beta", base.params.beta)
     rename = {"lam": "lambda"}

@@ -1,8 +1,9 @@
 """Periodic 2D grid, Fourier transforms, spectral operators and quadrature.
 
 :class:`GridSpec` is the only code that knows the transform convention: its
-``fft``/``ifft`` pair and the multipliers built on it (``laplacian``,
-``dealias``, and the Parseval reductions below) take and return plain arrays.
+``fft``/``ifft`` pair and the multipliers ``laplacian`` and ``dealias`` take
+and return plain arrays.  The reductions below (``integrate``,
+``grad_sq_integral``, ``l2_norm``, ``h2_norm``) take a :class:`RealField`.
 
 Transform normalization: the (0, 0) Fourier coefficient equals the mean of
 the physical field, i.e. ``coeffs = fft2(values) / (nx * ny)``.  Under this

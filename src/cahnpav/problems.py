@@ -11,9 +11,6 @@ from .errors import ValidationError
 from .grid import GridSpec, RealField
 from .model import PhysicalParams, chemical_potential_exact
 
-MANUFACTURED = "manufactured"
-DROP_ARRAY = "drop_array"
-
 DROP_SIGMA = 151.15  # surface tension of both drop presets
 
 
@@ -51,9 +48,9 @@ class DropLayout:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A fully specified simulation problem: grid, physics and time window."""
+    """A fully specified simulation problem: grid, physics and time window, and
+    ``drops`` for the drop-array benchmark; without them, the manufactured case."""
 
-    kind: str
     grid: GridSpec
     params: PhysicalParams
     t0: float
@@ -62,20 +59,16 @@ class ProblemSpec:
     drops: DropLayout | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (MANUFACTURED, DROP_ARRAY):
-            raise ValidationError("kind", f"unknown problem kind {self.kind!r}")
         if not -math.inf < self.t0 < self.tf < math.inf:
             raise ValidationError("tf", f"need finite t0 < tf, got [{self.t0}, {self.tf}]")
         if not self.dt > 0:
             raise ValidationError("dt", f"must be positive, got {self.dt}")
-        if self.kind == MANUFACTURED:
+        if self.drops is None:
             if self.grid.lx != 2.0 or self.grid.ly != 2.0:
                 raise ValidationError("grid", "the manufactured problem is posed on [0,2]x[0,2]")
             for name, n in (("nx", self.grid.nx), ("ny", self.grid.ny)):
                 if n < 8:  # the source's cubic term reaches mode 3
                     raise ValidationError(name, f"the manufactured source needs >= 8 points, got {n}")
-        if self.kind == DROP_ARRAY and self.drops is None:
-            raise ValidationError("drops", "drop_array problem requires a DropLayout")
 
     @property
     def n_steps(self) -> int:
@@ -88,12 +81,12 @@ class ProblemSpec:
 
     @property
     def has_exact(self) -> bool:
-        return self.kind == MANUFACTURED
+        return self.drops is None
 
     def initial_condition(self) -> RealField:
-        if self.kind == MANUFACTURED:
+        if self.drops is None:
             return exact_solution(self.t0, self.grid)
-        return ic_drop_array(self.grid, self)
+        return ic_drop_array(self)
 
 
 def exact_solution(t: float, grid: GridSpec) -> RealField:
@@ -119,13 +112,12 @@ def source_term(t: float, grid: GridSpec, p: PhysicalParams) -> RealField:
     return RealField(grid, exact_time_derivative(t, grid).values - p.m0 * grid.laplacian(mu.values))
 
 
-def ic_drop_array(grid: GridSpec, spec: ProblemSpec) -> RealField:
+def ic_drop_array(spec: ProblemSpec) -> RealField:
     """Initial field for a drop lattice: +1 inside drops, -1 in the background.
 
     phi_0 = (N_d - 1) - sum_ij tanh((sqrt((x-x_i)^2 + (y-y_j)^2) - R0) / (sqrt(2) eta)).
     """
-    drops = spec.drops
-    eta = spec.params.eta
+    grid, drops, eta = spec.grid, spec.drops, spec.params.eta
     X, Y = grid.mesh
     xs, ys = drops.centers(grid)
     phi = np.full(grid.shape, float(drops.n_drops - 1))
@@ -151,7 +143,7 @@ def manufactured_spec(
     """Convergence-test problem on [0,2]^2 with the standard parameter set."""
     grid = GridSpec(nx=nx, ny=ny, lx=2.0, ly=2.0)
     params = PhysicalParams(m0=m0, beta=beta, eta=eta, lam=lam, c0=c0)
-    return ProblemSpec(kind=MANUFACTURED, grid=grid, params=params, t0=t0, tf=tf, dt=dt)
+    return ProblemSpec(grid=grid, params=params, t0=t0, tf=tf, dt=dt)
 
 
 def desk_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
@@ -164,7 +156,7 @@ def desk_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
     grid = GridSpec(nx=128, ny=128, lx=4.0, ly=4.0)
     params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=DROP_SIGMA, eta=0.02, c0=1.0)
     drops = DropLayout(count_x=5, count_y=5, spacing=0.4, radius=0.17)
-    return ProblemSpec(kind=DROP_ARRAY, grid=grid, params=params, t0=0.0, tf=1.0, dt=dt, drops=drops)
+    return ProblemSpec(grid=grid, params=params, t0=0.0, tf=1.0, dt=dt, drops=drops)
 
 
 def full_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
@@ -172,7 +164,7 @@ def full_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
     grid = GridSpec(nx=512, ny=512, lx=4.0, ly=4.0)
     params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=DROP_SIGMA, eta=0.01, c0=1.0)
     drops = DropLayout(count_x=19, count_y=19, spacing=0.2, radius=0.085)
-    return ProblemSpec(kind=DROP_ARRAY, grid=grid, params=params, t0=0.0, tf=100.0, dt=dt, drops=drops)
+    return ProblemSpec(grid=grid, params=params, t0=0.0, tf=100.0, dt=dt, drops=drops)
 
 
 PRESETS = {"desk": desk_scale_drop_spec, "paper": full_scale_drop_spec}  # drop-array presets by name

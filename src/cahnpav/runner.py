@@ -56,9 +56,9 @@ def _record(
     )
 
 
-def seed_exact_history(state: SchemeState, problem: ProblemSpec, dt: float) -> SchemeState:
+def seed_exact_history(state: SchemeState, problem: ProblemSpec) -> SchemeState:
     """Replace the cold-start previous time level with the level of the exact
-    solution at t0 - dt.
+    solution at t0 - problem.dt.
 
     Only meaningful for the manufactured problem.  The multistep schemes start
     with phi^{-1} = phi^0 by definition, which costs one O(dt) first step;
@@ -66,8 +66,8 @@ def seed_exact_history(state: SchemeState, problem: ProblemSpec, dt: float) -> S
     convergence study, so sweeps seed the history from the known solution.
     """
     if not problem.has_exact:
-        raise ValueError("exact history seeding requires a problem with an exact solution")
-    phi_m1 = exact_solution(problem.t0 - dt, problem.grid)
+        raise ValidationError("exact_history", "seeding needs a problem with an exact solution, not drops")
+    phi_m1 = exact_solution(problem.t0 - problem.dt, problem.grid)
     return replace(state, prev=Level.from_field(phi_m1, problem.params))
 
 
@@ -102,6 +102,8 @@ def run_simulation(
         raise ValidationError("history_every", f"must be >= 1, got {history_every}")
     if snapshot_every < 0:
         raise ValidationError("snapshot_every", f"must be >= 0, got {snapshot_every}")
+    if snapshot_every and output_dir is None:
+        raise ValidationError("output_dir", f"snapshot_every={snapshot_every} needs a directory to write to")
     step_fn = STEPPERS[scheme]
     # time level of the source in the scheme's xi update, in steps past t^n;
     # sav has no xi update and reads only the source at t^{n+1}
@@ -112,10 +114,10 @@ def run_simulation(
     if scheme is SchemeKind.SAV:
         sav_energy(state.cur.phi, params)  # NonPositiveEnergy: sav cannot start from phi^0
     if exact_history:
-        state = seed_exact_history(state, problem, dt)
+        state = seed_exact_history(state, problem)
 
     history = [_record(problem, scheme, state, problem.t0)]
-    if snapshot_every and output_dir is not None:
+    if snapshot_every:
         write_snapshot(state.cur.phi, problem.t0, Path(output_dir) / _snap_name(0))
 
     failure = None
@@ -134,7 +136,7 @@ def run_simulation(
         last = n == n_steps - 1
         if state.step % history_every == 0 or last:
             history.append(_record(problem, scheme, state, t_new))
-        if snapshot_every and output_dir is not None and (state.step % snapshot_every == 0 or last):
+        if snapshot_every and (state.step % snapshot_every == 0 or last):
             write_snapshot(state.cur.phi, t_new, Path(output_dir) / _snap_name(state.step))
 
     return RunResult(

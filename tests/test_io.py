@@ -159,10 +159,13 @@ class TestParseConfig:
             {"kind": "manufactured", "nx": 16, "ny": 16, "m0": 0.02, "beta": 0.02, "eta": 0.2,
              "lambda": 0.1, "c0": 2.0},
             {"kind": "drop_array", "preset": "desk", "nx": 32, "ny": 32, "lx": 2.0, "ly": 2.0,
-             "m0": 1e-5, "sigma": 100.0, "beta": 0.01, "eta": 0.05, "lambda": 0.0, "c0": 1.0,
+             "m0": 1e-5, "sigma": 100.0, "eta": 0.05, "lambda": 0.0, "c0": 1.0,
+             "count_x": 2, "count_y": 2, "spacing": 0.6, "radius": 0.2},
+            {"kind": "drop_array", "preset": "desk", "nx": 32, "ny": 32, "lx": 2.0, "ly": 2.0,
+             "m0": 1e-5, "beta": 0.01, "eta": 0.05, "lambda": 0.0, "c0": 1.0,
              "count_x": 2, "count_y": 2, "spacing": 0.6, "radius": 0.2},
         ],
-        ids=["manufactured", "drop_array"],
+        ids=["manufactured", "drop_array", "drop_array-beta"],
     )
     def test_every_schema_key_accepted(self, problem):
         doc = {
@@ -229,8 +232,10 @@ class TestParseConfig:
             ({"kind": "drop_array", "eta": 0.0}, "problem.eta"),
             ({"kind": "drop_array", "ly": 0.0}, "problem.ly"),
             ({"kind": "manufactured", "beta": 1e300, "eta": 1e-10}, "problem"),  # well_amp
+            ({"kind": "drop_array", "sigma": 1e9, "beta": 0.01}, "problem.sigma"),  # not both
         ],
-        ids=["ny", "eta-underflow", "lambda", "count_y", "sigma", "drop-eta", "ly", "well_amp"],
+        ids=["ny", "eta-underflow", "lambda", "count_y", "sigma", "drop-eta", "ly", "well_amp",
+             "sigma-and-beta"],
     )
     def test_out_of_range_value_names_field(self, problem, field):
         with pytest.raises(ValidationError) as excinfo:

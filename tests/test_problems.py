@@ -93,13 +93,13 @@ class TestSourceTerm:
 class TestDropArray:
     def test_far_field_background(self):
         spec = desk_scale_drop_spec()
-        phi = ic_drop_array(spec.grid, spec)
+        phi = ic_drop_array(spec)
         # the domain corner is dozens of interface widths from every drop
         assert phi.values[0, 0] == pytest.approx(-1.0, abs=1e-8)
 
     def test_drop_center_value(self):
         spec = desk_scale_drop_spec()
-        phi = ic_drop_array(spec.grid, spec)
+        phi = ic_drop_array(spec)
         xs, ys = spec.drops.centers(spec.grid)
         i = int(round(xs[0] / spec.grid.hx))
         j = int(round(ys[0] / spec.grid.hy))
@@ -107,12 +107,12 @@ class TestDropArray:
 
     def test_bounded_by_drop_count(self):
         spec = desk_scale_drop_spec()
-        phi = ic_drop_array(spec.grid, spec)
+        phi = ic_drop_array(spec)
         assert np.max(np.abs(phi.values)) <= spec.drops.n_drops
 
     def test_reflection_symmetry_of_centered_lattice(self):
         spec = desk_scale_drop_spec()
-        v = ic_drop_array(spec.grid, spec).values
+        v = ic_drop_array(spec).values
         # x -> lx - x maps grid index i to (nx - i) mod nx
         flipped = np.roll(v[::-1, :], 1, axis=0)
         assert np.max(np.abs(v - flipped)) < 1e-12
@@ -121,8 +121,8 @@ class TestDropArray:
 
     def test_deterministic(self):
         spec = desk_scale_drop_spec()
-        a = ic_drop_array(spec.grid, spec)
-        b = ic_drop_array(spec.grid, spec)
+        a = ic_drop_array(spec)
+        b = ic_drop_array(spec)
         assert np.array_equal(a.values, b.values)
         assert integrate(a) == integrate(b)
 
@@ -165,31 +165,32 @@ class TestProblemSpecValidation:
     def test_manufactured_requires_standard_domain(self):
         grid = GridSpec(20, 20, 4.0, 4.0)
         with pytest.raises(ValueError):
-            ProblemSpec(
-                kind="manufactured", grid=grid, params=MFG.params, t0=0.1, tf=1.1, dt=0.01
-            )
+            ProblemSpec(grid=grid, params=MFG.params, t0=0.1, tf=1.1, dt=0.01)
 
     def test_time_window_ordering(self):
         with pytest.raises(ValueError):
-            ProblemSpec(
-                kind="manufactured", grid=MFG.grid, params=MFG.params, t0=1.1, tf=0.1, dt=0.01
-            )
+            ProblemSpec(grid=MFG.grid, params=MFG.params, t0=1.1, tf=0.1, dt=0.01)
 
     def test_positive_dt(self):
         with pytest.raises(ValueError):
-            ProblemSpec(
-                kind="manufactured", grid=MFG.grid, params=MFG.params, t0=0.1, tf=1.1, dt=-0.01
-            )
+            ProblemSpec(grid=MFG.grid, params=MFG.params, t0=0.1, tf=1.1, dt=-0.01)
 
     def test_drop_requires_layout(self):
         grid = GridSpec(32, 32, 4.0, 4.0)
         params = PhysicalParams(m0=1e-6, beta=1.0, eta=0.02)
         with pytest.raises(ValueError):
-            ProblemSpec(kind="drop_array", grid=grid, params=params, t0=0.0, tf=1.0, dt=0.01)
+            ProblemSpec(grid=grid, params=params, t0=0.0, tf=1.0, dt=0.01)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(kind="spinodal", grid=MFG.grid, params=MFG.params, t0=0.0, tf=1.0, dt=0.01)
+    def test_drops_decide_the_problem(self):
+        # a layout added to the manufactured spec makes it a drop problem
+        spec = dataclasses.replace(MFG, drops=desk_scale_drop_spec().drops)
+        assert not spec.has_exact
+        assert np.array_equal(spec.initial_condition().values, ic_drop_array(spec).values)
+        assert not np.array_equal(spec.initial_condition().values, MFG.initial_condition().values)
+        # a spec without drops is held to the manufactured [0,2]^2 domain
+        with pytest.raises(ValidationError) as excinfo:
+            dataclasses.replace(desk_scale_drop_spec(), drops=None)
+        assert excinfo.value.field == "grid"
 
     def test_drop_layout_validation(self):
         with pytest.raises(ValueError):

@@ -146,10 +146,10 @@ class TestRunSimulation:
 
     def test_exact_history_seeds_the_whole_previous_level(self):
         # every field of the level at t0 - dt, the SAV auxiliary r1 included
-        problem, dt = manufactured_spec(), 0.05
+        problem = manufactured_spec(dt=0.05)
         cold = init_state(problem.initial_condition(), problem.params)
-        seeded = seed_exact_history(cold, problem, dt)
-        phi_m1 = exact_solution(problem.t0 - dt, problem.grid)
+        seeded = seed_exact_history(cold, problem)
+        phi_m1 = exact_solution(problem.t0 - 0.05, problem.grid)
         assert seeded.prev.sav_r == math.sqrt(potential_integral(phi_m1, problem.params) + problem.params.c0)
         expected = Level.from_field(phi_m1, problem.params)
         assert np.array_equal(seeded.prev.phi.values, expected.phi.values)
@@ -159,10 +159,12 @@ class TestRunSimulation:
         assert seeded.cur is cold.cur and seeded.step == 0 and seeded.xi == 1.0
 
     def test_exact_history_rejected_for_drop_problem(self):
-        with pytest.raises(ValueError):
+        # a ValidationError is a SolverError, which cli.main reports as exit 2, not a traceback
+        with pytest.raises(ValidationError) as excinfo:
             run_simulation(
                 desk_scale_drop_spec(), SchemeKind.PAV_2A, n_steps=1, exact_history=True
             )
+        assert excinfo.value.field == "exact_history"
 
     def test_snapshots_written(self, tmp_path):
         run_simulation(
@@ -189,6 +191,12 @@ class TestRunSimulation:
             )
         assert excinfo.value.field == "snapshot_every"
         assert not written(tmp_path)
+
+    def test_snapshot_every_without_output_dir_refused(self):
+        # a snapshot request with nowhere to write is refused, not ignored
+        with pytest.raises(ValidationError) as excinfo:
+            run_simulation(manufactured_spec(), SchemeKind.PAV_1A, n_steps=2, snapshot_every=1)
+        assert excinfo.value.field == "output_dir"
 
 
 @pytest.fixture()
