@@ -1,13 +1,19 @@
-"""Periodic 2D grid, Fourier transforms, spectral operators and quadrature.
+"""Periodic 2D grid, real Fourier transforms, spectral operators and quadrature.
 
 :class:`GridSpec` is the only code that knows the transform convention: its
-``fft``/``ifft`` pair and the multipliers ``laplacian`` and ``dealias`` take
-and return plain arrays.  The reductions below (``integrate``,
-``grad_sq_integral``, ``l2_norm``, ``h2_norm``) take a :class:`RealField`.
+``fft``/``ifft`` pair takes and returns plain arrays, and its multipliers
+``k2``, ``dealias_mask`` and ``parseval`` act on coefficients.  A
+:class:`RealField` holds a field's values, its coefficients or both; the
+reductions below take one and read the form they need.
 
-Transform normalization: the (0, 0) Fourier coefficient equals the mean of
-the physical field, i.e. ``coeffs = fft2(values) / (nx * ny)``.  Under this
-convention Parseval reads ``integral(f^2) = sum(|coeffs|^2) * lx * ly``.
+Transform convention: ``fft`` is the real-input ``rfft2``, so coefficients
+are the half-spectrum of shape ``(nx, ny//2 + 1)``: every kx, and ky >= 0
+only (``rfftfreq`` along y).  They are mean-normalized, i.e. ``coeffs =
+rfft2(values) / (nx * ny)``, so the (0, 0) coefficient is the field mean.
+A column 0 < q < ny/2 also stands for its conjugate column -q, so Parseval
+reads ``integral(f g) = lx ly sum(w Re(f_hat conj(g_hat)))`` over the
+half-spectrum, with weight w = 2 on those columns and 1 on the zero and
+Nyquist columns (``GridSpec.parseval`` is w lx ly).
 """
 
 from __future__ import annotations
@@ -82,13 +88,18 @@ class GridSpec:
 
     @cached_property
     def ky(self) -> np.ndarray:
-        """Angular wavenumbers along y, shape (1, ny)."""
-        return (2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.hy))[None, :]
+        """Angular wavenumbers along y, ky >= 0 only: shape (1, ny//2 + 1)."""
+        return (2.0 * np.pi * np.fft.rfftfreq(self.ny, d=self.hy))[None, :]
 
     @cached_property
     def k2(self) -> np.ndarray:
-        """|k|^2 per mode, the symbol of -laplacian."""
+        """|k|^2 per half-spectrum mode, the symbol of -laplacian."""
         return self.kx**2 + self.ky**2
+
+    @cached_property
+    def parseval(self) -> np.ndarray:
+        """Parseval weight of each half-spectrum column times lx ly: 1 on the zero and Nyquist columns, else 2."""
+        return np.where((self.ky == 0) | (self.ky == self.ky.max()), 1.0, 2.0) * self.area
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -98,34 +109,56 @@ class GridSpec:
         return (np.abs(self.kx) <= kx_cut) & (np.abs(self.ky) <= ky_cut)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform of a raw physical array, mean-normalized."""
-        return np.fft.fft2(values) / (self.nx * self.ny)
+        """Forward transform of a raw physical array: its mean-normalized half-spectrum."""
+        return np.fft.rfft2(values, norm="forward")
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse transform back to a raw real physical array."""
-        return np.real(np.fft.ifft2(coeffs * (self.nx * self.ny)))
-
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Spectral Laplacian of a raw physical array: mode k times -|k|^2."""
-        return self.ifft(-self.k2 * self.fft(values))
-
-    def dealias(self, values: np.ndarray) -> np.ndarray:
-        """2/3-rule truncation of a raw physical array."""
-        return self.ifft(self.fft(values) * self.dealias_mask)
+        """Inverse transform of a half-spectrum back to a raw real physical array."""
+        return np.fft.irfft2(coeffs, s=self.shape, norm="forward")
 
 
-@dataclass(frozen=True)
 class RealField:
-    """A real scalar field sampled on a :class:`GridSpec`."""
+    """A real scalar field on a :class:`GridSpec`, held as its values, its
+    half-spectrum ``coeffs``, or both.  The missing form is computed on first
+    use and kept, so a field is transformed at most once each way.  The
+    arrays are shared, not copied: do not write to them.
+    """
 
-    grid: GridSpec
-    values: np.ndarray
+    def __init__(self, grid: GridSpec, values: np.ndarray | None = None, *, coeffs: np.ndarray | None = None):
+        self.grid = grid
+        if values is not None:
+            self.values = np.asarray(values, dtype=np.float64)
+            if self.values.shape != grid.shape:
+                raise ValueError(f"field shape {self.values.shape} does not match grid {grid.shape}")
+        elif coeffs is None:
+            raise ValueError("a field needs its values or its coefficients")
+        if coeffs is not None:
+            self.coeffs = coeffs
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != self.grid.shape:
-            raise ValueError(f"field shape {values.shape} does not match grid {self.grid.shape}")
-        object.__setattr__(self, "values", values)
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.grid.ifft(self.coeffs)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return self.grid.fft(self.values)
+
+    @classmethod
+    def combine(cls, *terms: tuple[float, "RealField"]) -> "RealField":
+        """sum(c * f for c, f in terms), formed in each representation that
+        every f already holds (in coefficients if they share none)."""
+
+        def total(form: str) -> np.ndarray:
+            out = terms[0][0] * getattr(terms[0][1], form)
+            for c, f in terms[1:]:
+                out += c * getattr(f, form)
+            return out
+
+        def held(form: str) -> bool:
+            return all(form in vars(f) for _, f in terms)
+
+        values = total("values") if held("values") else None
+        return cls(terms[0][1].grid, values, coeffs=total("coeffs") if values is None or held("coeffs") else None)
 
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "RealField":
@@ -150,10 +183,15 @@ def integrate(f: RealField) -> float:
     return float(f.grid.hx * f.grid.hy * np.sum(f.values))
 
 
+def inner(f: RealField, g: RealField) -> float:
+    """Integral of f g over the domain, via Parseval on the half-spectra."""
+    return float(np.vdot(f.coeffs, f.grid.parseval * g.coeffs).real)
+
+
 def grad_sq_integral(f: RealField) -> float:
     """Integral of |grad f|^2 over the domain, via Parseval."""
-    coeffs = f.grid.fft(f.values)
-    return float(np.sum(f.grid.k2 * np.abs(coeffs) ** 2) * f.grid.area)
+    c = f.coeffs
+    return float(np.vdot(c, f.grid.parseval * f.grid.k2 * c).real)
 
 
 def l2_norm(f: RealField) -> float:
@@ -166,5 +204,5 @@ def h2_norm(f: RealField) -> float:
 
     Norm-equivalent to the usual ||f||^2 + ||grad f||^2 + ||lap f||^2 form.
     """
-    coeffs = f.grid.fft(f.values)
-    return float(np.sqrt(np.sum((1.0 + f.grid.k2) ** 2 * np.abs(coeffs) ** 2) * f.grid.area))
+    c = f.coeffs
+    return float(np.sqrt(np.vdot(c, f.grid.parseval * (1.0 + f.grid.k2) ** 2 * c).real))

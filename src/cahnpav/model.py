@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonPositiveEnergy, ValidationError
 from .grid import RealField, grad_sq_integral, integrate
 
@@ -83,9 +81,9 @@ class PhysicalParams:
 
 
 def potential_h(phi: RealField, p: PhysicalParams) -> RealField:
-    """Derivative of the double well: a (phi^3 - phi), pointwise."""
+    """Derivative of the double well: a (phi^3 - phi) = a phi (phi phi - 1), pointwise."""
     v = phi.values
-    return RealField(phi.grid, p.well_amp * (v**3 - v))
+    return RealField(phi.grid, p.well_amp * v * (v * v - 1.0))
 
 
 def potential_integral(phi: RealField, p: PhysicalParams) -> float:
@@ -118,9 +116,8 @@ def dissipation(mu: RealField, p: PhysicalParams) -> float:
 def chemical_potential_exact(phi: RealField, p: PhysicalParams) -> RealField:
     """Continuous-form chemical potential -beta lap phi + lam phi + a (phi^3 - phi).
 
-    Used to initialize mu at step 0 and to evaluate manufactured source terms;
-    the Laplacian is applied spectrally.
+    Used to initialize mu from a field; formed as its coefficients
+    (beta |k|^2 + lam) phi_hat + h_hat.
     """
-    v = phi.values
-    lap = phi.grid.laplacian(v)
-    return RealField(phi.grid, -p.beta * lap + p.lam * v + p.well_amp * (v**3 - v))
+    grid = phi.grid
+    return RealField(grid, coeffs=(p.beta * grid.k2 + p.lam) * phi.coeffs + potential_h(phi, p).coeffs)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import GridSpec, RealField
-from .model import PhysicalParams, chemical_potential_exact
+from .model import PhysicalParams
 
 DROP_SIGMA = 151.15  # surface tension of both drop presets
 
@@ -69,6 +69,10 @@ class ProblemSpec:
             for name, n in (("nx", self.grid.nx), ("ny", self.grid.ny)):
                 if n < 8:  # the source's cubic term reaches mode 3
                     raise ValidationError(name, f"the manufactured source needs >= 8 points, got {n}")
+        else:  # the centered lattice spans (count - 1) * spacing: it must stay inside [0, length)
+            for name, length in (("count_x", self.grid.lx), ("count_y", self.grid.ly)):
+                if (getattr(self.drops, name) - 1) * self.drops.spacing >= length:
+                    raise ValidationError(name, f"the drop lattice is wider than the domain length {length}")
 
     @property
     def n_steps(self) -> int:
@@ -100,31 +104,58 @@ def exact_time_derivative(t: float, grid: GridSpec) -> RealField:
     return RealField(grid, np.cos(np.pi * X) * np.cos(np.pi * Y) * math.cos(t))
 
 
-def source_term(t: float, grid: GridSpec, p: PhysicalParams) -> RealField:
+def source_spectra(grid: GridSpec, p: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of psi = cos(pi x) cos(pi y), A = lap(-beta lap psi + lam psi
+    - a psi) and B = a lap(psi^3), of which the manufactured source is made.
+
+    Set from the closed form on [0,2]^2, where cos(m pi x) is mode m and
+    cos^3 = (3 cos + cos 3) / 4, so no mode carries transform round-off.
+    """
+
+    def separable(amps: dict[int, float]) -> np.ndarray:  # of prod_{s=x,y} sum_m 2 amps[m] cos(m pi s)
+        cx, cy = np.zeros(grid.nx), np.zeros(grid.ny // 2 + 1)
+        for m, amp in amps.items():
+            cx[m] = cx[-m] = cy[m] = amp
+        return np.outer(cx, cy)
+
+    psi_hat, k2 = separable({1: 0.5}), grid.k2
+    a_hat = -k2 * (p.beta * k2 + p.lam - p.well_amp) * psi_hat
+    return psi_hat, a_hat, -p.well_amp * k2 * separable({1: 0.375, 3: 0.125})
+
+
+def source_term(t: float, grid: GridSpec, p: PhysicalParams, spectra=None) -> RealField:
     """Source f = phi_t - m0 lap(mu(phi)) making the manufactured field a solution.
 
-    Evaluated pseudo-spectrally from the closed-form solution.  The cubic term
-    is band-limited at mode 3, so the result is exact (no aliasing) on any
-    grid with nx, ny >= 8, which ProblemSpec requires of a manufactured problem.
+    With phi = sin t psi this is f = cos t psi - m0 (sin t A + sin^3 t B),
+    formed from ``spectra = source_spectra(grid, p)`` (built here when not
+    given) as coefficients, with no transform.  The cubic term is band-limited
+    at mode 3, so the result is exact (no aliasing) on any grid with nx, ny >=
+    8, which ProblemSpec requires of a manufactured problem.
     """
-    phi = exact_solution(t, grid)
-    mu = chemical_potential_exact(phi, p)
-    return RealField(grid, exact_time_derivative(t, grid).values - p.m0 * grid.laplacian(mu.values))
+    psi_hat, a_hat, b_hat = source_spectra(grid, p) if spectra is None else spectra
+    s = math.sin(t)
+    return RealField(grid, coeffs=math.cos(t) * psi_hat - p.m0 * (s * a_hat + s**3 * b_hat))
 
 
 def ic_drop_array(spec: ProblemSpec) -> RealField:
     """Initial field for a drop lattice: +1 inside drops, -1 in the background.
 
-    phi_0 = (N_d - 1) - sum_ij tanh((sqrt((x-x_i)^2 + (y-y_j)^2) - R0) / (sqrt(2) eta)).
+    phi_0 = -1 + sum_ij (1 - tanh((sqrt((x-x_i)^2 + (y-y_j)^2) - R0) / (sqrt(2) eta))).
+    A drop's term is added only within R0 + 20 sqrt(2) eta of its center,
+    clipped to the grid (not wrapped): beyond it the tanh rounds to exactly
+    1.0 and the term to 0.
     """
-    grid, drops, eta = spec.grid, spec.drops, spec.params.eta
-    X, Y = grid.mesh
+    grid, drops = spec.grid, spec.drops
+    width = math.sqrt(2.0) * spec.params.eta
+    reach = drops.radius + 20.0 * width
     xs, ys = drops.centers(grid)
-    phi = np.full(grid.shape, float(drops.n_drops - 1))
+    phi = np.full(grid.shape, -1.0)
     for xc in xs:
+        i0, i1 = np.searchsorted(grid.x, (xc - reach, xc + reach))
         for yc in ys:
-            r = np.sqrt((X - xc) ** 2 + (Y - yc) ** 2)
-            phi -= np.tanh((r - drops.radius) / (math.sqrt(2.0) * eta))
+            j0, j1 = np.searchsorted(grid.y, (yc - reach, yc + reach))
+            r = np.sqrt((grid.x[i0:i1, None] - xc) ** 2 + (grid.y[None, j0:j1] - yc) ** 2)
+            phi[i0:i1, j0:j1] += 1.0 - np.tanh((r - drops.radius) / width)
     return RealField(grid, phi)
 
 

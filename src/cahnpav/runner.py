@@ -9,7 +9,7 @@ from .diagnostics import HistoryRecord, error_norms
 from .errors import Diverged, SolverError, ValidationError
 from .grid import h2_norm, integrate
 from .output import write_snapshot
-from .problems import ProblemSpec, exact_solution, source_term
+from .problems import ProblemSpec, exact_solution, source_spectra, source_term
 from .schemes import SCHEMES, STEPPERS, Level, SchemeKind, SchemeState, init_state, sav_energy
 
 
@@ -56,9 +56,9 @@ def _record(
     )
 
 
-def seed_exact_history(state: SchemeState, problem: ProblemSpec) -> SchemeState:
-    """Replace the cold-start previous time level with the level of the exact
-    solution at t0 - problem.dt.
+def seed_exact_history(problem: ProblemSpec) -> Level:
+    """The level of the exact solution at t0 - problem.dt, to replace the
+    cold-start previous time level.
 
     Only meaningful for the manufactured problem.  The multistep schemes start
     with phi^{-1} = phi^0 by definition, which costs one O(dt) first step;
@@ -67,8 +67,7 @@ def seed_exact_history(state: SchemeState, problem: ProblemSpec) -> SchemeState:
     """
     if not problem.has_exact:
         raise ValidationError("exact_history", "seeding needs a problem with an exact solution, not drops")
-    phi_m1 = exact_solution(problem.t0 - problem.dt, problem.grid)
-    return replace(state, prev=Level.from_field(phi_m1, problem.params))
+    return Level.from_field(exact_solution(problem.t0 - problem.dt, problem.grid), problem.params)
 
 
 def run_simulation(
@@ -110,11 +109,13 @@ def run_simulation(
     drain_level = SCHEMES[scheme].drain_level if scheme in SCHEMES else 1.0
     params = problem.params
 
+    seeded = seed_exact_history(problem) if exact_history else None
     state = init_state(problem.initial_condition(), params)
     if scheme is SchemeKind.SAV:
         sav_energy(state.cur.phi, params)  # NonPositiveEnergy: sav cannot start from phi^0
-    if exact_history:
-        state = seed_exact_history(state, problem)
+    if seeded is not None:
+        state = replace(state, prev=seeded)
+    spectra = source_spectra(problem.grid, params) if problem.has_exact else None
 
     history = [_record(problem, scheme, state, problem.t0)]
     if snapshot_every:
@@ -124,10 +125,10 @@ def run_simulation(
     for n in range(n_steps):
         t_new = problem.t0 + (n + 1) * dt
         f_new = f_mid = None
-        if problem.has_exact:
-            f_new = source_term(t_new, problem.grid, params)
+        if spectra is not None:
+            f_new = source_term(t_new, problem.grid, params, spectra)
             if drain_level != 1.0:
-                f_mid = source_term(problem.t0 + (n + drain_level) * dt, problem.grid, params)
+                f_mid = source_term(problem.t0 + (n + drain_level) * dt, problem.grid, params, spectra)
         try:
             state = step_fn(state, dt, params, f_new, f_src_mid=f_mid, dealias=dealias)
         except SolverError as exc:

@@ -35,6 +35,12 @@ solves and keeps its own body.  Every step does one constant-coefficient
 spectral solve (two for SAV).  A state is two time levels (``Level``:
 phi, mu, E, m0 ||grad mu||^2, R and r1), so each energy is computed once
 per step; a step turns the current level into the previous one.
+
+Transforms: phi is held as values and half-spectrum, mu as its spectrum only,
+and extrapolants, midpoints and g are combined in the forms their operands
+hold; the gradient energy, dissipation and source work are read by Parseval.
+So every step makes one forward transform, of xi^2 h(ext) (SAV: of b), and
+one inverse, of phi_hat^{n+1}, whose values the energy (or guard) needs.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import Diverged, InvalidState, NonPositiveEnergy
-from .grid import RealField, grad_sq_integral, integrate
+from .grid import RealField, grad_sq_integral, inner, integrate
 from .model import (
     PhysicalParams,
     chemical_potential_exact,
@@ -166,12 +172,11 @@ def solve_linear_step(
     for BDF2.  The denominator is >= sigma > 0, so the solve is total.
     """
     grid = g.grid
-    g_hat = grid.fft(g.values)
-    s_hat = grid.fft(s.values)
+    s_hat, lin = s.coeffs, p.beta * grid.k2 + p.lam
     m0k2 = dt * p.m0 * grid.k2
-    phi_hat = (g_hat - m0k2 * s_hat) / (sigma + m0k2 * (p.beta * grid.k2 + p.lam))
-    mu_hat = (p.beta * grid.k2 + p.lam) * phi_hat + s_hat
-    return RealField(grid, grid.ifft(phi_hat)), RealField(grid, grid.ifft(mu_hat))
+    phi_hat = (g.coeffs - m0k2 * s_hat) / (sigma + m0k2 * lin)
+    mu_hat = lin * phi_hat + s_hat
+    return RealField(grid, coeffs=phi_hat), RealField(grid, coeffs=mu_hat)
 
 
 def _xi_update(r_n: float, e_num: float, e_den: float, drain: float, dt: float) -> float:
@@ -191,27 +196,26 @@ def _xi_update(r_n: float, e_num: float, e_den: float, drain: float, dt: float) 
 
 def _work(f_src: RealField | None, mu: RealField) -> float:
     """Energy input rate int(f mu) of a source term; 0 when absent."""
-    if f_src is None:
-        return 0.0
-    return integrate(RealField(mu.grid, f_src.values * mu.values))
+    return 0.0 if f_src is None else inner(f_src, mu)
 
 
 def _mid(cur: RealField, prev: RealField) -> RealField:
     """Second-order extrapolant to t^{n+1/2}: 3/2 cur - 1/2 prev."""
-    return RealField(cur.grid, 1.5 * cur.values - 0.5 * prev.values)
+    return RealField.combine((1.5, cur), (-0.5, prev))
 
 
 def _bdf(order: int, state: SchemeState, dt: float, f_src: RealField | None):
-    """BDF coefficient sigma, right-hand side g (plus dt f) and extrapolant of phi^{n+1}."""
-    phi = state.cur.phi
+    """BDF coefficient sigma, right-hand side g (plus dt f; coefficients only)
+    and extrapolant of phi^{n+1}."""
+    phi, old = state.cur.phi, state.prev.phi
     if order == 1:
-        sigma, g, ext = 1.0, phi.values, phi
+        sigma, g_hat, ext = 1.0, phi.coeffs, phi
     else:
-        v, v_old = phi.values, state.prev.phi.values
-        sigma, g, ext = 1.5, 2.0 * v - 0.5 * v_old, RealField(phi.grid, 2.0 * v - v_old)
+        sigma, g_hat = 1.5, 2.0 * phi.coeffs - 0.5 * old.coeffs
+        ext = RealField.combine((2.0, phi), (-1.0, old))
     if f_src is not None:
-        g = g + dt * f_src.values
-    return sigma, RealField(phi.grid, g), ext
+        g_hat = g_hat + dt * f_src.coeffs
+    return sigma, RealField(phi.grid, coeffs=g_hat), ext
 
 
 def _advance(state: SchemeState, xi: float | None = None, **fields) -> SchemeState:
@@ -260,12 +264,12 @@ def _imex_step(
     elif scheme.xi == "b":
         xi = (2.0 * cur.r - prev.r) / math.sqrt(energy_total(ext, p))
 
-    s = potential_h(ext, p).values
+    grid = ext.grid
+    h = potential_h(ext, p).values
+    s_hat = grid.fft(h if xi is None else xi**2 * h)
     if dealias:
-        s = ext.grid.dealias(s)
-    if xi is not None:
-        s = xi**2 * s
-    phi_new, mu_new = solve_linear_step(sigma, g, RealField(ext.grid, s), dt, p)
+        s_hat = s_hat * grid.dealias_mask
+    phi_new, mu_new = solve_linear_step(sigma, g, RealField(grid, coeffs=s_hat), dt, p)
     if scheme.xi is None:
         _guard(phi_new, state.step + 1)
     e_new, d_new = energy_total(phi_new, p), dissipation(mu_new, p)
@@ -277,7 +281,7 @@ def _imex_step(
             e_den, mu_d, diss_d = e_new, mu_new, d_new
         else:
             e_den = energy_total(_mid(cur.phi, prev.phi), p)
-            mu_d = RealField(mu_new.grid, 0.5 * mu_new.values + 0.5 * cur.mu.values)
+            mu_d = RealField.combine((0.5, mu_new), (0.5, cur.mu))
             diss_d = dissipation(mu_d, p)
         xi = _xi_update(cur.r, e_num, e_den, diss_d - _work(f_src_mid, mu_d), dt)
     return _advance(
@@ -327,23 +331,20 @@ def step_sav2(
     grid = cur.phi.grid
     sigma, g, phi_bar = _bdf(2, state, dt, f_src)
     e1_bar = sav_energy(phi_bar, p)
-    b = potential_h(phi_bar, p).values
+    b_hat = grid.fft(potential_h(phi_bar, p).values / math.sqrt(e1_bar))
     if dealias:
-        b = grid.dealias(b)
-    b = RealField(grid, b / math.sqrt(e1_bar))
-    zero = RealField.constant(grid, 0.0)
+        b_hat = b_hat * grid.dealias_mask
+    b = RealField(grid, coeffs=b_hat)
+    zero = RealField(grid, coeffs=np.zeros_like(b_hat))
     phi_1, mu_1 = solve_linear_step(sigma, g, zero, dt, p)
     phi_2, mu_2 = solve_linear_step(sigma, zero, b, dt, p)
-    ib_1 = integrate(RealField(grid, b.values * phi_1.values))
-    ib_2 = integrate(RealField(grid, b.values * phi_2.values))
-    ib_n = integrate(RealField(grid, b.values * cur.phi.values))
-    ib_p = integrate(RealField(grid, b.values * prev.phi.values))
+    ib_1, ib_2, ib_n, ib_p = (inner(b, f) for f in (phi_1, phi_2, cur.phi, prev.phi))
     # int(b phi_2) <= 0, hence the denominator stays >= 3.
     r1_new = (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (
         3.0 - 1.5 * ib_2
     )
-    phi_new = RealField(grid, phi_1.values + r1_new * phi_2.values)
-    mu_new = RealField(grid, mu_1.values + r1_new * mu_2.values)
+    phi_new = RealField.combine((1.0, phi_1), (r1_new, phi_2))
+    mu_new = RealField.combine((1.0, mu_1), (r1_new, mu_2))
     _guard(phi_new, state.step + 1)
     e_new, d_new = energy_total(phi_new, p), dissipation(mu_new, p)
     return _advance(state, phi=phi_new, mu=mu_new, energy=e_new, dissipation=d_new, sav_r=r1_new)

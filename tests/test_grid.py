@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cahnpav import GridSpec, RealField, ValidationError
-from cahnpav.grid import grad_sq_integral, h2_norm, integrate, l2_norm
+from cahnpav.grid import grad_sq_integral, h2_norm, inner, integrate, l2_norm
 
 
 def random_field(grid: GridSpec, seed: int, smooth: bool = False) -> RealField:
@@ -16,12 +16,17 @@ def random_field(grid: GridSpec, seed: int, smooth: bool = False) -> RealField:
     values = rng.standard_normal(grid.shape)
     if smooth:
         # band-limit to the lowest third of the spectrum
-        coeffs = np.fft.fft2(values)
+        coeffs = np.fft.rfft2(values)
         keep = (np.abs(grid.kx) <= np.abs(grid.kx).max() / 3) & (
             np.abs(grid.ky) <= np.abs(grid.ky).max() / 3
         )
-        values = np.real(np.fft.ifft2(coeffs * keep))
+        values = np.fft.irfft2(coeffs * keep, s=grid.shape)
     return RealField(grid, values)
+
+
+def laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The spectral Laplacian through the grid's transforms: mode k times -|k|^2."""
+    return grid.ifft(-grid.k2 * grid.fft(values))
 
 
 class TestGridSpec:
@@ -61,13 +66,15 @@ class TestGridSpec:
     def test_wavenumbers_broadcast_to_full_grid(self):
         grid = GridSpec(8, 6, 2.0, 3.0)
         assert grid.kx.shape == (8, 1)
-        assert grid.ky.shape == (1, 6)
-        # independent reference: the wavenumbers as full (nx, ny) grids
+        assert grid.ky.shape == (1, 4)  # ky >= 0 only: the half-spectrum
+        # independent reference: the wavenumbers as full (nx, ny) grids,
+        # restricted to the half-spectrum columns 0..ny/2
         kx = np.tile(2 * np.pi * np.fft.fftfreq(8, d=grid.hx)[:, None], (1, 6))
         ky = np.tile(2 * np.pi * np.fft.fftfreq(6, d=grid.hy)[None, :], (8, 1))
-        assert np.array_equal(grid.k2, kx**2 + ky**2)
+        assert np.array_equal(grid.k2, (kx**2 + ky**2)[:, :4])
         cut_x, cut_y = 2 / 3 * np.abs(kx).max(), 2 / 3 * np.abs(ky).max()
-        assert np.array_equal(grid.dealias_mask, (np.abs(kx) <= cut_x) & (np.abs(ky) <= cut_y))
+        full_mask = (np.abs(kx) <= cut_x) & (np.abs(ky) <= cut_y)
+        assert np.array_equal(grid.dealias_mask, full_mask[:, :4])
 
     def test_dealias_mask_keeps_low_kills_high(self):
         grid = GridSpec(12, 12, 2.0, 2.0)
@@ -120,26 +127,27 @@ class TestTransforms:
         assert np.max(np.abs(back - f.values)) <= 1e-13 * np.max(np.abs(f.values))
 
     def test_conjugate_symmetry(self):
+        # the half-spectrum keeps ky >= 0; the zero and Nyquist columns are
+        # their own conjugate columns, so they are Hermitian in kx
         grid = GridSpec(12, 8, 2.0, 2.0)
         coeffs = grid.fft(random_field(grid, 3).values)
+        assert coeffs.shape == (grid.nx, grid.ny // 2 + 1)
         for p in range(grid.nx):
-            for q in range(grid.ny):
-                assert coeffs[-p % grid.nx, -q % grid.ny] == pytest.approx(
-                    np.conj(coeffs[p, q]), abs=1e-15
-                )
+            for q in (0, grid.ny // 2):
+                assert coeffs[-p % grid.nx, q] == pytest.approx(np.conj(coeffs[p, q]), abs=1e-15)
 
 
 class TestLaplacian:
     def test_constant_maps_to_zero(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        out = grid.laplacian(RealField.constant(grid, 4.0).values)
+        out = laplacian(grid, RealField.constant(grid, 4.0).values)
         assert np.max(np.abs(out)) == 0.0
 
     def test_cosine_eigenfunction(self):
         # lap cos(pi x) = -pi^2 cos(pi x) on lx = 2
         grid = GridSpec(20, 20, 2.0, 2.0)
         f = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X))
-        out = grid.laplacian(f.values)
+        out = laplacian(grid, f.values)
         expected = -np.pi**2 * f.values
         assert np.max(np.abs(out - expected)) < 1e-12 * np.pi**2
 
@@ -147,17 +155,20 @@ class TestLaplacian:
         grid = GridSpec(12, 12, 2.0, 2.0)
         f, g = random_field(grid, 1), random_field(grid, 2)
         combo = 2.0 * f.values - 3.0 * g.values
-        lhs = grid.laplacian(combo)
-        rhs = 2.0 * grid.laplacian(f.values) - 3.0 * grid.laplacian(g.values)
+        lhs = laplacian(grid, combo)
+        rhs = 2.0 * laplacian(grid, f.values) - 3.0 * laplacian(grid, g.values)
         assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(rhs))
 
     def test_pure_mode_eigenvalue_exact(self):
         grid = GridSpec(8, 8, 2.0, 4.0)
         for p, q in [(1, 0), (2, 3), (3, 1)]:
-            # a conjugate pair of modes, so the physical field is real
-            coeffs = np.zeros(grid.shape, dtype=complex)
-            coeffs[p, q] = coeffs[-p, -q] = 1.0
-            out = grid.fft(grid.laplacian(grid.ifft(coeffs)))
+            # a conjugate pair of modes, so the physical field is real: a
+            # column q > 0 stands for its partner -q, column 0 holds both
+            coeffs = np.zeros((grid.nx, grid.ny // 2 + 1), dtype=complex)
+            coeffs[p, q] = 1.0
+            if q == 0:
+                coeffs[-p, q] = 1.0
+            out = grid.fft(laplacian(grid, grid.ifft(coeffs)))
             k2 = (2 * np.pi * p / grid.lx) ** 2 + (2 * np.pi * q / grid.ly) ** 2
             assert out[p, q] == pytest.approx(-k2)
 
@@ -167,7 +178,7 @@ class TestDealias:
         grid = GridSpec(12, 12, 2.0, 2.0)
         low = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
         high = RealField.from_function(grid, lambda X, Y: np.cos(5 * np.pi * X))
-        out = grid.dealias(low.values + high.values)
+        out = grid.ifft(grid.fft(low.values + high.values) * grid.dealias_mask)
         assert np.max(np.abs(out - low.values)) < 1e-14
 
 
@@ -215,9 +226,9 @@ class TestGradSqIntegral:
         grid = GridSpec(24, 24, 2.0, 2.0)
         f = random_field(grid, seed, smooth=True)
         # independent route: spectral derivative -> physical space -> rectangle sum
-        coeffs = np.fft.fft2(f.values)
-        dx = np.real(np.fft.ifft2(1j * grid.kx * coeffs))
-        dy = np.real(np.fft.ifft2(1j * grid.ky * coeffs))
+        coeffs = np.fft.rfft2(f.values)
+        dx = np.fft.irfft2(1j * grid.kx * coeffs, s=grid.shape)
+        dy = np.fft.irfft2(1j * grid.ky * coeffs, s=grid.shape)
         physical = grid.hx * grid.hy * np.sum(dx**2 + dy**2)
         assert grad_sq_integral(f) == pytest.approx(physical, rel=1e-12)
 
@@ -228,6 +239,25 @@ class TestGradSqIntegral:
         f = random_field(grid, seed)
         assert grad_sq_integral(f) >= 0.0
         assert grad_sq_integral(RealField.constant(grid, f.mean())) < 1e-13
+
+
+@pytest.mark.parametrize("ny", [8, 12])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_half_spectrum_parseval_matches_full_spectrum(ny, seed):
+    # unsmoothed fields carry content on the Nyquist column, so a wrong
+    # column weight in the half-spectrum sums shows here
+    grid = GridSpec(10, ny, 2.0, 3.0)
+    f, g = random_field(grid, seed), random_field(grid, seed + 100)
+    kx = 2 * np.pi * np.fft.fftfreq(grid.nx, d=grid.hx)[:, None]
+    ky = 2 * np.pi * np.fft.fftfreq(grid.ny, d=grid.hy)[None, :]
+    k2 = kx**2 + ky**2
+    F = np.fft.fft2(f.values) / (grid.nx * grid.ny)
+    G = np.fft.fft2(g.values) / (grid.nx * grid.ny)
+    power = np.abs(F) ** 2
+    assert grad_sq_integral(f) == pytest.approx(np.sum(k2 * power) * grid.area, rel=1e-12)
+    assert h2_norm(f) == pytest.approx(np.sqrt(np.sum((1 + k2) ** 2 * power) * grid.area), rel=1e-12)
+    assert inner(f, g) == pytest.approx(np.sum(np.real(F * np.conj(G))) * grid.area, rel=1e-12)
+    assert inner(f, g) == pytest.approx(integrate(RealField(grid, f.values * g.values)), rel=1e-12)
 
 
 class TestH2Norm:

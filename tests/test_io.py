@@ -233,9 +233,11 @@ class TestParseConfig:
             ({"kind": "drop_array", "ly": 0.0}, "problem.ly"),
             ({"kind": "manufactured", "beta": 1e300, "eta": 1e-10}, "problem"),  # well_amp
             ({"kind": "drop_array", "sigma": 1e9, "beta": 0.01}, "problem.sigma"),  # not both
+            ({"kind": "drop_array", "count_x": 20}, "problem.count_x"),  # lattice wider than lx
+            ({"kind": "drop_array", "count_y": 11}, "problem.count_y"),  # 10 * 0.4 = ly
         ],
         ids=["ny", "eta-underflow", "lambda", "count_y", "sigma", "drop-eta", "ly", "well_amp",
-             "sigma-and-beta"],
+             "sigma-and-beta", "count_x-wide", "count_y-wide"],
     )
     def test_out_of_range_value_names_field(self, problem, field):
         with pytest.raises(ValidationError) as excinfo:

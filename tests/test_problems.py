@@ -60,7 +60,7 @@ class TestSourceTerm:
         grid, params = MFG.grid, MFG.params
         f = source_term(t, grid, params)
         phi = exact_solution(t, grid).values
-        lap = lambda v: np.real(np.fft.ifft2(-grid.k2 * np.fft.fft2(v)))
+        lap = lambda v: np.fft.irfft2(-grid.k2 * np.fft.rfft2(v), s=grid.shape)
         mu = -params.beta * lap(phi) + params.well_amp * (phi**3 - phi)
         residual = exact_time_derivative(t, grid).values - params.m0 * lap(mu) - f.values
         assert np.max(np.abs(residual)) <= 1e-12
@@ -125,6 +125,34 @@ class TestDropArray:
         b = ic_drop_array(spec)
         assert np.array_equal(a.values, b.values)
         assert integrate(a) == integrate(b)
+
+
+def full_lattice_sum(spec):
+    """Reference drop field: every drop's tanh summed at every point,
+    phi_0 = (N_d - 1) - sum_ij tanh((|x - c_ij| - R0) / (sqrt(2) eta))."""
+    grid, drops, eta = spec.grid, spec.drops, spec.params.eta
+    X, Y = grid.mesh
+    xs, ys = drops.centers(grid)
+    phi = np.full(grid.shape, float(drops.n_drops - 1))
+    for xc in xs:
+        for yc in ys:
+            r = np.sqrt((X - xc) ** 2 + (Y - yc) ** 2)
+            phi -= np.tanh((r - drops.radius) / (math.sqrt(2.0) * eta))
+    return phi
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        desk_scale_drop_spec(),
+        full_scale_drop_spec(),
+        # first centers at 0.2, within a window's reach of the boundary
+        dataclasses.replace(desk_scale_drop_spec(), drops=DropLayout(9, 9, 0.45, 0.17)),
+    ],
+    ids=["desk", "paper", "edge-windows"],
+)
+def test_windowed_drop_field_matches_full_lattice_sum(spec):
+    assert np.max(np.abs(ic_drop_array(spec).values - full_lattice_sum(spec))) <= 1e-12
 
 
 class TestDeskSpec:
@@ -197,6 +225,18 @@ class TestProblemSpecValidation:
             DropLayout(count_x=0, count_y=5, spacing=0.4, radius=0.17)
         with pytest.raises(ValueError):
             DropLayout(count_x=5, count_y=5, spacing=-0.4, radius=0.17)
+
+    @pytest.mark.parametrize("axis", ["count_x", "count_y"])
+    def test_drop_lattice_must_fit_the_domain(self, axis):
+        # centers span (count - 1) * spacing about the domain center: on the
+        # desk [0,4]^2 at spacing 0.4, 10 drops fit and 11 put the last at 4.0
+        desk = desk_scale_drop_spec()
+        fits = dataclasses.replace(desk, drops=dataclasses.replace(desk.drops, **{axis: 10}))
+        assert all(0 <= c.min() and c.max() < 4.0 for c in fits.drops.centers(fits.grid))
+        for count in (11, 20):
+            with pytest.raises(ValidationError) as excinfo:
+                dataclasses.replace(desk, drops=dataclasses.replace(desk.drops, **{axis: count}))
+            assert excinfo.value.field == axis
 
     @settings(deadline=None, max_examples=200)
     @given(t0=st.floats(-10.0, 10.0), n=st.integers(1, 10**5), dt=st.floats(1e-4, 10.0))

@@ -9,10 +9,10 @@ import pytest
 
 from cahnpav import (
     NonPositiveEnergy,
+    ProblemSpec,
     SchemeKind,
     ValidationError,
     desk_scale_drop_spec,
-    init_state,
     manufactured_spec,
     run_simulation,
 )
@@ -147,16 +147,14 @@ class TestRunSimulation:
     def test_exact_history_seeds_the_whole_previous_level(self):
         # every field of the level at t0 - dt, the SAV auxiliary r1 included
         problem = manufactured_spec(dt=0.05)
-        cold = init_state(problem.initial_condition(), problem.params)
-        seeded = seed_exact_history(cold, problem)
+        seeded = seed_exact_history(problem)
         phi_m1 = exact_solution(problem.t0 - 0.05, problem.grid)
-        assert seeded.prev.sav_r == math.sqrt(potential_integral(phi_m1, problem.params) + problem.params.c0)
+        assert seeded.sav_r == math.sqrt(potential_integral(phi_m1, problem.params) + problem.params.c0)
         expected = Level.from_field(phi_m1, problem.params)
-        assert np.array_equal(seeded.prev.phi.values, expected.phi.values)
-        assert np.array_equal(seeded.prev.mu.values, expected.mu.values)
+        assert np.array_equal(seeded.phi.values, expected.phi.values)
+        assert np.array_equal(seeded.mu.values, expected.mu.values)
         for name in ("energy", "dissipation", "r", "sav_r"):
-            assert getattr(seeded.prev, name) == getattr(expected, name), name
-        assert seeded.cur is cold.cur and seeded.step == 0 and seeded.xi == 1.0
+            assert getattr(seeded, name) == getattr(expected, name), name
 
     def test_exact_history_rejected_for_drop_problem(self):
         # a ValidationError is a SolverError, which cli.main reports as exit 2, not a traceback
@@ -164,6 +162,15 @@ class TestRunSimulation:
             run_simulation(
                 desk_scale_drop_spec(), SchemeKind.PAV_2A, n_steps=1, exact_history=True
             )
+        assert excinfo.value.field == "exact_history"
+
+    def test_exact_history_refused_before_the_initial_field_is_built(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("initial field built before the exact_history refusal")
+
+        monkeypatch.setattr(ProblemSpec, "initial_condition", fail)
+        with pytest.raises(ValidationError) as excinfo:
+            run_simulation(desk_scale_drop_spec(), SchemeKind.PAV_2A, n_steps=1, exact_history=True)
         assert excinfo.value.field == "exact_history"
 
     def test_snapshots_written(self, tmp_path):
@@ -254,6 +261,15 @@ class TestCliRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "error: problem.eta:" in capsys.readouterr().err
         assert not written(tmp_path)
+
+    def test_drop_lattice_wider_than_domain_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = {"problem": {"kind": "drop_array", "count_x": 20}, "scheme": "2a", "output": {"dir": str(out)}}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: problem.count_x:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_coarse_manufactured_grid_exits_2_before_writing(self, mfg_config, tmp_path, capsys):
         path = mfg_config(

@@ -15,6 +15,7 @@ from cahnpav import (
     PhysicalParams,
     RealField,
     SchemeKind,
+    desk_scale_drop_spec,
     init_state,
     manufactured_spec,
     run_simulation,
@@ -105,7 +106,7 @@ class TestSolveLinearStep:
         dt, sigma = 0.07, 1.5
         phi, mu = solve_linear_step(sigma, g, s, dt, params)
         # independent spectral residual with raw numpy transforms
-        lap = lambda v: np.real(np.fft.ifft2(-grid.k2 * np.fft.fft2(v)))
+        lap = lambda v: np.fft.irfft2(-grid.k2 * np.fft.rfft2(v), s=grid.shape)
         res_mu = mu.values - (-params.beta * lap(phi.values) + params.lam * phi.values + s.values)
         res_phi = sigma * phi.values / dt - params.m0 * lap(mu.values) - g.values / dt
         assert np.max(np.abs(res_mu)) < 1e-11
@@ -554,3 +555,48 @@ class TestSecondOrderPairAgreement:
                 err[scheme] = result.history[-1].l2_err
             ratio = err[SchemeKind.PAV_2A] / err[SchemeKind.PAV_2B]
             assert 0.8 <= ratio <= 1.25
+
+
+class TestTransformBudget:
+    """Each step of every scheme makes one forward transform (of xi^2 h(ext),
+    or of SAV's b) and one inverse (of the new phi_hat); set-up is not counted."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counted(self, array, _name=name, _original=getattr(GridSpec, name)):
+                calls[_name] += 1
+                return _original(self, array)
+
+            monkeypatch.setattr(GridSpec, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_drop_steps(self, counts, kind, dealias):
+        problem = desk_scale_drop_spec()
+        state = init_state(problem.initial_condition(), problem.params)
+        for _ in range(3):  # the cold-start step 1 (prev is cur) through step 3
+            before = dict(counts)
+            state = STEPPERS[kind](state, 1e-3, problem.params, dealias=dealias)
+            assert (counts["fft"] - before["fft"], counts["ifft"] - before["ifft"]) == (1, 1)
+
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_manufactured_run_with_source(self, counts, monkeypatch, kind):
+        # the source, the records and the steps together: two transforms a step
+        stepper, per_step, first = STEPPERS[kind], [], {}
+
+        def counted_step(*args, **kwargs):
+            first.setdefault("counts", dict(counts))
+            before = dict(counts)
+            state = stepper(*args, **kwargs)
+            per_step.append((counts["fft"] - before["fft"], counts["ifft"] - before["ifft"]))
+            return state
+
+        monkeypatch.setitem(STEPPERS, kind, counted_step)
+        result = run_simulation(manufactured_spec(dt=0.1), kind, exact_history=True)
+        assert result.failure is None
+        assert per_step == [(1, 1)] * 10
+        after_setup = first["counts"]
+        assert counts["fft"] - after_setup["fft"] == counts["ifft"] - after_setup["ifft"] == 10
