@@ -98,7 +98,8 @@ class GridSpec:
 
     @cached_property
     def parseval(self) -> np.ndarray:
-        """Parseval weight of each half-spectrum column times lx ly: 1 on the zero and Nyquist columns, else 2."""
+        """Parseval weight of each half-spectrum column, times lx ly: 1 on the
+        zero and Nyquist columns, 2 on the others (they stand for -ky too)."""
         return np.where((self.ky == 0) | (self.ky == self.ky.max()), 1.0, 2.0) * self.area
 
     @cached_property
@@ -124,7 +125,9 @@ class RealField:
     arrays are shared, not copied: do not write to them.
     """
 
-    def __init__(self, grid: GridSpec, values: np.ndarray | None = None, *, coeffs: np.ndarray | None = None):
+    def __init__(
+        self, grid: GridSpec, values: np.ndarray | None = None, *, coeffs: np.ndarray | None = None
+    ) -> None:
         self.grid = grid
         if values is not None:
             self.values = np.asarray(values, dtype=np.float64)
@@ -158,7 +161,8 @@ class RealField:
             return all(form in vars(f) for _, f in terms)
 
         values = total("values") if held("values") else None
-        return cls(terms[0][1].grid, values, coeffs=total("coeffs") if values is None or held("coeffs") else None)
+        coeffs = total("coeffs") if values is None or held("coeffs") else None
+        return cls(terms[0][1].grid, values, coeffs=coeffs)
 
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "RealField":

@@ -112,7 +112,7 @@ def source_spectra(grid: GridSpec, p: PhysicalParams) -> tuple[np.ndarray, np.nd
     cos^3 = (3 cos + cos 3) / 4, so no mode carries transform round-off.
     """
 
-    def separable(amps: dict[int, float]) -> np.ndarray:  # of prod_{s=x,y} sum_m 2 amps[m] cos(m pi s)
+    def separable(amps: dict[int, float]) -> np.ndarray:  # of g(x) g(y), g(s) = sum_m 2 amps[m] cos(m pi s)
         cx, cy = np.zeros(grid.nx), np.zeros(grid.ny // 2 + 1)
         for m, amp in amps.items():
             cx[m] = cx[-m] = cy[m] = amp
