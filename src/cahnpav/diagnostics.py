@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, ValidationError
+from .errors import ValidationError
 from .grid import RealField, l2_norm
 from .schemes import SchemeKind
 
@@ -42,13 +42,6 @@ def error_norms(phi: RealField, exact: RealField) -> tuple[float, float]:
         raise ValueError("fields live on different grids")
     diff = phi.values - exact.values
     return float(np.max(np.abs(diff))), l2_norm(RealField(phi.grid, diff))
-
-
-def xi_indicator(r: float, energy: float) -> float:
-    """Accuracy indicator xi = r / sqrt(energy); 1 for the exact solution."""
-    if not energy > 0:
-        raise InvalidState(f"energy must be positive, got {energy}")
-    return r / np.sqrt(energy)
 
 
 def fit_convergence_order(dts: list[float], errors: list[float]) -> float:

@@ -103,6 +103,11 @@ class GridSpec:
         return np.where((self.ky == 0) | (self.ky == self.ky.max()), 1.0, 2.0) * self.area
 
     @cached_property
+    def grad_weight(self) -> np.ndarray:
+        """parseval k2: the Parseval weight of the gradient inner product."""
+        return self.parseval * self.k2
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule truncation mask for products of Fourier series."""
         kx_cut = (2.0 / 3.0) * np.abs(self.kx).max()
@@ -136,6 +141,9 @@ class RealField:
         elif coeffs is None:
             raise ValueError("a field needs its values or its coefficients")
         if coeffs is not None:
+            half = (grid.nx, grid.ny // 2 + 1)
+            if coeffs.shape != half:
+                raise ValueError(f"coefficient shape {coeffs.shape} does not match half-spectrum {half}")
             self.coeffs = coeffs
 
     @cached_property
@@ -145,37 +153,6 @@ class RealField:
     @cached_property
     def coeffs(self) -> np.ndarray:
         return self.grid.fft(self.values)
-
-    @classmethod
-    def combine(cls, *terms: tuple[float, "RealField"]) -> "RealField":
-        """sum(c * f for c, f in terms), formed in each representation that
-        every f already holds (in coefficients if they share none)."""
-
-        def total(form: str) -> np.ndarray:
-            out = terms[0][0] * getattr(terms[0][1], form)
-            for c, f in terms[1:]:
-                out += c * getattr(f, form)
-            return out
-
-        def held(form: str) -> bool:
-            return all(form in vars(f) for _, f in terms)
-
-        values = total("values") if held("values") else None
-        coeffs = total("coeffs") if values is None or held("coeffs") else None
-        return cls(terms[0][1].grid, values, coeffs=coeffs)
-
-    @classmethod
-    def constant(cls, grid: GridSpec, value: float) -> "RealField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "RealField":
-        """Sample ``fn(X, Y)`` on the collocation points."""
-        X, Y = grid.mesh
-        return cls(grid, np.asarray(fn(X, Y), dtype=np.float64))
-
-    def mean(self) -> float:
-        return float(self.values.mean())
 
 
 def integrate(f: RealField) -> float:
@@ -192,10 +169,14 @@ def inner(f: RealField, g: RealField) -> float:
     return float(np.vdot(f.coeffs, f.grid.parseval * g.coeffs).real)
 
 
+def grad_inner(f: RealField, g: RealField) -> float:
+    """Integral of grad f . grad g over the domain, via Parseval."""
+    return float(np.vdot(f.coeffs, f.grid.grad_weight * g.coeffs).real)
+
+
 def grad_sq_integral(f: RealField) -> float:
     """Integral of |grad f|^2 over the domain, via Parseval."""
-    c = f.coeffs
-    return float(np.vdot(c, f.grid.parseval * f.grid.k2 * c).real)
+    return grad_inner(f, f)
 
 
 def l2_norm(f: RealField) -> float:

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonPositiveEnergy, ValidationError
-from .grid import RealField, grad_sq_integral, integrate
+from .grid import GridSpec, RealField, grad_inner, grad_sq_integral, inner
 
 
 def sigma_to_beta(sigma: float, eta: float) -> float:
@@ -80,32 +82,48 @@ class PhysicalParams:
         return cls(m0=m0, beta=sigma_to_beta(sigma, eta), eta=eta, lam=lam, c0=c0)
 
 
+def well(v: np.ndarray) -> np.ndarray:
+    """w = v^2 - 1 of the values v of phi: h(phi) = a phi w and H(phi) = a/4 w^2."""
+    w = v * v
+    w -= 1.0
+    return w
+
+
 def potential_h(phi: RealField, p: PhysicalParams) -> RealField:
     """Derivative of the double well: a (phi^3 - phi) = a phi (phi phi - 1), pointwise."""
     v = phi.values
-    return RealField(phi.grid, p.well_amp * v * (v * v - 1.0))
+    return RealField(phi.grid, p.well_amp * v * well(v))
+
+
+def well_integral(w: np.ndarray, grid: GridSpec, p: PhysicalParams) -> float:
+    """Integral of the double-well density a/4 w^2, w = well(phi), over the domain."""
+    return 0.25 * p.well_amp * grid.hx * grid.hy * float(np.vdot(w, w))
 
 
 def potential_integral(phi: RealField, p: PhysicalParams) -> float:
     """Integral of the double-well density a/4 (phi^2 - 1)^2 over the domain."""
-    v = phi.values
-    return integrate(RealField(phi.grid, 0.25 * p.well_amp * (v**2 - 1.0) ** 2))
+    return well_integral(well(phi.values), phi.grid, p)
 
 
-def energy_total(phi: RealField, p: PhysicalParams) -> float:
-    """Shifted total free energy E[phi]; must come out positive.
+def quadratic_energy(f: RealField, g: RealField, p: PhysicalParams) -> float:
+    """The bilinear form beta/2 int(grad f . grad g) + lam/2 int(f g) of the
+    energy's quadratic part: with f = g, that part itself; with f != g, the
+    cross term from which the part of any combination of f and g follows."""
+    quad = 0.5 * p.beta * grad_inner(f, g)
+    return quad + 0.5 * p.lam * inner(f, g) if p.lam != 0.0 else quad
 
-    Raises
-    ------
-    NonPositiveEnergy
-        If E <= 0, which signals a bad choice of the shift c0.
-    """
-    v = phi.values
-    quad = 0.5 * p.lam * integrate(RealField(phi.grid, v**2)) if p.lam != 0.0 else 0.0
-    e = 0.5 * p.beta * grad_sq_integral(phi) + quad + potential_integral(phi, p) + p.c0
+
+def energy_from_parts(quad: float, potential: float, p: PhysicalParams) -> float:
+    """E = quad + int H + c0; raises NonPositiveEnergy when E <= 0 (c0 too small)."""
+    e = quad + potential + p.c0
     if not e > 0:
         raise NonPositiveEnergy(f"total energy {e} is not positive; increase c0")
     return e
+
+
+def energy_total(phi: RealField, p: PhysicalParams) -> float:
+    """Shifted total free energy E[phi]; raises NonPositiveEnergy when E <= 0."""
+    return energy_from_parts(quadratic_energy(phi, phi, p), potential_integral(phi, p), p)
 
 
 def dissipation(mu: RealField, p: PhysicalParams) -> float:

@@ -86,5 +86,7 @@ def read_snapshot(path: Path | str) -> tuple[RealField, float]:
         fields[key] = value
     nx, ny = int(fields["nx"]), int(fields["ny"])
     grid = GridSpec(nx=nx, ny=ny, lx=float(fields["lx"]), ly=float(fields["ly"]))
-    values = np.frombuffer(rest, dtype="<f8", count=nx * ny).reshape(nx, ny)
+    if len(rest) != nx * ny * 8:
+        raise ValueError(f"{path}: payload of {len(rest)} bytes, expected nx * ny * 8 = {nx * ny * 8}")
+    values = np.frombuffer(rest, dtype="<f8").reshape(nx, ny)
     return RealField(grid, values.copy()), float(fields["t"])

@@ -34,10 +34,6 @@ class DropLayout:
             if not value > 0:
                 raise ValidationError(name, f"must be positive, got {value}")
 
-    @property
-    def n_drops(self) -> int:
-        return self.count_x * self.count_y
-
     def centers(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         off_x = 0.5 * (grid.lx - (self.count_x + 1) * self.spacing)
         off_y = 0.5 * (grid.ly - (self.count_y + 1) * self.spacing)
@@ -97,11 +93,6 @@ def exact_solution(t: float, grid: GridSpec) -> RealField:
     """Manufactured solution cos(pi x) cos(pi y) sin(t)."""
     X, Y = grid.mesh
     return RealField(grid, np.cos(np.pi * X) * np.cos(np.pi * Y) * math.sin(t))
-
-
-def exact_time_derivative(t: float, grid: GridSpec) -> RealField:
-    X, Y = grid.mesh
-    return RealField(grid, np.cos(np.pi * X) * np.cos(np.pi * Y) * math.cos(t))
 
 
 def source_spectra(grid: GridSpec, p: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -32,15 +32,22 @@ The baselines: ``semi`` (BDF2, nonlinear term fully explicit, conditionally
 stable) and ``sav`` (BDF2 scalar auxiliary variable on the potential energy
 only, stable, but its auxiliary variable may go negative), which couples two
 solves and keeps its own body.  Every step does one constant-coefficient
-spectral solve (two for SAV).  A state is two time levels (``Level``:
-phi, mu, E, m0 ||grad mu||^2, R and r1), so each energy is computed once
-per step; a step turns the current level into the previous one.
+spectral solve (two for SAV).  A state is two time levels; a step turns the
+current level into the previous one.  A ``Level`` keeps phi, mu, R, r1 and,
+so that no step recomputes them, E, m0 ||grad mu||^2 and the quadratic part
+Q = beta/2 ||grad phi||^2 + lam/2 ||phi||^2 of E.
 
-Transforms: phi is held as values and half-spectrum, mu as its spectrum only,
-and extrapolants, midpoints and g are combined in the forms their operands
-hold; the gradient energy, dissipation and source work are read by Parseval.
-So every step makes one forward transform, of xi^2 h(ext) (SAV: of b), and
-one inverse, of phi_hat^{n+1}, whose values the energy (or guard) needs.
+Energies by bilinearity: a step forms one phi cross term B =
+quadratic_energy(phi^n, phi^{n-1}), and Q(a phi^n + b phi^{n-1}) = a^2 Q^n +
+2ab B + b^2 Q^{n-1} gives the quadratic parts of E[ext] and E[mid]; only
+their int H reads values (ext shares w = ext^2 - 1 with h(ext)).  Likewise
+m0 ||grad mu_d||^2 comes from the levels' dissipations and one mu cross
+term: of mu^n, mu^{n-1} for 2a, of mu^{n+1}, mu^n for 2b.
+
+Transforms: ext and mid are formed as values, g and mu as coefficients, and
+Q, the dissipations and the source work are read by Parseval, so every step
+makes one forward transform, of xi^2 h(ext) (SAV: of b), and one inverse, of
+phi_hat^{n+1}, whose values E[phi^{n+1}] (and the guard) need.
 """
 
 from __future__ import annotations
@@ -52,14 +59,17 @@ from enum import Enum
 import numpy as np
 
 from .errors import Diverged, InvalidState, NonPositiveEnergy
-from .grid import RealField, grad_sq_integral, inner, integrate
+from .grid import RealField, grad_inner, inner
 from .model import (
     PhysicalParams,
     chemical_potential_exact,
     dissipation,
-    energy_total,
+    energy_from_parts,
     potential_h,
     potential_integral,
+    quadratic_energy,
+    well,
+    well_integral,
 )
 
 OVERFLOW_GUARD = 1e6
@@ -101,14 +111,14 @@ SCHEMES = {
 
 @dataclass(frozen=True)
 class Level:
-    """One time level: phi, mu, E[phi] and m0 ||grad mu||^2 (kept so no step
-    recomputes them), the PAV auxiliary R and the SAV auxiliary r1.  A step
-    builds its new level from the solve and its R (or r1) update."""
+    """One time level: phi, mu, E[phi], m0 ||grad mu||^2, the quadratic part
+    ``quad`` of E, the PAV auxiliary R and the SAV auxiliary r1."""
 
     phi: RealField
     mu: RealField
     energy: float
     dissipation: float
+    quad: float
     r: float
     sav_r: float
 
@@ -119,12 +129,11 @@ class Level:
         ``sav`` reads r1, and step_sav2 refuses such a phi; see sav_energy).
         Raises NonPositiveEnergy when E[phi] <= 0."""
         mu = chemical_potential_exact(phi, p)
-        energy = energy_total(phi, p)
-        e1 = potential_integral(phi, p) + p.c0
-        return cls(
-            phi=phi, mu=mu, energy=energy, dissipation=dissipation(mu, p),
-            r=math.sqrt(energy), sav_r=math.sqrt(e1) if e1 > 0 else math.nan,
-        )
+        quad, potential = quadratic_energy(phi, phi, p), potential_integral(phi, p)
+        energy = energy_from_parts(quad, potential, p)
+        e1 = potential + p.c0
+        sav_r = math.sqrt(e1) if e1 > 0 else math.nan
+        return cls(phi, mu, energy, dissipation(mu, p), quad, math.sqrt(energy), sav_r)
 
 
 @dataclass(frozen=True)
@@ -140,11 +149,8 @@ class SchemeState:
 
 
 def sav_energy(phi: RealField, p: PhysicalParams) -> float:
-    """int H(phi) + c0, the square of the SAV auxiliary r1.
-
-    Only the ``sav`` scheme needs it positive; raises NonPositiveEnergy when
-    it is not, since r1 = sqrt(int H(phi) + c0) is then undefined.
-    """
+    """int H(phi) + c0, the square of the SAV auxiliary r1; raises
+    NonPositiveEnergy when it is not positive (only ``sav`` needs it so)."""
     e1 = potential_integral(phi, p) + p.c0
     if not e1 > 0:
         raise NonPositiveEnergy(f"potential energy + c0 = {e1} is not positive; sav needs a larger c0")
@@ -171,11 +177,13 @@ def solve_linear_step(
     sigma = 1 with g = phi^n for BDF1; sigma = 3/2 with g = 2 phi^n - phi^{n-1}/2
     for BDF2.  The denominator is >= sigma > 0, so the solve is total.
     """
-    grid = g.grid
-    s_hat, lin = s.coeffs, p.beta * grid.k2 + p.lam
-    m0k2 = dt * p.m0 * grid.k2
-    phi_hat = (g.coeffs - m0k2 * s_hat) / (sigma + m0k2 * lin)
-    mu_hat = lin * phi_hat + s_hat
+    grid, s_hat = g.grid, s.coeffs
+    lin, m0k2 = p.beta * grid.k2 + p.lam, dt * p.m0 * grid.k2
+    phi_hat = m0k2 * s_hat
+    np.subtract(g.coeffs, phi_hat, out=phi_hat)
+    phi_hat /= sigma + m0k2 * lin
+    mu_hat = lin * phi_hat
+    mu_hat += s_hat
     return RealField(grid, coeffs=phi_hat), RealField(grid, coeffs=mu_hat)
 
 
@@ -194,37 +202,57 @@ def _xi_update(r_n: float, e_num: float, e_den: float, drain: float, dt: float) 
     return r_n / denom
 
 
-def _work(f_src: RealField | None, mu: RealField) -> float:
-    """Energy input rate int(f mu) of a source term; 0 when absent."""
-    return 0.0 if f_src is None else inner(f_src, mu)
+Coef = tuple[float, float]  # (a, b) of a combination a x + b y of two levels' fields
+EXT: Coef = (2.0, -1.0)  # second order: phi^{n+1} ~ 2 phi^n - phi^{n-1}
+MID: Coef = (1.5, -0.5)  # and phi^{n+1/2} ~ 3/2 phi^n - 1/2 phi^{n-1}
 
 
-def _mid(cur: RealField, prev: RealField) -> RealField:
-    """Second-order extrapolant to t^{n+1/2}: 3/2 cur - 1/2 prev."""
-    return RealField.combine((1.5, cur), (-0.5, prev))
+def _bilinear(coef: Coef, q_x: float, cross: float, q_y: float) -> float:
+    """Q(a x + b y) = a^2 Q(x) + 2 a b B(x, y) + b^2 Q(y), (a, b) = coef, of a
+    quadratic form Q with bilinear form B, from Q(x), B(x, y) and Q(y)."""
+    a, b = coef
+    return a * a * q_x + 2.0 * a * b * cross + b * b * q_y
+
+
+def _energy(coef: Coef, state: SchemeState, cross: float, w: np.ndarray, p: PhysicalParams) -> float:
+    """E[a phi^n + b phi^{n-1}], (a, b) = coef, from the levels' quad, their
+    ``cross`` = quadratic_energy(phi^n, phi^{n-1}) and w = well() of its
+    values.  Raises NonPositiveEnergy when E <= 0."""
+    cur = state.cur
+    quad = _bilinear(coef, cur.quad, cross, state.prev.quad)
+    return energy_from_parts(quad, well_integral(w, cur.phi.grid, p), p)
+
+
+def _drain(coef: Coef, x: Level, y: Level, f_src: RealField | None, p: PhysicalParams) -> float:
+    """m0 ||grad mu_d||^2 - int(f mu_d) of mu_d = a x.mu + b y.mu, (a, b) = coef,
+    by bilinearity from the levels' dissipations and one cross term."""
+    a, b = coef
+    cross = p.m0 * grad_inner(x.mu, y.mu) if b else 0.0
+    drain = _bilinear(coef, x.dissipation, cross, y.dissipation)
+    if f_src is not None:
+        drain -= a * inner(f_src, x.mu) + b * inner(f_src, y.mu)
+    return drain
 
 
 def _bdf(order: int, state: SchemeState, dt: float, f_src: RealField | None):
     """BDF coefficient sigma, right-hand side g (plus dt f; coefficients only)
-    and extrapolant of phi^{n+1}."""
+    and the values of the extrapolant of phi^{n+1}."""
     phi, old = state.cur.phi, state.prev.phi
     if order == 1:
-        sigma, g_hat, ext = 1.0, phi.coeffs, phi
+        sigma, g_hat, ext = 1.0, phi.coeffs, phi.values
     else:
         sigma, g_hat = 1.5, 2.0 * phi.coeffs - 0.5 * old.coeffs
-        ext = RealField.combine((2.0, phi), (-1.0, old))
+        ext = 2.0 * phi.values - old.values
     if f_src is not None:
         g_hat = g_hat + dt * f_src.coeffs
     return sigma, RealField(phi.grid, coeffs=g_hat), ext
 
 
-def _advance(state: SchemeState, xi: float | None = None, **fields) -> SchemeState:
-    """The next state: ``fields`` are the new values of the current level's
-    fields (the rest carry over), and the current level becomes the previous one."""
-    return replace(
-        state, cur=replace(state.cur, **fields), prev=state.cur, step=state.step + 1,
-        xi=state.xi if xi is None else xi,
-    )
+def _solved(phi: RealField, mu: RealField, p: PhysicalParams, r: float, sav_r: float) -> Level:
+    """The level of solved phi, mu with auxiliaries r, sav_r; NonPositiveEnergy when E <= 0."""
+    quad = quadratic_energy(phi, phi, p)
+    energy = energy_from_parts(quad, potential_integral(phi, p), p)
+    return Level(phi, mu, energy, dissipation(mu, p), quad, r, sav_r)
 
 
 def _guard(phi: RealField, step: int) -> None:
@@ -247,46 +275,39 @@ def _imex_step(
         f_src_mid = f_src
     first = scheme.order == 1
     cur, prev = state.cur, state.prev
+    grid = cur.phi.grid
     sigma, g, ext = _bdf(scheme.order, state, dt, f_src)
-    xi = None  # the xi scaling h(ext) in the field solve
+    w = well(ext)
+    if scheme.xi is not None and not first:
+        cross = quadratic_energy(cur.phi, prev.phi, p)
+        e_ext = _energy(EXT, state, cross, w, p)
+        e_mid = _energy(MID, state, cross, well(0.5 * (ext + cur.phi.values)), p)
+    xi, r = None, cur.r  # the xi scaling h(ext) in the field solve; semi keeps R
     if scheme.xi == "a":
-        if first:
-            e_num = e_den = cur.energy
-            mu_d, diss_d = cur.mu, cur.dissipation
-        else:
-            e_num = energy_total(ext, p)
-            e_den = energy_total(_mid(cur.phi, prev.phi), p)
-            mu_d = _mid(cur.mu, prev.mu)
-            diss_d = dissipation(mu_d, p)
-        xi = _xi_update(cur.r, e_num, e_den, diss_d - _work(f_src_mid, mu_d), dt)
+        e_num, e_den = (cur.energy, cur.energy) if first else (e_ext, e_mid)
+        drain = _drain((1.0, 0.0) if first else MID, cur, prev, f_src_mid, p)
+        xi = _xi_update(cur.r, e_num, e_den, drain, dt)
+        r = xi * math.sqrt(e_num)
     elif scheme.xi == "b" and first:
         xi = state.xi
     elif scheme.xi == "b":
-        xi = (2.0 * cur.r - prev.r) / math.sqrt(energy_total(ext, p))
+        xi = (2.0 * cur.r - prev.r) / math.sqrt(e_ext)
 
-    grid = ext.grid
-    h = potential_h(ext, p).values
-    s_hat = grid.fft(h if xi is None else xi**2 * h)
+    w *= ext  # now h(ext) / a; w is not read again
+    w *= p.well_amp if xi is None else xi * xi * p.well_amp
+    s_hat = grid.fft(w)
     if dealias:
-        s_hat = s_hat * grid.dealias_mask
+        s_hat *= grid.dealias_mask
     phi_new, mu_new = solve_linear_step(sigma, g, RealField(grid, coeffs=s_hat), dt, p)
     if scheme.xi is None:
         _guard(phi_new, state.step + 1)
-    e_new, d_new = energy_total(phi_new, p), dissipation(mu_new, p)
-    if scheme.xi is None:
-        return _advance(state, phi=phi_new, mu=mu_new, energy=e_new, dissipation=d_new)
+    new = _solved(phi_new, mu_new, p, r, cur.sav_r)
     if scheme.xi == "b":
-        e_num = e_new
-        if first:
-            e_den, mu_d, diss_d = e_new, mu_new, d_new
-        else:
-            e_den = energy_total(_mid(cur.phi, prev.phi), p)
-            mu_d = RealField.combine((0.5, mu_new), (0.5, cur.mu))
-            diss_d = dissipation(mu_d, p)
-        xi = _xi_update(cur.r, e_num, e_den, diss_d - _work(f_src_mid, mu_d), dt)
-    return _advance(
-        state, xi, phi=phi_new, mu=mu_new, energy=e_new, dissipation=d_new, r=xi * math.sqrt(e_num)
-    )
+        e_den = new.energy if first else e_mid
+        drain = _drain((1.0, 0.0) if first else (0.5, 0.5), new, cur, f_src_mid, p)
+        xi = _xi_update(cur.r, new.energy, e_den, drain, dt)
+        new = replace(new, r=xi * math.sqrt(new.energy))
+    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi)
 
 
 def _table_stepper(kind: SchemeKind, name: str):
@@ -329,11 +350,12 @@ def step_sav2(
     """
     cur, prev = state.cur, state.prev
     grid = cur.phi.grid
-    sigma, g, phi_bar = _bdf(2, state, dt, f_src)
+    sigma, g, ext = _bdf(2, state, dt, f_src)
+    phi_bar = RealField(grid, ext)
     e1_bar = sav_energy(phi_bar, p)
     b_hat = grid.fft(potential_h(phi_bar, p).values / math.sqrt(e1_bar))
     if dealias:
-        b_hat = b_hat * grid.dealias_mask
+        b_hat *= grid.dealias_mask
     b = RealField(grid, coeffs=b_hat)
     zero = RealField(grid, coeffs=np.zeros_like(b_hat))
     phi_1, mu_1 = solve_linear_step(sigma, g, zero, dt, p)
@@ -343,11 +365,10 @@ def step_sav2(
     r1_new = (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (
         3.0 - 1.5 * ib_2
     )
-    phi_new = RealField.combine((1.0, phi_1), (r1_new, phi_2))
-    mu_new = RealField.combine((1.0, mu_1), (r1_new, mu_2))
+    phi_new = RealField(grid, coeffs=phi_1.coeffs + r1_new * phi_2.coeffs)
+    mu_new = RealField(grid, coeffs=mu_1.coeffs + r1_new * mu_2.coeffs)
     _guard(phi_new, state.step + 1)
-    e_new, d_new = energy_total(phi_new, p), dissipation(mu_new, p)
-    return _advance(state, phi=phi_new, mu=mu_new, energy=e_new, dissipation=d_new, sav_r=r1_new)
+    return SchemeState(_solved(phi_new, mu_new, p, cur.r, r1_new), cur, state.step + 1, state.xi)
 
 
 STEPPERS = {
@@ -359,9 +380,3 @@ STEPPERS = {
     SchemeKind.SAV: step_sav2,
 }
 
-
-def sav_modified_energy(state: SchemeState, p: PhysicalParams) -> float:
-    """SAV modified energy beta/2 ||grad phi||^2 + lam/2 ||phi||^2 + r1^2 - c0."""
-    phi = state.cur.phi
-    quad = 0.5 * p.lam * integrate(RealField(phi.grid, phi.values**2)) if p.lam != 0.0 else 0.0
-    return 0.5 * p.beta * grad_sq_integral(phi) + quad + state.cur.sav_r**2 - p.c0

@@ -25,7 +25,9 @@ from cahnpav import (
 from cahnpav.diagnostics import fit_convergence_order
 from cahnpav.grid import h2_norm, integrate
 from cahnpav.model import chemical_potential_exact, energy_total
-from cahnpav.schemes import STEPPERS, sav_modified_energy, step_sav2
+from cahnpav.schemes import STEPPERS, step_sav2
+
+from helpers import from_function, sav_modified_energy
 
 PAV = [SchemeKind.PAV_1A, SchemeKind.PAV_1B, SchemeKind.PAV_2A, SchemeKind.PAV_2B]
 ALL = PAV + [SchemeKind.SEMI_IMPLICIT, SchemeKind.SAV]
@@ -230,7 +232,7 @@ class TestCriterion8LinearOracle:
             for _ in range(10):
                 p_mode, q_mode = int(rng.integers(0, 5)), int(rng.integers(1, 5))
                 dt = float(10.0 ** rng.uniform(-3, 0))
-                f0 = RealField.from_function(
+                f0 = from_function(
                     grid,
                     lambda X, Y: np.cos(2 * np.pi * p_mode * X / grid.lx)
                     * np.cos(2 * np.pi * q_mode * Y / grid.ly),

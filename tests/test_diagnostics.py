@@ -15,7 +15,9 @@ from cahnpav import (
     ValidationError,
     assert_invariants,
 )
-from cahnpav.diagnostics import HistoryRecord, error_norms, fit_convergence_order, xi_indicator
+from cahnpav.diagnostics import HistoryRecord, error_norms, fit_convergence_order
+
+from helpers import constant, xi_indicator
 
 
 def make_record(step, *, mass=5.0, r=1.0, xi=0.9, energy=2.0, **overrides):
@@ -37,13 +39,13 @@ def make_record(step, *, mass=5.0, r=1.0, xi=0.9, energy=2.0, **overrides):
 class TestErrorNorms:
     def test_identical_fields(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        f = RealField.constant(grid, 1.3)
+        f = constant(grid, 1.3)
         assert error_norms(f, f) == (0.0, 0.0)
 
     def test_constant_offset(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        f = RealField.constant(grid, 1.0)
-        g = RealField.constant(grid, 1.0 - 0.25)
+        f = constant(grid, 1.0)
+        g = constant(grid, 1.0 - 0.25)
         linf, l2 = error_norms(f, g)
         assert linf == pytest.approx(0.25)
         assert l2 == pytest.approx(0.25 * 2.0)  # |c| sqrt(|Omega|), |Omega| = 4
@@ -57,8 +59,8 @@ class TestErrorNorms:
         assert l2 <= math.sqrt(grid.area) * linf * (1 + 1e-14)
 
     def test_grid_mismatch(self):
-        f = RealField.constant(GridSpec(16, 16, 2.0, 2.0), 0.0)
-        g = RealField.constant(GridSpec(16, 16, 1.0, 1.0), 0.0)
+        f = constant(GridSpec(16, 16, 2.0, 2.0), 0.0)
+        g = constant(GridSpec(16, 16, 1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             error_norms(f, g)
 

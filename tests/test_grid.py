@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from cahnpav import GridSpec, RealField, ValidationError
 from cahnpav.grid import grad_sq_integral, h2_norm, inner, integrate, l2_norm
 
+from helpers import constant, from_function, mean
+
 
 def random_field(grid: GridSpec, seed: int, smooth: bool = False) -> RealField:
     rng = np.random.default_rng(seed)
@@ -89,16 +91,24 @@ class TestRealField:
         with pytest.raises(ValueError):
             RealField(grid, np.zeros((8, 4)))
 
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 5)], ids=["full-spectrum", "wrong-size"])
+    def test_coefficient_shape_mismatch_rejected(self, shape):
+        # the half-spectrum of an 8 x 8 grid has shape (8, 5)
+        grid = GridSpec(8, 8, 2.0, 2.0)
+        with pytest.raises(ValueError, match=r"coefficient shape .* does not match half-spectrum \(8, 5\)"):
+            RealField(grid, coeffs=np.zeros(shape, complex))
+        assert RealField(grid, coeffs=np.zeros((8, 5), complex)).values.shape == (8, 8)
+
     def test_constant_and_mean(self):
         grid = GridSpec(8, 8, 1.0, 1.0)
-        f = RealField.constant(grid, 2.5)
-        assert f.mean() == 2.5
+        f = constant(grid, 2.5)
+        assert mean(f) == 2.5
 
 
 class TestTransforms:
     def test_constant_field_single_coeff(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        fh = grid.fft(RealField.constant(grid, 3.0).values)
+        fh = grid.fft(constant(grid, 3.0).values)
         assert fh[0, 0] == pytest.approx(3.0)
         rest = fh.copy()
         rest[0, 0] = 0.0
@@ -106,7 +116,7 @@ class TestTransforms:
 
     def test_single_cosine_mode(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        f = RealField.from_function(grid, lambda X, Y: np.cos(2 * np.pi * X / grid.lx))
+        f = from_function(grid, lambda X, Y: np.cos(2 * np.pi * X / grid.lx))
         fh = grid.fft(f.values)
         assert fh[1, 0] == pytest.approx(0.5)
         assert fh[-1, 0] == pytest.approx(0.5)
@@ -116,7 +126,7 @@ class TestTransforms:
     def test_mean_normalization(self):
         grid = GridSpec(10, 12, 1.0, 3.0)
         f = random_field(grid, 0)
-        assert grid.fft(f.values)[0, 0] == pytest.approx(f.mean())
+        assert grid.fft(f.values)[0, 0] == pytest.approx(mean(f))
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000))
@@ -140,13 +150,13 @@ class TestTransforms:
 class TestLaplacian:
     def test_constant_maps_to_zero(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        out = laplacian(grid, RealField.constant(grid, 4.0).values)
+        out = laplacian(grid, constant(grid, 4.0).values)
         assert np.max(np.abs(out)) == 0.0
 
     def test_cosine_eigenfunction(self):
         # lap cos(pi x) = -pi^2 cos(pi x) on lx = 2
         grid = GridSpec(20, 20, 2.0, 2.0)
-        f = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X))
+        f = from_function(grid, lambda X, Y: np.cos(np.pi * X))
         out = laplacian(grid, f.values)
         expected = -np.pi**2 * f.values
         assert np.max(np.abs(out - expected)) < 1e-12 * np.pi**2
@@ -176,8 +186,8 @@ class TestLaplacian:
 class TestDealias:
     def test_keeps_resolved_mode_kills_high_mode(self):
         grid = GridSpec(12, 12, 2.0, 2.0)
-        low = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
-        high = RealField.from_function(grid, lambda X, Y: np.cos(5 * np.pi * X))
+        low = from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
+        high = from_function(grid, lambda X, Y: np.cos(5 * np.pi * X))
         out = grid.ifft(grid.fft(low.values + high.values) * grid.dealias_mask)
         assert np.max(np.abs(out - low.values)) < 1e-14
 
@@ -185,17 +195,17 @@ class TestDealias:
 class TestQuadrature:
     def test_constant(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        assert integrate(RealField.constant(grid, 3.0)) == pytest.approx(12.0)
+        assert integrate(constant(grid, 3.0)) == pytest.approx(12.0)
 
     def test_zero_mean_mode(self):
         grid = GridSpec(20, 20, 2.0, 2.0)
-        f = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
+        f = from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
         assert abs(integrate(f)) < 1e-13
 
     def test_cos_squared(self):
         # int_0^2 cos^2(pi x) dx * int_0^2 dy = 1 * 2
         grid = GridSpec(20, 20, 2.0, 2.0)
-        f = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X) ** 2)
+        f = from_function(grid, lambda X, Y: np.cos(np.pi * X) ** 2)
         assert integrate(f) == pytest.approx(2.0, abs=1e-13)
 
     @settings(deadline=None, max_examples=20)
@@ -213,11 +223,11 @@ class TestQuadrature:
 class TestGradSqIntegral:
     def test_constant_is_zero(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        assert grad_sq_integral(RealField.constant(grid, 7.0)) == 0.0
+        assert grad_sq_integral(constant(grid, 7.0)) == 0.0
 
     def test_cosine_product(self):
         grid = GridSpec(20, 20, 2.0, 2.0)
-        f = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
+        f = from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
         assert grad_sq_integral(f) == pytest.approx(2 * np.pi**2, rel=1e-12)
 
     @settings(deadline=None, max_examples=15)
@@ -238,7 +248,7 @@ class TestGradSqIntegral:
         grid = GridSpec(12, 12, 1.0, 1.0)
         f = random_field(grid, seed)
         assert grad_sq_integral(f) >= 0.0
-        assert grad_sq_integral(RealField.constant(grid, f.mean())) < 1e-13
+        assert grad_sq_integral(constant(grid, mean(f))) < 1e-13
 
 
 @pytest.mark.parametrize("ny", [8, 12])
@@ -263,12 +273,12 @@ def test_half_spectrum_parseval_matches_full_spectrum(ny, seed):
 class TestH2Norm:
     def test_zero_field(self):
         grid = GridSpec(8, 8, 2.0, 2.0)
-        assert h2_norm(RealField.constant(grid, 0.0)) == 0.0
+        assert h2_norm(constant(grid, 0.0)) == 0.0
 
     def test_constant_field(self):
         # only the (0,0) mode contributes: c * sqrt(|Omega|)
         grid = GridSpec(16, 16, 2.0, 2.0)
-        assert h2_norm(RealField.constant(grid, 3.0)) == pytest.approx(6.0)
+        assert h2_norm(constant(grid, 3.0)) == pytest.approx(6.0)
 
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 10_000))

@@ -17,6 +17,8 @@ from cahnpav.output import (
     write_snapshot,
 )
 
+from helpers import constant, n_drops
+
 MINIMAL = {"problem": {"kind": "manufactured"}, "scheme": "2a"}
 
 
@@ -78,13 +80,13 @@ class TestParseConfig:
         doc = {"problem": {"kind": "drop_array"}, "scheme": "2b"}
         config = parse_config(json.dumps(doc))
         assert config.problem.grid.shape == (128, 128)
-        assert config.problem.drops.n_drops == 25
+        assert n_drops(config.problem.drops) == 25
 
     def test_drop_paper_preset(self):
         doc = {"problem": {"kind": "drop_array", "preset": "paper"}, "scheme": "2a"}
         config = parse_config(json.dumps(doc))
         assert config.problem.grid.shape == (512, 512)
-        assert config.problem.drops.n_drops == 361
+        assert n_drops(config.problem.drops) == 361
 
     def test_drop_overrides(self):
         doc = {
@@ -108,7 +110,7 @@ class TestParseConfig:
         assert config.problem.params.m0 == 1e-5
         # beta recomputed from the preset surface tension at the new eta
         assert config.problem.params.beta == pytest.approx(3 / (2 * math.sqrt(2)) * 151.15 * 0.04)
-        assert config.problem.drops.n_drops == 9
+        assert n_drops(config.problem.drops) == 9
         assert config.problem.dt == 0.01
         assert config.history_every == 5
         assert config.snapshot_every == 100
@@ -334,7 +336,7 @@ class TestSnapshot:
     def test_zero_field_layout(self, tmp_path):
         grid = GridSpec(4, 4, 2.0, 2.0)
         path = tmp_path / "snap.dat"
-        write_snapshot(RealField.constant(grid, 0.0), 0.5, path)
+        write_snapshot(constant(grid, 0.0), 0.5, path)
         raw = path.read_bytes()
         head, _, payload = raw.partition(b"\n\n")
         assert head.decode("ascii").splitlines() == ["nx 4", "ny 4", "lx 2", "ly 2", "t 0.5"]
@@ -358,3 +360,15 @@ class TestSnapshot:
         write_snapshot(RealField(grid, values), 0.0, path)
         payload = path.read_bytes().partition(b"\n\n")[2]
         assert np.frombuffer(payload, dtype="<f8")[6] == values[1, 0]
+
+    @pytest.mark.parametrize("extra", [8, -8], ids=["trailing", "short"])
+    def test_payload_of_wrong_size_refused(self, tmp_path, extra):
+        # 4 x 6 doubles are 192 bytes; 8 more or 8 fewer is refused, naming the file
+        grid = GridSpec(4, 6, 1.0, 1.0)
+        path = tmp_path / "snap.dat"
+        write_snapshot(constant(grid, 1.0), 0.0, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(8) if extra > 0 else raw[:-8])
+        size = 192 + extra
+        with pytest.raises(ValueError, match=rf"snap\.dat.*\b{size}\b.*\b192\b"):
+            read_snapshot(path)

@@ -16,6 +16,8 @@ from cahnpav.model import (
     sigma_to_beta,
 )
 
+from helpers import constant, from_function
+
 THEORY = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=1.0)
 
 
@@ -96,34 +98,34 @@ class TestPotentialH:
     @pytest.mark.parametrize("value", [0.0, 1.0, -1.0])
     def test_well_roots(self, value):
         grid = GridSpec(8, 8, 2.0, 2.0)
-        out = potential_h(RealField.constant(grid, value), THEORY)
+        out = potential_h(constant(grid, value), THEORY)
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_cubic_value(self):
         grid = GridSpec(8, 8, 2.0, 2.0)
-        out = potential_h(RealField.constant(grid, 2.0), THEORY)
+        out = potential_h(constant(grid, 2.0), THEORY)
         assert np.all(out.values == pytest.approx(6.0))
 
     def test_amplitude_scaling(self):
         grid = GridSpec(8, 8, 2.0, 2.0)
         p = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=3.0)
-        out = potential_h(RealField.constant(grid, 2.0), p)
+        out = potential_h(constant(grid, 2.0), p)
         assert np.all(out.values == pytest.approx(18.0))
 
 
 class TestEnergyTotal:
     def test_equilibrium_gives_shift(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        assert energy_total(RealField.constant(grid, 1.0), THEORY) == pytest.approx(1.0)
+        assert energy_total(constant(grid, 1.0), THEORY) == pytest.approx(1.0)
 
     def test_zero_field(self):
         # E = |Omega| * a/4 + c0 = 4 * 1/4 + 1
         grid = GridSpec(16, 16, 2.0, 2.0)
-        assert energy_total(RealField.constant(grid, 0.0), THEORY) == pytest.approx(2.0)
+        assert energy_total(constant(grid, 0.0), THEORY) == pytest.approx(2.0)
 
     def test_cosine_product_against_fine_quadrature(self):
         grid = GridSpec(20, 20, 2.0, 2.0)
-        f = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
+        f = from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
         # brute-force oracle on a 256^2 grid with the hand-derived gradient
         n = 256
         h = 2.0 / n
@@ -142,7 +144,7 @@ class TestEnergyTotal:
         grid = GridSpec(8, 8, 2.0, 2.0)
         p = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=-5.0)
         with pytest.raises(NonPositiveEnergy):
-            energy_total(RealField.constant(grid, 1.0), p)
+            energy_total(constant(grid, 1.0), p)
 
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 10_000))
@@ -157,11 +159,11 @@ class TestEnergyTotal:
 class TestDissipation:
     def test_constant_mu(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        assert dissipation(RealField.constant(grid, 5.0), THEORY) == 0.0
+        assert dissipation(constant(grid, 5.0), THEORY) == 0.0
 
     def test_cosine_product(self):
         grid = GridSpec(20, 20, 2.0, 2.0)
-        mu = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
+        mu = from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
         assert dissipation(mu, THEORY) == pytest.approx(2 * np.pi**2, rel=1e-12)
 
     def test_linear_in_mobility(self):
@@ -175,13 +177,13 @@ class TestChemicalPotential:
     def test_zero_and_equilibrium(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         for value in (0.0, 1.0):
-            mu = chemical_potential_exact(RealField.constant(grid, value), THEORY)
+            mu = chemical_potential_exact(constant(grid, value), THEORY)
             assert np.max(np.abs(mu.values)) < 1e-14
 
     def test_cosine_product_analytic(self):
         # lap phi = -2 pi^2 phi, so mu = 2 pi^2 phi + (phi^3 - phi)
         grid = GridSpec(20, 20, 2.0, 2.0)
-        f = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
+        f = from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
         mu = chemical_potential_exact(f, THEORY)
         v = f.values
         expected = 2 * np.pi**2 * v + (v**3 - v)
@@ -190,7 +192,7 @@ class TestChemicalPotential:
     def test_includes_linear_term(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         p = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, lam=2.5)
-        mu = chemical_potential_exact(RealField.constant(grid, 0.5), p)
+        mu = chemical_potential_exact(constant(grid, 0.5), p)
         # constant field: lap phi = 0, so mu = lam phi + h(phi)
         assert np.all(mu.values == pytest.approx(2.5 * 0.5 + (0.125 - 0.5)))
 

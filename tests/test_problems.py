@@ -22,10 +22,11 @@ from cahnpav.problems import (
     DropLayout,
     ProblemSpec,
     exact_solution,
-    exact_time_derivative,
     ic_drop_array,
     source_term,
 )
+
+from helpers import exact_time_derivative, n_drops
 
 MFG = manufactured_spec()
 
@@ -108,7 +109,7 @@ class TestDropArray:
     def test_bounded_by_drop_count(self):
         spec = desk_scale_drop_spec()
         phi = ic_drop_array(spec)
-        assert np.max(np.abs(phi.values)) <= spec.drops.n_drops
+        assert np.max(np.abs(phi.values)) <= n_drops(spec.drops)
 
     def test_reflection_symmetry_of_centered_lattice(self):
         spec = desk_scale_drop_spec()
@@ -133,7 +134,7 @@ def full_lattice_sum(spec):
     grid, drops, eta = spec.grid, spec.drops, spec.params.eta
     X, Y = grid.mesh
     xs, ys = drops.centers(grid)
-    phi = np.full(grid.shape, float(drops.n_drops - 1))
+    phi = np.full(grid.shape, float(n_drops(drops) - 1))
     for xc in xs:
         for yc in ys:
             r = np.sqrt((X - xc) ** 2 + (Y - yc) ** 2)
@@ -176,7 +177,7 @@ class TestPaperSpec:
     def test_full_configuration(self):
         spec = full_scale_drop_spec()
         assert spec.grid.shape == (512, 512)
-        assert spec.drops.n_drops == 361
+        assert n_drops(spec.drops) == 361
         assert spec.drops.radius == 0.085
         assert spec.params.m0 == 1e-6
         assert spec.params.eta == 0.01

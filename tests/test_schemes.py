@@ -21,12 +21,17 @@ from cahnpav import (
     run_simulation,
 )
 from cahnpav.diagnostics import MASS_DRIFT_TOL, R_MONOTONE_SLACK
-from cahnpav.grid import integrate
-from cahnpav.model import dissipation, energy_total, potential_h
+from cahnpav.grid import inner, integrate
+from cahnpav.model import dissipation, energy_total, potential_h, quadratic_energy, well
 from cahnpav.schemes import (
+    EXT,
+    MID,
     STEPPERS,
+    Level,
+    SchemeState,
+    _drain,
+    _energy,
     _xi_update,
-    sav_modified_energy,
     solve_linear_step,
     step_1a,
     step_1b,
@@ -36,8 +41,11 @@ from cahnpav.schemes import (
     step_semi_implicit2,
 )
 
+from helpers import constant, from_function, mean, sav_modified_energy
+
 THEORY = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=1.0)
 LINEAR = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=0.0, c0=1.0)
+WITH_LAM = PhysicalParams(m0=0.7, beta=0.8, eta=1.0, well_amp=1.3, lam=0.6, c0=1.0)
 
 PAV_STEPPERS = [step_1a, step_1b, step_2a, step_2b]
 ALL_STEPPERS = PAV_STEPPERS + [step_semi_implicit2, step_sav2]
@@ -58,7 +66,7 @@ def smooth_ic(grid, seed, amp=0.4):
 class TestSolveLinearStep:
     def test_zero_inputs(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        zero = RealField.constant(grid, 0.0)
+        zero = constant(grid, 0.0)
         phi, mu = solve_linear_step(1.0, zero, zero, 0.1, THEORY)
         assert np.max(np.abs(phi.values)) == 0.0
         assert np.max(np.abs(mu.values)) == 0.0
@@ -66,14 +74,14 @@ class TestSolveLinearStep:
     def test_zero_mode_preserves_mean(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         g = smooth_ic(grid, 1)
-        phi, _ = solve_linear_step(1.0, g, RealField.constant(grid, 0.0), 0.3, THEORY)
-        assert phi.mean() == pytest.approx(g.mean(), rel=1e-14)
+        phi, _ = solve_linear_step(1.0, g, constant(grid, 0.0), 0.3, THEORY)
+        assert mean(phi) == pytest.approx(mean(g), rel=1e-14)
 
     def test_single_mode_closed_form(self):
         # cos(pi x) on lx = 2: k = pi, amplification 1 / (1 + dt m0 k^2 beta k^2)
         grid = GridSpec(16, 16, 2.0, 2.0)
-        g = RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X))
-        phi, _ = solve_linear_step(1.0, g, RealField.constant(grid, 0.0), 0.1, THEORY)
+        g = from_function(grid, lambda X, Y: np.cos(np.pi * X))
+        phi, _ = solve_linear_step(1.0, g, constant(grid, 0.0), 0.1, THEORY)
         amp = 1.0 / (1.0 + 0.1 * np.pi**4)
         assert np.max(np.abs(phi.values - amp * g.values)) < 1e-13
 
@@ -88,11 +96,11 @@ class TestSolveLinearStep:
         grid = GridSpec(16, 16, 2.0, 2.0)
         params = PhysicalParams(m0=0.7, beta=0.3, eta=1.0, well_amp=1.0, lam=0.2)
         dt = 10.0**dt_exp
-        g = RealField.from_function(
+        g = from_function(
             grid,
             lambda X, Y: np.cos(2 * np.pi * p * X / grid.lx) * np.cos(2 * np.pi * q * Y / grid.ly),
         )
-        phi, mu = solve_linear_step(sigma_bdf, g, RealField.constant(grid, 0.0), dt, params)
+        phi, mu = solve_linear_step(sigma_bdf, g, constant(grid, 0.0), dt, params)
         k2 = (2 * np.pi * p / grid.lx) ** 2 + (2 * np.pi * q / grid.ly) ** 2
         amp = 1.0 / (sigma_bdf + dt * params.m0 * k2 * (params.beta * k2 + params.lam))
         assert np.max(np.abs(phi.values - amp * g.values)) < 1e-12 * max(1.0, amp)
@@ -142,7 +150,7 @@ class TestComputeXi:
 class TestInitState:
     def test_equilibrium(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        state = init_state(RealField.constant(grid, 1.0), THEORY)
+        state = init_state(constant(grid, 1.0), THEORY)
         assert state.cur.r == pytest.approx(1.0)  # sqrt(c0)
         assert state.step == 0
         assert state.xi == 1.0
@@ -151,7 +159,7 @@ class TestInitState:
     def test_zero_field_r0(self):
         # E = |Omega| a / 4 + c0 = 2 on [0,2]^2 -> R0 = sqrt(2)
         grid = GridSpec(16, 16, 2.0, 2.0)
-        state = init_state(RealField.constant(grid, 0.0), THEORY)
+        state = init_state(constant(grid, 0.0), THEORY)
         assert state.cur.r == pytest.approx(math.sqrt(2.0))
         assert state.cur.sav_r == pytest.approx(math.sqrt(2.0))  # int H + c0 = 2
 
@@ -178,20 +186,74 @@ class TestStepperTable:
 
     @pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
     def test_state_carries_energy_and_dissipation_of_current_level(self, stepper):
-        # the cached values are the same function of the same arrays, so equal exactly
+        # after every step, each scalar a level keeps is the same function of
+        # the same arrays as a fresh recomputation from its fields, so equal exactly
         grid = GridSpec(16, 16, 2.0, 2.0)
-        state = init_state(smooth_ic(grid, 50, amp=0.8), THEORY)
-        for _ in range(4):
-            assert state.cur.energy == energy_total(state.cur.phi, THEORY)
-            assert state.cur.dissipation == dissipation(state.cur.mu, THEORY)
-            state = stepper(state, 0.1, THEORY, smooth_ic(grid, 51, amp=0.1))
+        for p in (THEORY, WITH_LAM):
+            state = init_state(smooth_ic(grid, 50, amp=0.8), p)
+            for _ in range(4):
+                state = stepper(state, 0.1, p, smooth_ic(grid, 51, amp=0.1))
+                for level in (state.cur, state.prev):
+                    assert level.energy == energy_total(level.phi, p)
+                    assert level.dissipation == dissipation(level.mu, p)
+                    assert level.quad == quadratic_energy(level.phi, level.phi, p)
+
+
+class TestBilinearEnergy:
+    """E[ext], E[mid] and the drain of a step, formed by bilinearity from the
+    levels' scalars and one cross term, against a direct evaluation of the
+    combined field: within 1e-12 relative."""
+
+    GRID = GridSpec(16, 12, 2.0, 1.5)
+
+    def state(self, p, case, seed):
+        rng = np.random.default_rng(seed)
+
+        def field():
+            noise = 0.1 * rng.standard_normal(self.GRID.shape)
+            return RealField(self.GRID, smooth_ic(self.GRID, seed, amp=0.8).values + noise)
+
+        cur = field()
+        if case == "cold":  # prev is cur
+            return init_state(cur, p)
+        if case == "near":  # phi^{n-1} = phi^n + 1e-7 noise: the cross term cancels most of the sum
+            prev = RealField(self.GRID, cur.values + 1e-7 * rng.standard_normal(self.GRID.shape))
+        else:
+            seed += 1
+            prev = field()
+        return SchemeState(cur=Level.from_field(cur, p), prev=Level.from_field(prev, p))
+
+    @pytest.mark.parametrize("p", [THEORY, WITH_LAM], ids=["lam0", "lam"])
+    @pytest.mark.parametrize("case", ["random", "cold", "near"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_energy_matches_energy_total(self, p, case, seed):
+        state = self.state(p, case, seed)
+        cur, prev = state.cur, state.prev
+        cross = quadratic_energy(cur.phi, prev.phi, p)
+        for a, b in (EXT, MID, (1.0, 0.0)):
+            values = a * cur.phi.values + b * prev.phi.values
+            expected = energy_total(RealField(self.GRID, values), p)
+            got = _energy((a, b), state, cross, well(values), p)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [THEORY, WITH_LAM], ids=["lam0", "lam"])
+    @pytest.mark.parametrize("case", ["random", "cold", "near"])
+    @pytest.mark.parametrize("with_source", [False, True], ids=["plain", "source"])
+    def test_drain_matches_direct_evaluation(self, p, case, with_source):
+        state = self.state(p, case, 3)
+        f_src = smooth_ic(self.GRID, 4, amp=0.5) if with_source else None
+        x, y = state.cur, state.prev
+        for a, b in (MID, (0.5, 0.5), (1.0, 0.0)):
+            mu_d = RealField(self.GRID, coeffs=a * x.mu.coeffs + b * y.mu.coeffs)
+            expected = dissipation(mu_d, p) - (0.0 if f_src is None else inner(f_src, mu_d))
+            assert _drain((a, b), x, y, f_src, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
 class TestFixedPoint:
     def test_equilibrium_plus_one(self, stepper):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        state = init_state(RealField.constant(grid, 1.0), THEORY)
+        state = init_state(constant(grid, 1.0), THEORY)
         new = stepper(state, 0.5, THEORY)
         assert np.max(np.abs(new.cur.phi.values - 1.0)) < 1e-13
         assert np.max(np.abs(new.cur.mu.values)) < 1e-13
@@ -203,7 +265,7 @@ class TestFixedPoint:
 
     def test_equilibrium_minus_one(self, stepper):
         grid = GridSpec(16, 16, 2.0, 2.0)
-        state = init_state(RealField.constant(grid, -1.0), THEORY)
+        state = init_state(constant(grid, -1.0), THEORY)
         new = stepper(state, 0.5, THEORY)
         assert np.max(np.abs(new.cur.phi.values + 1.0)) < 1e-13
 
@@ -213,7 +275,7 @@ class TestLinearOracle:
 
     @staticmethod
     def mode_field(grid, p, q):
-        return RealField.from_function(
+        return from_function(
             grid,
             lambda X, Y: np.cos(2 * np.pi * p * X / grid.lx) * np.cos(2 * np.pi * q * Y / grid.ly),
         )
@@ -303,11 +365,11 @@ class TestMassConservation:
         state = init_state(smooth_ic(grid, 4), THEORY)
         f_src = smooth_ic(grid, 5)
         dt = 0.07
-        m_prev = state.prev.phi.mean()
-        m_cur = state.cur.phi.mean()
+        m_prev = mean(state.prev.phi)
+        m_cur = mean(state.cur.phi)
         new = step_2a(state, dt, THEORY, f_src)
-        lhs = (3 * new.cur.phi.mean() - 4 * m_cur + m_prev) / (2 * dt)
-        assert lhs == pytest.approx(f_src.mean(), rel=1e-12, abs=1e-14)
+        lhs = (3 * mean(new.cur.phi) - 4 * m_cur + m_prev) / (2 * dt)
+        assert lhs == pytest.approx(mean(f_src), rel=1e-12, abs=1e-14)
 
 
 class TestRChain:
@@ -473,7 +535,7 @@ class TestSav:
         # int H(cos pi x) + c0 = 0.375 - 1 < 0 < E = pi^2 - 0.625: the sav root is undefined
         grid = GridSpec(16, 16, 2.0, 2.0)
         params = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=-1.0)
-        state = init_state(RealField.from_function(grid, lambda X, Y: np.cos(np.pi * X)), params)
+        state = init_state(from_function(grid, lambda X, Y: np.cos(np.pi * X)), params)
         assert math.isnan(state.cur.sav_r)
         assert 0 < step_2a(state, 0.1, params).cur.r <= state.cur.r
         with pytest.raises(NonPositiveEnergy, match="potential energy"):
