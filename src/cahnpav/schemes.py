@@ -379,4 +379,3 @@ STEPPERS = {
     SchemeKind.SEMI_IMPLICIT: step_semi_implicit2,
     SchemeKind.SAV: step_sav2,
 }
-
