@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .diagnostics import HistoryRecord, error_norms
@@ -10,7 +11,7 @@ from .errors import Diverged, SolverError, ValidationError
 from .grid import h2_norm, integrate
 from .output import write_snapshot
 from .problems import ProblemSpec, exact_solution, source_spectra, source_term
-from .schemes import SCHEMES, STEPPERS, Level, SchemeKind, SchemeState, init_state, sav_energy
+from .schemes import STEPPERS, Level, SchemeKind, SchemeState, init_state, sav_energy
 
 
 @dataclass(frozen=True)
@@ -30,12 +31,8 @@ class RunResult:
         return self.final_state.step + 1 if self.diverged else None
 
 
-def _record(
-    problem: ProblemSpec,
-    scheme: SchemeKind,
-    state: SchemeState,
-    t: float,
-) -> HistoryRecord:
+def _record(problem: ProblemSpec, scheme: SchemeKind, state: SchemeState) -> HistoryRecord:
+    t = state.time(problem.dt)
     cur = state.cur
     phi = cur.phi
     linf = l2 = None
@@ -104,41 +101,35 @@ def run_simulation(
     if snapshot_every and output_dir is None:
         raise ValidationError("output_dir", f"snapshot_every={snapshot_every} needs a directory to write to")
     step_fn = STEPPERS[scheme]
-    # time level of the source in the scheme's xi update, in steps past t^n;
-    # sav has no xi update and reads only the source at t^{n+1}
-    drain_level = SCHEMES[scheme].drain_level if scheme in SCHEMES else 1.0
     params = problem.params
 
     seeded = seed_exact_history(problem) if exact_history else None
-    state = init_state(problem.initial_condition(), params)
+    state = init_state(problem.initial_condition(), params, problem.t0)
     if scheme is SchemeKind.SAV:
         sav_energy(state.cur.phi, params)  # NonPositiveEnergy: sav cannot start from phi^0
     if seeded is not None:
         state = replace(state, prev=seeded)
-    spectra = source_spectra(problem.grid, params) if problem.has_exact else None
+    source = None
+    if problem.has_exact:
+        spectra = source_spectra(problem.grid, params)
+        source = partial(source_term, grid=problem.grid, p=params, spectra=spectra)
 
-    history = [_record(problem, scheme, state, problem.t0)]
+    history = [_record(problem, scheme, state)]
     if snapshot_every:
-        write_snapshot(state.cur.phi, problem.t0, Path(output_dir) / _snap_name(0))
+        write_snapshot(state.cur.phi, state.time(dt), Path(output_dir) / _snap_name(0))
 
     failure = None
     for n in range(n_steps):
-        t_new = problem.t0 + (n + 1) * dt
-        f_new = f_mid = None
-        if spectra is not None:
-            f_new = source_term(t_new, problem.grid, params, spectra)
-            if drain_level != 1.0:
-                f_mid = source_term(problem.t0 + (n + drain_level) * dt, problem.grid, params, spectra)
         try:
-            state = step_fn(state, dt, params, f_new, f_src_mid=f_mid, dealias=dealias)
+            state = step_fn(state, dt, params, source, dealias=dealias)
         except SolverError as exc:
             failure = exc
             break
         last = n == n_steps - 1
         if state.step % history_every == 0 or last:
-            history.append(_record(problem, scheme, state, t_new))
+            history.append(_record(problem, scheme, state))
         if snapshot_every and (state.step % snapshot_every == 0 or last):
-            write_snapshot(state.cur.phi, t_new, Path(output_dir) / _snap_name(state.step))
+            write_snapshot(state.cur.phi, state.time(dt), Path(output_dir) / _snap_name(state.step))
 
     return RunResult(
         problem=problem,

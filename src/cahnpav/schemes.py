@@ -20,11 +20,11 @@ solve uses xi^2 h(ext).  The xi update is
 
     xi = R^n / (sqrt(E_num) + dt drain / (2 sqrt(E_den))),   R^{n+1} = xi sqrt(E_num)
 
-with drain = m0 ||grad mu_d||^2 - int(f mu_d), f the source at the drain
-level.  A: E_num = E[ext], E_den = E[mid], mu_d = mu_mid.  B: E_num =
-E[phi^{n+1}]; 1b takes E_den = E[phi^{n+1}], mu_d = mu^{n+1}, and 2b
-E_den = E[mid], mu_d = (mu^{n+1} + mu^n)/2.  The A/B ordering asymmetry is
-the defining difference between the variants and must not be rearranged.
+with drain = m0 ||grad mu_d||^2 - int(f mu_d), f the source, which the
+stepper evaluates at the drain level.  A: E_num = E[ext], E_den = E[mid],
+mu_d = mu_mid.  B: E_num = E[phi^{n+1}]; 1b takes E_den = E[phi^{n+1}],
+mu_d = mu^{n+1}, and 2b E_den = E[mid], mu_d = (mu^{n+1} + mu^n)/2.  The
+A/B ordering asymmetry is the defining difference and must not be rearranged.
 All four guarantee 0 < R^{n+1} <= R^n for every step size and conserve the
 mean of phi exactly.
 
@@ -53,6 +53,7 @@ phi_hat^{n+1}, whose values E[phi^{n+1}] (and the guard) need.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -73,6 +74,7 @@ from .model import (
 )
 
 OVERFLOW_GUARD = 1e6
+Source = Callable[[float], RealField]  # the source field at a given time
 
 
 class SchemeKind(str, Enum):
@@ -93,11 +95,11 @@ class SchemeKind(str, Enum):
 @dataclass(frozen=True)
 class Scheme:
     """A row of the table above: BDF order (1 or 2), xi update ("a", "b" or
-    None) and drain level in steps past t^n, where the runner evaluates a source."""
+    None) and drain level in steps past t^n (None when there is no xi update)."""
 
     order: int
     xi: str | None
-    drain_level: float
+    drain_level: float | None
 
 
 SCHEMES = {
@@ -105,7 +107,7 @@ SCHEMES = {
     SchemeKind.PAV_1B: Scheme(order=1, xi="b", drain_level=1.0),
     SchemeKind.PAV_2A: Scheme(order=2, xi="a", drain_level=0.5),
     SchemeKind.PAV_2B: Scheme(order=2, xi="b", drain_level=0.5),
-    SchemeKind.SEMI_IMPLICIT: Scheme(order=2, xi=None, drain_level=1.0),
+    SchemeKind.SEMI_IMPLICIT: Scheme(order=2, xi=None, drain_level=None),
 }
 
 
@@ -138,14 +140,19 @@ class Level:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """The current and previous time levels, the step count and the last xi
-    (1 until a PAV step runs).  At a cold start ``prev`` is ``cur``: the
-    second-order schemes read it as phi^{-1} = phi^0, R^{-1} = R^0 and so on."""
+    """Two time levels, the step count, the last xi (1 until a PAV step runs)
+    and the time t0 of step 0.  At a cold start ``prev`` is ``cur``: order 2
+    reads it as phi^{-1} = phi^0, R^{-1} = R^0 and so on."""
 
     cur: Level
     prev: Level
     step: int = 0
     xi: float = 1.0
+    t0: float = 0.0
+
+    def time(self, dt: float, ahead: float = 0.0) -> float:
+        """t0 + (step + ahead) dt: the time of ``cur``, or ``ahead`` steps past it."""
+        return self.t0 + (self.step + ahead) * dt
 
 
 def sav_energy(phi: RealField, p: PhysicalParams) -> float:
@@ -157,10 +164,10 @@ def sav_energy(phi: RealField, p: PhysicalParams) -> float:
     return e1
 
 
-def init_state(phi0: RealField, p: PhysicalParams) -> SchemeState:
-    """Cold start from phi^0: both levels are Level.from_field(phi^0)."""
+def init_state(phi0: RealField, p: PhysicalParams, t0: float = 0.0) -> SchemeState:
+    """Cold start from phi^0 at time t0: both levels are Level.from_field(phi^0)."""
     level = Level.from_field(phi0, p)
-    return SchemeState(cur=level, prev=level)
+    return SchemeState(cur=level, prev=level, t0=t0)
 
 
 def solve_linear_step(
@@ -263,16 +270,17 @@ def _guard(phi: RealField, step: int) -> None:
 
 def _imex_step(
     scheme: Scheme, state: SchemeState, dt: float, p: PhysicalParams,
-    f_src: RealField | None = None, *, f_src_mid: RealField | None = None, dealias: bool = False,
+    source: Source | None = None, *, dealias: bool = False,
 ) -> SchemeState:
     """Advance one step of a table scheme (see the module docstring).
 
-    ``f_src`` is the source at t^{n+1}; ``f_src_mid``, when given, is the
-    source at the scheme's drain level.  The ``semi`` row raises Diverged when
-    the new field is non-finite or exceeds the overflow guard.
+    ``source`` maps a time to the source field; g reads it at t^{n+1} and the
+    xi update at the scheme's drain level.  The ``semi`` row raises Diverged
+    when the new field is non-finite or exceeds the overflow guard.
     """
-    if f_src_mid is None:
-        f_src_mid = f_src
+    f_src = f_drain = None if source is None else source(state.time(dt, 1.0))
+    if source is not None and scheme.drain_level not in (None, 1.0):
+        f_drain = source(state.time(dt, scheme.drain_level))
     first = scheme.order == 1
     cur, prev = state.cur, state.prev
     grid = cur.phi.grid
@@ -285,7 +293,7 @@ def _imex_step(
     xi, r = None, cur.r  # the xi scaling h(ext) in the field solve; semi keeps R
     if scheme.xi == "a":
         e_num, e_den = (cur.energy, cur.energy) if first else (e_ext, e_mid)
-        drain = _drain((1.0, 0.0) if first else MID, cur, prev, f_src_mid, p)
+        drain = _drain((1.0, 0.0) if first else MID, cur, prev, f_drain, p)
         xi = _xi_update(cur.r, e_num, e_den, drain, dt)
         r = xi * math.sqrt(e_num)
     elif scheme.xi == "b" and first:
@@ -304,18 +312,18 @@ def _imex_step(
     new = _solved(phi_new, mu_new, p, r, cur.sav_r)
     if scheme.xi == "b":
         e_den = new.energy if first else e_mid
-        drain = _drain((1.0, 0.0) if first else (0.5, 0.5), new, cur, f_src_mid, p)
+        drain = _drain((1.0, 0.0) if first else (0.5, 0.5), new, cur, f_drain, p)
         xi = _xi_update(cur.r, new.energy, e_den, drain, dt)
         new = replace(new, r=xi * math.sqrt(new.energy))
-    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi)
+    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, state.t0)
 
 
 def _table_stepper(kind: SchemeKind, name: str):
     """The named stepper of one table row, with the signature every stepper shares."""
     scheme = SCHEMES[kind]
 
-    def step(state, dt, p, f_src=None, *, f_src_mid=None, dealias=False) -> SchemeState:
-        return _imex_step(scheme, state, dt, p, f_src, f_src_mid=f_src_mid, dealias=dealias)
+    def step(state, dt, p, source=None, *, dealias=False) -> SchemeState:
+        return _imex_step(scheme, state, dt, p, source, dealias=dealias)
 
     step.__name__ = step.__qualname__ = name
     step.__doc__ = f"One {kind.value} step ({scheme}); returns the new state."
@@ -331,7 +339,7 @@ step_semi_implicit2 = _table_stepper(SchemeKind.SEMI_IMPLICIT, "step_semi_implic
 
 def step_sav2(
     state: SchemeState, dt: float, p: PhysicalParams,
-    f_src: RealField | None = None, *, f_src_mid: RealField | None = None, dealias: bool = False,
+    source: Source | None = None, *, dealias: bool = False,
 ) -> SchemeState:
     """Baseline: BDF2 scalar-auxiliary-variable scheme.
 
@@ -350,6 +358,7 @@ def step_sav2(
     """
     cur, prev = state.cur, state.prev
     grid = cur.phi.grid
+    f_src = None if source is None else source(state.time(dt, 1.0))
     sigma, g, ext = _bdf(2, state, dt, f_src)
     phi_bar = RealField(grid, ext)
     e1_bar = sav_energy(phi_bar, p)
@@ -368,7 +377,7 @@ def step_sav2(
     phi_new = RealField(grid, coeffs=phi_1.coeffs + r1_new * phi_2.coeffs)
     mu_new = RealField(grid, coeffs=mu_1.coeffs + r1_new * mu_2.coeffs)
     _guard(phi_new, state.step + 1)
-    return SchemeState(_solved(phi_new, mu_new, p, cur.r, r1_new), cur, state.step + 1, state.xi)
+    return SchemeState(_solved(phi_new, mu_new, p, cur.r, r1_new), cur, state.step + 1, state.xi, state.t0)
 
 
 STEPPERS = {

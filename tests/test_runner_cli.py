@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from cahnpav import (
 from cahnpav.cli import main
 from cahnpav.model import potential_integral
 from cahnpav.output import read_history_csv, read_snapshot
-from cahnpav.problems import exact_solution
+from cahnpav.problems import exact_solution, source_spectra, source_term
 from cahnpav.runner import seed_exact_history
-from cahnpav.schemes import Level
+from cahnpav.schemes import STEPPERS, Level
 
 DESK = desk_scale_drop_spec()
 # E[phi^0] ~ 941 > 0 on the desk preset, but int H(phi^0) + c0 ~ -941
@@ -40,13 +41,37 @@ def written(root):
 
 
 class TestRunSimulation:
-    def test_history_cadence_and_times(self):
+    def test_history_cadence_and_times(self, tmp_path):
+        # a record's t and its snapshot's are exactly t0 + step * dt, not a running sum
         problem = manufactured_spec(dt=0.05)
-        result = run_simulation(problem, SchemeKind.PAV_1A, n_steps=10, history_every=3)
+        result = run_simulation(
+            problem, SchemeKind.PAV_1A, n_steps=10, history_every=3, snapshot_every=3, output_dir=tmp_path
+        )
         steps = [rec.step for rec in result.history]
         assert steps == [0, 3, 6, 9, 10]  # step 0, every 3rd, final
         for rec in result.history:
-            assert rec.t == pytest.approx(problem.t0 + rec.step * 0.05)
+            assert rec.t == problem.t0 + rec.step * 0.05
+            _, t = read_snapshot(tmp_path / f"snapshot_{rec.step:08d}.dat")
+            assert t == rec.t
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.value)
+    def test_run_continued_by_hand_is_bit_identical(self, scheme):
+        # k steps by run_simulation, then N - k by the stepper with the same
+        # source, end exactly where N uninterrupted steps do
+        problem, k = manufactured_spec(dt=0.05), 7
+        full = run_simulation(problem, scheme, exact_history=True).final_state
+        state = run_simulation(problem, scheme, n_steps=k, exact_history=True).final_state
+        spectra = source_spectra(problem.grid, problem.params)
+        source = partial(source_term, grid=problem.grid, p=problem.params, spectra=spectra)
+        for _ in range(problem.n_steps - k):
+            state = STEPPERS[scheme](state, problem.dt, problem.params, source)
+        assert state.step == full.step == problem.n_steps
+        assert state.time(problem.dt) == full.time(problem.dt) == problem.tf
+        assert state.xi == full.xi
+        for mine, theirs in ((state.cur, full.cur), (state.prev, full.prev)):
+            assert np.array_equal(mine.phi.values, theirs.phi.values)
+            assert mine.r == theirs.r
+            assert mine.sav_r == theirs.sav_r
 
     def test_manufactured_records_errors(self):
         result = run_simulation(manufactured_spec(), SchemeKind.PAV_2A, n_steps=4)

@@ -1,6 +1,7 @@
 """Tests for the time steppers: fixed points, closed-form oracles, invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,10 +190,11 @@ class TestStepperTable:
         # after every step, each scalar a level keeps is the same function of
         # the same arrays as a fresh recomputation from its fields, so equal exactly
         grid = GridSpec(16, 16, 2.0, 2.0)
+        f = smooth_ic(grid, 51, amp=0.1)
         for p in (THEORY, WITH_LAM):
             state = init_state(smooth_ic(grid, 50, amp=0.8), p)
             for _ in range(4):
-                state = stepper(state, 0.1, p, smooth_ic(grid, 51, amp=0.1))
+                state = stepper(state, 0.1, p, lambda t: f)
                 for level in (state.cur, state.prev):
                     assert level.energy == energy_total(level.phi, p)
                     assert level.dissipation == dissipation(level.mu, p)
@@ -337,6 +339,30 @@ class TestLinearOracle:
         assert s1.cur.sav_r == pytest.approx(1.0)
 
 
+class TestSourceTimes:
+    """Each stepper reads its source at t^{n+1} and, in its xi update, at the
+    drain level of its table row: what the runner used to decide."""
+
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_requested_times(self, kind):
+        grid, t0, dt = GridSpec(16, 16, 2.0, 2.0), 0.1, 0.02
+        state = replace(init_state(smooth_ic(grid, 60), THEORY, t0), step=3)
+        f, times = smooth_ic(grid, 61, amp=0.1), []
+
+        def source(t):
+            times.append(t)
+            return f
+
+        new = STEPPERS[kind](state, dt, THEORY, source)
+        expected = {
+            SchemeKind.PAV_1A: [t0 + 3 * dt, t0 + 4 * dt],
+            SchemeKind.PAV_2A: [t0 + 3.5 * dt, t0 + 4 * dt],
+            SchemeKind.PAV_2B: [t0 + 3.5 * dt, t0 + 4 * dt],
+        }.get(kind, [t0 + 4 * dt])
+        assert sorted(times) == expected
+        assert (new.step, new.t0, new.time(dt)) == (4, t0, t0 + 4 * dt)
+
+
 class TestMassConservation:
     @pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("seed", [0, 1])
@@ -355,7 +381,7 @@ class TestMassConservation:
         state = init_state(smooth_ic(grid, 2), THEORY)
         f_src = smooth_ic(grid, 3)
         dt = 0.13
-        new = step_1a(state, dt, THEORY, f_src)
+        new = step_1a(state, dt, THEORY, lambda t: f_src)
         expected = integrate(state.cur.phi) + dt * integrate(f_src)
         assert integrate(new.cur.phi) == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
@@ -367,7 +393,7 @@ class TestMassConservation:
         dt = 0.07
         m_prev = mean(state.prev.phi)
         m_cur = mean(state.cur.phi)
-        new = step_2a(state, dt, THEORY, f_src)
+        new = step_2a(state, dt, THEORY, lambda t: f_src)
         lhs = (3 * mean(new.cur.phi) - 4 * m_cur + m_prev) / (2 * dt)
         assert lhs == pytest.approx(mean(f_src), rel=1e-12, abs=1e-14)
 
