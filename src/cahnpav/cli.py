@@ -9,11 +9,10 @@ run started.  Runs that stop early still write their history.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
-from .config import parse_config
+from .config import parse_config, parse_scheme
 from .diagnostics import fit_convergence_order
 from .errors import SolverError, ValidationError
 from .output import write_history_csv
@@ -35,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SolverError as exc:
+    except SolverError as exc:  # a refusal (a ValidationError) is raised before anything is written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -75,9 +74,8 @@ def cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    config = parse_config(text)  # SolverError -> exit 2 via main()
+        raise ValidationError("config", f"cannot read: {exc}") from exc
+    config = parse_config(text)
 
     out = Path(config.output_dir)  # made by the first write: a refused run leaves no directory
     result = run_simulation(
@@ -103,22 +101,18 @@ def _stopped(scheme: SchemeKind, result) -> str:
 
 
 def cmd_convergence(args) -> int:
-    try:
-        dts = sorted({float(v) for v in args.dts.split(",") if v.strip()}, reverse=True)
-    except ValueError as exc:
-        print(f"error: dts: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if len(dts) < 3:
-        print("error: dts: need at least 3 step sizes", file=sys.stderr)
-        return EXIT_CONFIG
     scheme = SchemeKind(args.scheme)
-
-    try:  # refuse every bad dt before the first run; exit 2 via main()
-        specs = [dataclasses.replace(manufactured_spec(), dt=dt) for dt in dts]
+    try:  # refuse every bad dt before the first run
+        dts = sorted({float(v) for v in args.dts.split(",") if v.strip()}, reverse=True)
+        if len(dts) < 3:
+            raise ValidationError("dts", "need at least 3 step sizes")
+        specs = [manufactured_spec(dt=dt) for dt in dts]
         for spec in specs:
             spec.n_steps
-    except ValidationError as exc:
+    except ValidationError as exc:  # a ValueError too, so caught first
         raise ValidationError("dts", exc.reason) from exc
+    except ValueError as exc:  # not a number
+        raise ValidationError("dts", str(exc)) from exc
     rows = []
     for spec in specs:
         dt = spec.dt
@@ -146,25 +140,16 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    names = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    schemes = []
-    for name in names:
-        try:
-            schemes.append(SchemeKind(name))
-        except ValueError:
-            print(f"error: schemes: unknown scheme {name!r}", file=sys.stderr)
-            return EXIT_CONFIG
+    schemes = [parse_scheme(s.strip(), "schemes") for s in args.schemes.split(",") if s.strip()]
     if not schemes:
-        print("error: schemes: empty list", file=sys.stderr)
-        return EXIT_CONFIG
-
-    problem = PRESETS[args.problem]()
+        raise ValidationError("schemes", "empty list")
+    problem = PRESETS[args.problem](dt=args.dt)
     out = Path(args.output_dir)  # made by the first write, as in cmd_run
 
     code = EXIT_OK
     for scheme in schemes:
-        # a non-positive dt or --steps raises ValidationError -> exit 2 via main()
-        result = run_simulation(problem, scheme, dt=args.dt, n_steps=args.steps)
+        # --steps below 1 is refused by the first run, before it writes
+        result = run_simulation(problem, scheme, n_steps=args.steps)
         path = out / f"history_{scheme.value}.csv"
         write_history_csv(result.history, path)
         if result.failure is not None:

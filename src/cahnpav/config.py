@@ -110,6 +110,15 @@ def _pick(values: dict, names: tuple[str, ...]) -> dict:
     return {name: values[name] for name in names if name in values}
 
 
+def parse_scheme(name: str, field: str) -> SchemeKind:
+    """The scheme called ``name``; a ValidationError on ``field`` if there is none."""
+    try:
+        return SchemeKind(name)
+    except ValueError:
+        valid = ", ".join(k.value for k in SchemeKind)
+        raise ValidationError(field, f"unknown scheme {name!r}; expected one of {valid}") from None
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration document.
 
@@ -130,11 +139,7 @@ def parse_config(text: str) -> RunConfig:
     scheme_name = _get(doc, "scheme", str, "scheme")
     if scheme_name is None:
         raise ValidationError("scheme", "missing required key")
-    try:
-        scheme = SchemeKind(scheme_name)
-    except ValueError:
-        valid = ", ".join(k.value for k in SchemeKind)
-        raise ValidationError("scheme", f"unknown scheme {scheme_name!r}; expected one of {valid}")
+    scheme = parse_scheme(scheme_name, "scheme")
 
     problem = _parse_problem(problem_doc)
     time_doc = _get(doc, "time", dict, "time", {})

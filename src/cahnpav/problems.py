@@ -33,6 +33,8 @@ class DropLayout:
             value = getattr(self, name)
             if not value > 0:
                 raise ValidationError(name, f"must be positive, got {value}")
+            if not value < math.inf:
+                raise ValidationError(name, f"must be finite, got {value}")
 
     def centers(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         off_x = 0.5 * (grid.lx - (self.count_x + 1) * self.spacing)
@@ -59,6 +61,8 @@ class ProblemSpec:
             raise ValidationError("tf", f"need finite t0 < tf, got [{self.t0}, {self.tf}]")
         if not self.dt > 0:
             raise ValidationError("dt", f"must be positive, got {self.dt}")
+        if not self.dt < math.inf:
+            raise ValidationError("dt", f"must be finite, got {self.dt}")
         if self.drops is None:
             if self.grid.lx != 2.0 or self.grid.ly != 2.0:
                 raise ValidationError("grid", "the manufactured problem is posed on [0,2]x[0,2]")

@@ -16,8 +16,6 @@ from .schemes import STEPPERS, Level, SchemeKind, SchemeState, init_state, sav_e
 
 @dataclass(frozen=True)
 class RunResult:
-    problem: ProblemSpec
-    scheme: SchemeKind
     history: list[HistoryRecord]
     final_state: SchemeState
     failure: SolverError | None = None  # raised by step final_state.step + 1; None if completed
@@ -72,7 +70,6 @@ def run_simulation(
     scheme: SchemeKind,
     *,
     n_steps: int | None = None,
-    dt: float | None = None,
     history_every: int = 1,
     snapshot_every: int = 0,
     output_dir: Path | None = None,
@@ -81,14 +78,12 @@ def run_simulation(
 ) -> RunResult:
     """Advance the problem n_steps times, collecting history records.
 
-    ``dt`` overrides ``problem.dt``; ``n_steps`` defaults to ``problem.n_steps``
+    Steps are of size ``problem.dt``; ``n_steps`` defaults to ``problem.n_steps``
     and must be >= 1.  A bad argument, or an initial state the scheme cannot
     start from, raises before the first step.  A SolverError raised by a step,
     such as a Diverged baseline, is caught and reported as the result's
     ``failure``, with the history complete up to the last finished step.
     """
-    if dt is not None:
-        problem = replace(problem, dt=dt)
     dt = problem.dt
     if n_steps is None:
         n_steps = problem.n_steps
@@ -131,13 +126,7 @@ def run_simulation(
         if snapshot_every and (state.step % snapshot_every == 0 or last):
             write_snapshot(state.cur.phi, state.time(dt), Path(output_dir) / _snap_name(state.step))
 
-    return RunResult(
-        problem=problem,
-        scheme=scheme,
-        history=history,
-        final_state=state,
-        failure=failure,
-    )
+    return RunResult(history=history, final_state=state, failure=failure)
 
 
 def _snap_name(step: int) -> str:

@@ -7,7 +7,7 @@ but deliberately not exercised here.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -100,7 +100,7 @@ class TestCriterion1ConvergenceOrders:
             for dt in dts:
                 n_steps = round((problem.tf - problem.t0) / dt)
                 result = run_simulation(
-                    problem, scheme, dt=dt, history_every=n_steps, exact_history=True
+                    replace(problem, dt=dt), scheme, history_every=n_steps, exact_history=True
                 )
                 errs.append(result.history[-1].l2_err)
             slopes[scheme] = fit_convergence_order(dts, errs)
@@ -125,7 +125,7 @@ class TestCriterion2MassConservation:
         problem = desk_scale_drop_spec()
         worst = {}
         for scheme in ALL:
-            result = run_simulation(problem, scheme, dt=1e-3, n_steps=1000)
+            result = run_simulation(replace(problem, dt=1e-3), scheme, n_steps=1000)
             assert not result.diverged, f"{scheme.value} unexpectedly diverged"
             mass0 = result.history[0].mass
             drift = max(abs(rec.mass - mass0) for rec in result.history) / abs(mass0)
@@ -199,7 +199,7 @@ class TestCriterion7BaselineContrast:
         e0 = energy_total(problem.initial_condition(), problem.params)
         unstable_dt = None
         for dt in (5e-2, 2e-2, 1e-2, 5e-3):  # largest first: blow-up shows fastest
-            result = run_simulation(problem, SchemeKind.SEMI_IMPLICIT, dt=dt, n_steps=2000)
+            result = run_simulation(replace(problem, dt=dt), SchemeKind.SEMI_IMPLICIT, n_steps=2000)
             energy_blown = any(rec.energy > 10 * e0 for rec in result.history)
             if result.diverged or energy_blown:
                 unstable_dt = dt
@@ -208,7 +208,7 @@ class TestCriterion7BaselineContrast:
             report(7, "baseline contrast", False, "semi-implicit stable at every dt in sweep")
             pytest.fail("semi-implicit never blew up in the sweep")
 
-        pav = run_simulation(problem, SchemeKind.PAV_2A, dt=unstable_dt, n_steps=2000)
+        pav = run_simulation(replace(problem, dt=unstable_dt), SchemeKind.PAV_2A, n_steps=2000)
         transient = 10
         tail = [rec.energy for rec in pav.history if rec.step >= transient]
         ok = (not pav.diverged) and all(e <= 2 * e0 for e in tail)

@@ -204,6 +204,13 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError):
             ProblemSpec(grid=MFG.grid, params=MFG.params, t0=0.1, tf=1.1, dt=-0.01)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_non_finite_dt(self, dt):
+        # refused on construction, so a run given n_steps never sees it
+        with pytest.raises(ValidationError) as excinfo:
+            dataclasses.replace(MFG, dt=dt)
+        assert excinfo.value.field == "dt"
+
     def test_drop_requires_layout(self):
         grid = GridSpec(32, 32, 4.0, 4.0)
         params = PhysicalParams(m0=1e-6, beta=1.0, eta=0.02)
@@ -226,6 +233,13 @@ class TestProblemSpecValidation:
             DropLayout(count_x=0, count_y=5, spacing=0.4, radius=0.17)
         with pytest.raises(ValueError):
             DropLayout(count_x=5, count_y=5, spacing=-0.4, radius=0.17)
+
+    @pytest.mark.parametrize("name", ["spacing", "radius"])
+    def test_drop_layout_non_finite(self, name):
+        # an infinite radius gave phi = 49 everywhere, an infinite spacing NaN centers
+        with pytest.raises(ValidationError) as excinfo:
+            dataclasses.replace(desk_scale_drop_spec().drops, **{name: math.inf})
+        assert excinfo.value.field == name
 
     @pytest.mark.parametrize("axis", ["count_x", "count_y"])
     def test_drop_lattice_must_fit_the_domain(self, axis):

@@ -101,7 +101,7 @@ class TestRunSimulation:
 
     def test_diverged_keeps_partial_history(self):
         # the semi-implicit baseline blows up quickly at this step size
-        result = run_simulation(desk_scale_drop_spec(), SchemeKind.SEMI_IMPLICIT, dt=0.05, n_steps=60)
+        result = run_simulation(desk_scale_drop_spec(dt=0.05), SchemeKind.SEMI_IMPLICIT, n_steps=60)
         assert result.diverged
         assert result.diverged_step is not None
         assert len(result.history) >= 2  # step 0 plus everything before the blow-up
@@ -109,16 +109,17 @@ class TestRunSimulation:
         assert all(np.isfinite(rec.energy) for rec in result.history)
 
     @pytest.mark.parametrize(
-        "problem,kwargs",
+        "problem,dt,kwargs",
         [
-            (manufactured_spec(tf=0.5), dict(dt=0.3)),  # one step would end at t = 0.4
-            (desk_scale_drop_spec(), dict(dt=-1e-3, n_steps=2)),  # would run backward
+            (manufactured_spec(tf=0.5), 0.3, {}),  # one step would end at t = 0.4
+            (desk_scale_drop_spec(), -1e-3, dict(n_steps=2)),  # would run backward
         ],
         ids=["dt-not-dividing-window", "negative-dt"],
     )
-    def test_bad_dt_refused_before_stepping(self, problem, kwargs):
+    def test_bad_dt_refused_before_stepping(self, problem, dt, kwargs):
+        # the negative dt is refused by the spec itself, inside replace
         with pytest.raises(ValidationError) as excinfo:
-            run_simulation(problem, SchemeKind.PAV_1A, **kwargs)
+            run_simulation(dataclasses.replace(problem, dt=dt), SchemeKind.PAV_1A, **kwargs)
         assert excinfo.value.field == "dt"
 
     @pytest.mark.parametrize("n_steps", [0, -3])
@@ -141,7 +142,8 @@ class TestRunSimulation:
 
     def test_sav_mid_run_failure_is_reported(self):
         assert SAV_MID_RUN_C0 == pytest.approx(0.5 - potential_integral(DESK.initial_condition(), DESK.params))
-        result = run_simulation(with_c0(DESK, SAV_MID_RUN_C0), SchemeKind.SAV, dt=1e-2, n_steps=200)
+        problem = dataclasses.replace(with_c0(DESK, SAV_MID_RUN_C0), dt=1e-2)
+        result = run_simulation(problem, SchemeKind.SAV, n_steps=200)
         assert isinstance(result.failure, NonPositiveEnergy)
         assert 1 <= result.final_state.step < 200
         assert [rec.step for rec in result.history] == list(range(result.final_state.step + 1))
@@ -156,17 +158,17 @@ class TestRunSimulation:
         assert result.final_state.step == 11
 
     def test_exact_history_changes_second_order_start(self):
-        problem = manufactured_spec()
-        cold = run_simulation(problem, SchemeKind.PAV_2A, n_steps=1, dt=0.05)
-        seeded = run_simulation(problem, SchemeKind.PAV_2A, n_steps=1, dt=0.05, exact_history=True)
+        problem = manufactured_spec(dt=0.05)
+        cold = run_simulation(problem, SchemeKind.PAV_2A, n_steps=1)
+        seeded = run_simulation(problem, SchemeKind.PAV_2A, n_steps=1, exact_history=True)
         assert seeded.history[-1].l2_err < cold.history[-1].l2_err
 
     def test_real_histories_satisfy_invariant_checker(self):
         from cahnpav import assert_invariants
 
-        problem = desk_scale_drop_spec()
+        problem = desk_scale_drop_spec(dt=1e-2)
         for scheme in (SchemeKind.PAV_1A, SchemeKind.PAV_2B, SchemeKind.SAV):
-            result = run_simulation(problem, scheme, dt=1e-2, n_steps=30)
+            result = run_simulation(problem, scheme, n_steps=30)
             assert assert_invariants(result.history, scheme).all_passed
 
     def test_exact_history_seeds_the_whole_previous_level(self):
@@ -248,12 +250,54 @@ def mfg_config(tmp_path):
     return write
 
 
-class TestCliRun:
-    def test_missing_config_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
-        assert "cannot read" in capsys.readouterr().err
-        assert not written(tmp_path)
+# argv, and the field and the start of the reason of the one line it prints
+REFUSALS = {
+    "run-missing-config": (["run", "--config", "missing.json"], "config", "cannot read"),
+    "convergence-dts-not-a-number": (
+        ["convergence", "--scheme", "1a", "--dts", "0.1,abc,0.05"],
+        "dts",
+        "could not convert string to float: 'abc'",
+    ),
+    "convergence-too-few-dts": (
+        ["convergence", "--scheme", "1a", "--dts", "0.1,0.05"], "dts", "need at least 3 step sizes"
+    ),
+    "convergence-dt-not-dividing-window": (  # 0.3 does not divide [0.1, 1.1]
+        ["convergence", "--scheme", "1a", "--dts", "0.3,0.1,0.05"], "dts", "0.3 does not divide"
+    ),
+    "compare-unknown-scheme": (
+        ["compare", "--schemes", "2a,bogus", "--dt", "0.001", "--steps", "2"],
+        "schemes",
+        "unknown scheme 'bogus'; expected one of 1a, 1b, 2a, 2b, semi, sav",
+    ),
+    "compare-empty-schemes": (
+        ["compare", "--schemes", ",", "--dt", "0.001", "--steps", "2"], "schemes", "empty list"
+    ),
+    "compare-negative-dt": (
+        ["compare", "--schemes", "2a", "--dt", "-0.1", "--steps", "2"], "dt", "must be positive, got -0.1"
+    ),
+    "compare-infinite-dt": (
+        ["compare", "--schemes", "2a", "--dt", "inf", "--steps", "2"], "dt", "must be finite, got inf"
+    ),
+    "compare-zero-steps": (
+        ["compare", "--schemes", "2a", "--dt", "0.001", "--steps", "0"], "n_steps", "must be >= 1, got 0"
+    ),
+}
 
+
+class TestCliRefusals:
+    @pytest.mark.parametrize("argv,field,reason", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys, argv, field, reason):
+        # exit 2, one stderr line naming the field, and no file or directory, not even out/
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {field}: {reason}")
+        assert not any(tmp_path.iterdir())
+
+
+class TestCliRun:
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
@@ -383,19 +427,6 @@ class TestCliConvergence:
         assert csv[0] == "dt,linf_err,l2_err"
         assert len(csv) == 5
 
-    def test_too_few_dts_exits_2(self, tmp_path, capsys):
-        argv = ["convergence", "--scheme", "1a", "--dts", "0.1,0.05"]
-        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
-        assert "dts" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
-    def test_dt_not_dividing_window_exits_2(self, tmp_path, capsys):
-        # 0.3 does not divide the manufactured window [0.1, 1.1]; nothing runs
-        argv = ["convergence", "--scheme", "1a", "--dts", "0.3,0.1,0.05"]
-        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
-        assert "error: dts:" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
 
 class TestCliCompare:
     def test_compare_writes_per_scheme_histories(self, tmp_path, capsys):
@@ -418,14 +449,6 @@ class TestCliCompare:
         assert (tmp_path / "history_2a.csv").exists()
         assert (tmp_path / "history_1a.csv").exists()
         assert "2a:" in capsys.readouterr().out
-
-    def test_compare_unknown_scheme_exits_2(self, tmp_path, capsys):
-        code = main(
-            ["compare", "--schemes", "2a,bogus", "--dt", "0.001", "--steps", "2",
-             "--output-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert not written(tmp_path)
 
     def test_compare_non_positive_dt_exits_2(self, tmp_path, capsys):
         code = main(

@@ -623,7 +623,7 @@ class TestXiAccuracyOrder:
         dts = [0.05 * 2**-j for j in range(4)]
         devs = []
         for dt in dts:
-            result = run_simulation(problem, scheme, dt=dt, exact_history=True)
+            result = run_simulation(replace(problem, dt=dt), scheme, exact_history=True)
             devs.append(max(abs(rec.xi - 1.0) for rec in result.history[1:]))
         slope = np.polyfit(np.log(dts), np.log(devs), 1)[0]
         assert lo <= slope <= hi
@@ -638,7 +638,7 @@ class TestSecondOrderPairAgreement:
             err = {}
             for scheme in (SchemeKind.PAV_2A, SchemeKind.PAV_2B):
                 result = run_simulation(
-                    problem, scheme, dt=dt, history_every=n_steps, exact_history=True
+                    replace(problem, dt=dt), scheme, history_every=n_steps, exact_history=True
                 )
                 err[scheme] = result.history[-1].l2_err
             ratio = err[SchemeKind.PAV_2A] / err[SchemeKind.PAV_2B]
