@@ -143,6 +143,9 @@ def cmd_compare(args) -> int:
     schemes = [parse_scheme(s.strip(), "schemes") for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise ValidationError("schemes", "empty list")
+    repeated = [s.value for i, s in enumerate(schemes) if s in schemes[:i]]
+    if repeated:
+        raise ValidationError("schemes", f"repeated scheme {repeated[0]!r}")
     problem = PRESETS[args.problem](dt=args.dt)
     out = Path(args.output_dir)  # made by the first write, as in cmd_run
 

@@ -128,7 +128,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise ParseError(f"config: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("<document>", "top level must be an object")
     _check_keys(doc, TOP_KEYS, "")

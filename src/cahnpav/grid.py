@@ -116,7 +116,7 @@ class GridSpec:
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Forward transform of a raw physical array: its mean-normalized half-spectrum."""
-        return np.fft.rfft2(values, norm="forward")
+        return np.fft.rfft2(values, s=self.shape, norm="forward")
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform of a half-spectrum back to a raw real physical array."""

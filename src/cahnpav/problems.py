@@ -99,9 +99,10 @@ def exact_solution(t: float, grid: GridSpec) -> RealField:
     return RealField(grid, np.cos(np.pi * X) * np.cos(np.pi * Y) * math.sin(t))
 
 
-def source_spectra(grid: GridSpec, p: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients of psi = cos(pi x) cos(pi y), A = lap(-beta lap psi + lam psi
-    - a psi) and B = a lap(psi^3), of which the manufactured source is made.
+def source_spectra(grid: GridSpec, p: PhysicalParams) -> np.ndarray:
+    """The table [psi_hat, -m0 A_hat, -m0 B_hat], of shape (3, nx, ny//2 + 1), of
+    the manufactured source: coefficients of psi = cos(pi x) cos(pi y), and of A
+    = lap(-beta lap psi + lam psi - a psi) and B = a lap(psi^3) scaled by -m0.
 
     Set from the closed form on [0,2]^2, where cos(m pi x) is mode m and
     cos^3 = (3 cos + cos 3) / 4, so no mode carries transform round-off.
@@ -115,21 +116,22 @@ def source_spectra(grid: GridSpec, p: PhysicalParams) -> tuple[np.ndarray, np.nd
 
     psi_hat, k2 = separable({1: 0.5}), grid.k2
     a_hat = -k2 * (p.beta * k2 + p.lam - p.well_amp) * psi_hat
-    return psi_hat, a_hat, -p.well_amp * k2 * separable({1: 0.375, 3: 0.125})
+    b_hat = -p.well_amp * k2 * separable({1: 0.375, 3: 0.125})
+    return np.stack((psi_hat, -p.m0 * a_hat, -p.m0 * b_hat))
 
 
 def source_term(t: float, grid: GridSpec, p: PhysicalParams, spectra=None) -> RealField:
     """Source f = phi_t - m0 lap(mu(phi)) making the manufactured field a solution.
 
-    With phi = sin t psi this is f = cos t psi - m0 (sin t A + sin^3 t B),
-    formed from ``spectra = source_spectra(grid, p)`` (built here when not
-    given) as coefficients, with no transform.  The cubic term is band-limited
-    at mode 3, so the result is exact (no aliasing) on any grid with nx, ny >=
-    8, which ProblemSpec requires of a manufactured problem.
+    With phi = sin t psi this is f = cos t psi - m0 (sin t A + sin^3 t B), formed
+    as coefficients by one contraction of ``spectra = source_spectra(grid, p)``
+    (built here when not given), with no transform.  The cubic term is
+    band-limited at mode 3, so the result is exact (no aliasing) on any grid
+    with nx, ny >= 8, which ProblemSpec requires of a manufactured problem.
     """
-    psi_hat, a_hat, b_hat = source_spectra(grid, p) if spectra is None else spectra
+    table = source_spectra(grid, p) if spectra is None else spectra
     s = math.sin(t)
-    return RealField(grid, coeffs=math.cos(t) * psi_hat - p.m0 * (s * a_hat + s**3 * b_hat))
+    return RealField(grid, coeffs=np.einsum("i,ijk->jk", (math.cos(t), s, s**3), table))
 
 
 def ic_drop_array(spec: ProblemSpec) -> RealField:

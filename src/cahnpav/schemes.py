@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -185,7 +185,9 @@ def solve_linear_step(
     for BDF2.  The denominator is >= sigma > 0, so the solve is total.
     """
     grid, s_hat = g.grid, s.coeffs
-    lin, m0k2 = p.beta * grid.k2 + p.lam, dt * p.m0 * grid.k2
+    lin, m0k2 = p.beta * grid.k2, dt * p.m0 * grid.k2
+    if p.lam != 0.0:
+        lin += p.lam
     phi_hat = m0k2 * s_hat
     np.subtract(g.coeffs, phi_hat, out=phi_hat)
     phi_hat /= sigma + m0k2 * lin
@@ -230,14 +232,13 @@ def _energy(coef: Coef, state: SchemeState, cross: float, w: np.ndarray, p: Phys
     return energy_from_parts(quad, well_integral(w, cur.phi.grid, p), p)
 
 
-def _drain(coef: Coef, x: Level, y: Level, f_src: RealField | None, p: PhysicalParams) -> float:
-    """m0 ||grad mu_d||^2 - int(f mu_d) of mu_d = a x.mu + b y.mu, (a, b) = coef,
-    by bilinearity from the levels' dissipations and one cross term."""
+def _drain(coef: Coef, mu: RealField, diss: float, y: Level, f_src: RealField | None, p: PhysicalParams) -> float:
+    """m0 ||grad mu_d||^2 - int(f mu_d) of mu_d = a mu + b y.mu, (a, b) = coef,
+    by bilinearity from mu's dissipation ``diss``, y's and one cross term."""
     a, b = coef
-    cross = p.m0 * grad_inner(x.mu, y.mu) if b else 0.0
-    drain = _bilinear(coef, x.dissipation, cross, y.dissipation)
+    drain = _bilinear(coef, diss, p.m0 * grad_inner(mu, y.mu) if b else 0.0, y.dissipation)
     if f_src is not None:
-        drain -= a * inner(f_src, x.mu) + b * inner(f_src, y.mu)
+        drain -= a * inner(f_src, mu) + (b * inner(f_src, y.mu) if b else 0.0)
     return drain
 
 
@@ -255,16 +256,16 @@ def _bdf(order: int, state: SchemeState, dt: float, f_src: RealField | None):
     return sigma, RealField(phi.grid, coeffs=g_hat), ext
 
 
-def _solved(phi: RealField, mu: RealField, p: PhysicalParams, r: float, sav_r: float) -> Level:
-    """The level of solved phi, mu with auxiliaries r, sav_r; NonPositiveEnergy when E <= 0."""
+def _solved(phi: RealField, mu: RealField, p: PhysicalParams) -> tuple[float, float, float]:
+    """(E, m0 ||grad mu||^2, quad) of solved phi, mu; NonPositiveEnergy when E <= 0."""
     quad = quadratic_energy(phi, phi, p)
-    energy = energy_from_parts(quad, potential_integral(phi, p), p)
-    return Level(phi, mu, energy, dissipation(mu, p), quad, r, sav_r)
+    return energy_from_parts(quad, potential_integral(phi, p), p), dissipation(mu, p), quad
 
 
 def _guard(phi: RealField, step: int) -> None:
+    """Diverged unless all values lie in [-OVERFLOW_GUARD, OVERFLOW_GUARD]; NaN fails both tests."""
     values = phi.values
-    if not np.all(np.isfinite(values)) or np.max(np.abs(values)) > OVERFLOW_GUARD:
+    if not (-OVERFLOW_GUARD <= values.min() and values.max() <= OVERFLOW_GUARD):
         raise Diverged(f"field blew up at step {step}")
 
 
@@ -293,7 +294,7 @@ def _imex_step(
     xi, r = None, cur.r  # the xi scaling h(ext) in the field solve; semi keeps R
     if scheme.xi == "a":
         e_num, e_den = (cur.energy, cur.energy) if first else (e_ext, e_mid)
-        drain = _drain((1.0, 0.0) if first else MID, cur, prev, f_drain, p)
+        drain = _drain((1.0, 0.0) if first else MID, cur.mu, cur.dissipation, prev, f_drain, p)
         xi = _xi_update(cur.r, e_num, e_den, drain, dt)
         r = xi * math.sqrt(e_num)
     elif scheme.xi == "b" and first:
@@ -309,12 +310,12 @@ def _imex_step(
     phi_new, mu_new = solve_linear_step(sigma, g, RealField(grid, coeffs=s_hat), dt, p)
     if scheme.xi is None:
         _guard(phi_new, state.step + 1)
-    new = _solved(phi_new, mu_new, p, r, cur.sav_r)
+    energy, diss, quad = _solved(phi_new, mu_new, p)
     if scheme.xi == "b":
-        e_den = new.energy if first else e_mid
-        drain = _drain((1.0, 0.0) if first else (0.5, 0.5), new, cur, f_drain, p)
-        xi = _xi_update(cur.r, new.energy, e_den, drain, dt)
-        new = replace(new, r=xi * math.sqrt(new.energy))
+        drain = _drain((1.0, 0.0) if first else (0.5, 0.5), mu_new, diss, cur, f_drain, p)
+        xi = _xi_update(cur.r, energy, energy if first else e_mid, drain, dt)
+        r = xi * math.sqrt(energy)
+    new = Level(phi_new, mu_new, energy, diss, quad, r, cur.sav_r)
     return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, state.t0)
 
 
@@ -377,7 +378,8 @@ def step_sav2(
     phi_new = RealField(grid, coeffs=phi_1.coeffs + r1_new * phi_2.coeffs)
     mu_new = RealField(grid, coeffs=mu_1.coeffs + r1_new * mu_2.coeffs)
     _guard(phi_new, state.step + 1)
-    return SchemeState(_solved(phi_new, mu_new, p, cur.r, r1_new), cur, state.step + 1, state.xi, state.t0)
+    new = Level(phi_new, mu_new, *_solved(phi_new, mu_new, p), cur.r, r1_new)
+    return SchemeState(new, cur, state.step + 1, state.xi, state.t0)
 
 
 STEPPERS = {

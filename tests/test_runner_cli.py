@@ -281,6 +281,10 @@ REFUSALS = {
     "compare-zero-steps": (
         ["compare", "--schemes", "2a", "--dt", "0.001", "--steps", "0"], "n_steps", "must be >= 1, got 0"
     ),
+    "compare-repeated-scheme": (
+        ["compare", "--schemes", "2a,1b,2a", "--dt", "0.001", "--steps", "2"], "schemes", "repeated scheme '2a'"
+    ),
+    "run-invalid-json": (["run", "--config", "../bad.json"], "config", "invalid JSON: Expecting property name"),
 }
 
 
@@ -288,23 +292,19 @@ class TestCliRefusals:
     @pytest.mark.parametrize("argv,field,reason", REFUSALS.values(), ids=REFUSALS.keys())
     def test_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys, argv, field, reason):
         # exit 2, one stderr line naming the field, and no file or directory, not even out/
-        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{oops")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: {field}: {reason}")
-        assert not any(tmp_path.iterdir())
+        assert not any(work.iterdir())
 
 
 class TestCliRun:
-    def test_malformed_config_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{oops")
-        assert main(["run", "--config", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
-        assert not written(tmp_path)
-
     def test_invalid_field_exits_2(self, mfg_config, tmp_path, capsys):
         path = mfg_config(scheme="9z")
         assert main(["run", "--config", str(path)]) == 2

@@ -27,11 +27,13 @@ from cahnpav.model import dissipation, energy_total, potential_h, quadratic_ener
 from cahnpav.schemes import (
     EXT,
     MID,
+    OVERFLOW_GUARD,
     STEPPERS,
     Level,
     SchemeState,
     _drain,
     _energy,
+    _guard,
     _xi_update,
     solve_linear_step,
     step_1a,
@@ -248,7 +250,7 @@ class TestBilinearEnergy:
         for a, b in (MID, (0.5, 0.5), (1.0, 0.0)):
             mu_d = RealField(self.GRID, coeffs=a * x.mu.coeffs + b * y.mu.coeffs)
             expected = dissipation(mu_d, p) - (0.0 if f_src is None else inner(f_src, mu_d))
-            assert _drain((a, b), x, y, f_src, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert _drain((a, b), x.mu, x.dissipation, y, f_src, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
@@ -514,6 +516,24 @@ class TestStepOrderingAsymmetry:
 
 
 class TestDivergenceGuard:
+    GRID = GridSpec(8, 8, 2.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, -math.inf, OVERFLOW_GUARD * (1 + 1e-12), -OVERFLOW_GUARD * (1 + 1e-12)],
+        ids=["nan", "inf", "-inf", "above", "below"],
+    )
+    def test_guard_refuses(self, bad):
+        values = np.zeros(self.GRID.shape)
+        values[3, 5] = bad
+        with pytest.raises(Diverged, match=r"at step 7$"):
+            _guard(RealField(self.GRID, values), 7)
+
+    def test_guard_bound_is_inclusive(self):
+        values = np.full(self.GRID.shape, OVERFLOW_GUARD)
+        values[3, 5] = -OVERFLOW_GUARD
+        _guard(RealField(self.GRID, values), 7)
+
     def test_semi_implicit_raises_on_blowup(self):
         # stiff well + large dt + explicit nonlinearity blows past the guard
         grid = GridSpec(32, 32, 2.0, 2.0)
