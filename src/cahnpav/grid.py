@@ -2,7 +2,8 @@
 
 :class:`GridSpec` is the only code that knows the transform convention: its
 ``fft``/``ifft`` pair takes and returns plain arrays, and its multipliers
-``k2``, ``dealias_mask`` and ``parseval`` act on coefficients.  A
+``k2``, ``dealias_mask``, ``parseval``, ``grad_weight`` and the one ``kept``
+under a key (the solve's reciprocal symbol) act on coefficients.  A
 :class:`RealField` holds a field's values, its coefficients or both; the
 reductions below take one and read the form they need.
 
@@ -19,6 +20,7 @@ Nyquist columns (``GridSpec.parseval`` is w lx ly).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,6 +115,12 @@ class GridSpec:
         kx_cut = (2.0 / 3.0) * np.abs(self.kx).max()
         ky_cut = (2.0 / 3.0) * np.abs(self.ky).max()
         return (np.abs(self.kx) <= kx_cut) & (np.abs(self.ky) <= ky_cut)
+
+    def kept(self, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
+        """``make()``, kept for later calls with an equal key: one entry, rebuilt on another key."""
+        if self.__dict__.get("_kept", (None,))[0] != key:
+            self.__dict__["_kept"] = (key, make())
+        return self.__dict__["_kept"][1]
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Forward transform of a raw physical array: its mean-normalized half-spectrum."""

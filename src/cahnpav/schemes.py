@@ -182,7 +182,9 @@ def solve_linear_step(
 
     i.e.  phi_hat = (g_hat - dt m0 |k|^2 s_hat) / (sigma + dt m0 |k|^2 (beta |k|^2 + lam)).
     sigma = 1 with g = phi^n for BDF1; sigma = 3/2 with g = 2 phi^n - phi^{n-1}/2
-    for BDF2.  The denominator is >= sigma > 0, so the solve is total.
+    for BDF2.  The denominator is >= sigma > 0, so the solve is total.  phi_hat is
+    multiplied by its reciprocal, bit-identical to numpy's division, which the grid
+    keeps as one entry keyed on (sigma, dt, m0, beta, lam): a new sigma or dt rebuilds it.
     """
     grid, s_hat = g.grid, s.coeffs
     lin, m0k2 = p.beta * grid.k2, dt * p.m0 * grid.k2
@@ -190,7 +192,7 @@ def solve_linear_step(
         lin += p.lam
     phi_hat = m0k2 * s_hat
     np.subtract(g.coeffs, phi_hat, out=phi_hat)
-    phi_hat /= sigma + m0k2 * lin
+    phi_hat *= grid.kept((sigma, dt, p.m0, p.beta, p.lam), lambda: 1.0 / (sigma + m0k2 * lin))
     mu_hat = lin * phi_hat
     mu_hat += s_hat
     return RealField(grid, coeffs=phi_hat), RealField(grid, coeffs=mu_hat)
@@ -302,12 +304,14 @@ def _imex_step(
     elif scheme.xi == "b":
         xi = (2.0 * cur.r - prev.r) / math.sqrt(e_ext)
 
-    w *= ext  # now h(ext) / a; w is not read again
+    w *= ext  # now h(ext) / a
     w *= p.well_amp if xi is None else xi * xi * p.well_amp
     s_hat = grid.fft(w)
+    del ext, w  # freed here, and g and s_hat after the solve: they would set the step's peak memory
     if dealias:
         s_hat *= grid.dealias_mask
     phi_new, mu_new = solve_linear_step(sigma, g, RealField(grid, coeffs=s_hat), dt, p)
+    del g, s_hat
     if scheme.xi is None:
         _guard(phi_new, state.step + 1)
     energy, diss, quad = _solved(phi_new, mu_new, p)

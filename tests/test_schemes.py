@@ -1,6 +1,7 @@
 """Tests for the time steppers: fixed points, closed-form oracles, invariants."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,44 @@ class TestSolveLinearStep:
         res_phi = sigma * phi.values / dt - params.m0 * lap(mu.values) - g.values / dt
         assert np.max(np.abs(res_mu)) < 1e-11
         assert np.max(np.abs(res_phi)) < 1e-9 / dt
+
+    @staticmethod
+    def random_pair(grid, seed):
+        rng = np.random.default_rng(seed)
+        return RealField(grid, rng.standard_normal(grid.shape)), RealField(grid, rng.standard_normal(grid.shape))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.6])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    @pytest.mark.parametrize("n", [20, 128])
+    def test_equals_division_form(self, n, sigma, lam):
+        # the kept reciprocal gives exactly the division it replaces, at every dt
+        grid = GridSpec(n, n, 2.0, 2.0)
+        params = PhysicalParams(m0=0.7, beta=0.3, eta=1.0, well_amp=1.0, lam=lam)
+        g, s = self.random_pair(grid, n)
+        for dt in (1e-5, 1e-2, 1.0, 50.0):
+            phi, mu = solve_linear_step(sigma, g, s, dt, params)
+            m0k2, lin = dt * params.m0 * grid.k2, params.beta * grid.k2 + params.lam
+            expected = (g.coeffs - m0k2 * s.coeffs) / (sigma + m0k2 * lin)
+            assert np.array_equal(phi.coeffs, expected)
+            assert np.array_equal(mu.coeffs, lin * expected + s.coeffs)
+
+    def test_kept_reciprocal_follows_every_input(self):
+        # one grid solves a base case, then each input changed alone: every
+        # result is that of a fresh equal grid, which keeps nothing yet
+        grid = GridSpec(16, 24, 2.0, 3.0)
+        base = dict(sigma=1.0, dt=1e-2, m0=0.7, beta=0.3, lam=0.2)
+        changes = dict(sigma=1.5, dt=0.3, m0=1.3, beta=0.05, lam=0.0)
+
+        def solve(on, sigma, dt, m0, beta, lam):
+            params = PhysicalParams(m0=m0, beta=beta, eta=1.0, well_amp=1.0, lam=lam)
+            return solve_linear_step(sigma, *self.random_pair(on, 7), dt, params)
+
+        for name, value in changes.items():
+            solve(grid, **base)
+            changed = {**base, name: value}
+            (phi, mu), (phi_fresh, mu_fresh) = solve(grid, **changed), solve(replace(grid), **changed)
+            assert np.array_equal(phi.coeffs, phi_fresh.coeffs), name
+            assert np.array_equal(mu.coeffs, mu_fresh.coeffs), name
 
 
 class TestComputeXi:
@@ -663,6 +702,33 @@ class TestSecondOrderPairAgreement:
                 err[scheme] = result.history[-1].l2_err
             ratio = err[SchemeKind.PAV_2A] / err[SchemeKind.PAV_2B]
             assert 0.8 <= ratio <= 1.25
+
+
+class TestStepMemory:
+    """Peak traced bytes of one step, in units of one half-spectrum array:
+    which arrays a step forms and how long it keeps them.  Unlike peak RSS,
+    this repeats exactly.  Step 3 of each stepper on the desk field, after the
+    cold start and the kept solve reciprocal are built."""
+
+    PEAK = {"1a": 5.00, "1b": 5.00, "2a": 6.00, "2b": 6.00, "semi": 6.00, "sav": 12.98}
+
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_step_peak(self, kind):
+        problem = desk_scale_drop_spec()
+        grid, stepper = problem.grid, STEPPERS[kind]
+        state = init_state(problem.initial_condition(), problem.params)
+        for _ in range(2):
+            state = stepper(state, 1e-3, problem.params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stepper(state, 1e-3, problem.params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the smallest array a step forms is a real half-spectrum, 0.5 units;
+        # the tolerance covers the step's Python objects only
+        assert peak / (grid.nx * (grid.ny // 2 + 1) * 16) == pytest.approx(self.PEAK[kind.value], abs=0.05)
 
 
 class TestTransformBudget:
