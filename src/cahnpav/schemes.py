@@ -307,7 +307,7 @@ def _imex_step(
     w *= ext  # now h(ext) / a
     w *= p.well_amp if xi is None else xi * xi * p.well_amp
     s_hat = grid.fft(w)
-    del ext, w  # freed here, and g and s_hat after the solve: they would set the step's peak memory
+    del ext, w  # not read again: freed before the solve, and g, s_hat after it, for a lower peak
     if dealias:
         s_hat *= grid.dealias_mask
     phi_new, mu_new = solve_linear_step(sigma, g, RealField(grid, coeffs=s_hat), dt, p)
