@@ -2,7 +2,7 @@
 
 :class:`GridSpec` is the only code that knows the transform convention: its
 ``fft``/``ifft`` pair takes and returns plain arrays, and its multipliers
-``k2``, ``dealias_mask``, ``parseval``, ``grad_weight`` and the one ``kept``
+``k2``, ``dealias_mask``, ``parseval``, ``grad_weight``, ``h2_weight`` and the one ``kept``
 under a key (the solve's reciprocal symbol) act on coefficients.  A
 :class:`RealField` holds a field's values, its coefficients or both; the
 reductions below take one and read the form they need.
@@ -110,6 +110,11 @@ class GridSpec:
         return self.parseval * self.k2
 
     @cached_property
+    def h2_weight(self) -> np.ndarray:
+        """parseval (1 + k2)^2: the Parseval weight of the squared H2 norm."""
+        return self.parseval * (1.0 + self.k2) ** 2
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule truncation mask for products of Fourier series."""
         kx_cut = (2.0 / 3.0) * np.abs(self.kx).max()
@@ -123,8 +128,14 @@ class GridSpec:
         return self.__dict__["_kept"][1]
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform of a raw physical array: its mean-normalized half-spectrum."""
-        return np.fft.rfft2(values, s=self.shape, norm="forward")
+        """Forward transform of a raw physical array: its mean-normalized half-spectrum.
+
+        Given ``out``, numpy runs both passes of the transform in that one
+        array; without it, the column pass writes a temporary of the same size
+        that is freed on every call.  The result is the same, bit for bit.
+        """
+        out = np.empty((self.nx, self.ny // 2 + 1), dtype=np.complex128)
+        return np.fft.rfft2(values, s=self.shape, norm="forward", out=out)
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform of a half-spectrum back to a raw real physical array."""
@@ -198,4 +209,4 @@ def h2_norm(f: RealField) -> float:
     Norm-equivalent to the usual ||f||^2 + ||grad f||^2 + ||lap f||^2 form.
     """
     c = f.coeffs
-    return float(np.sqrt(np.vdot(c, f.grid.parseval * (1.0 + f.grid.k2) ** 2 * c).real))
+    return float(np.sqrt(np.vdot(c, f.grid.h2_weight * c).real))

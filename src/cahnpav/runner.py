@@ -56,9 +56,10 @@ def seed_exact_history(problem: ProblemSpec) -> Level:
     cold-start previous time level.
 
     Only meaningful for the manufactured problem.  The multistep schemes start
-    with phi^{-1} = phi^0 by definition, which costs one O(dt) first step;
-    that is harmless in production but hides the asymptotic order in a
-    convergence study, so sweeps seed the history from the known solution.
+    with phi^{-1} = phi^0 by definition, an inconsistent first step whose O(dt)
+    error persists to the end of the run: measured, it makes the order-2 rows
+    first order, on drop runs too.  Convergence sweeps therefore seed the
+    history from the known solution.
     """
     if not problem.has_exact:
         raise ValidationError("exact_history", "seeding needs a problem with an exact solution, not drops")

@@ -30,9 +30,9 @@ mean of phi exactly.
 
 The baselines: ``semi`` (BDF2, nonlinear term fully explicit, conditionally
 stable) and ``sav`` (BDF2 scalar auxiliary variable on the potential energy
-only, stable, but its auxiliary variable may go negative), which couples two
-solves and keeps its own body.  Every step does one constant-coefficient
-spectral solve (two for SAV).  A state is two time levels; a step turns the
+only, stable, but its auxiliary variable may go negative), which keeps its
+own body.  Every step, SAV's too, does one constant-coefficient spectral
+solve.  A state is two time levels; a step turns the
 current level into the previous one.  A ``Level`` keeps phi, mu, R, r1 and,
 so that no step recomputes them, E, m0 ||grad mu||^2 and the quadratic part
 Q = beta/2 ||grad phi||^2 + lam/2 ||phi||^2 of E.
@@ -60,7 +60,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import Diverged, InvalidState, NonPositiveEnergy
-from .grid import RealField, grad_inner, inner
+from .grid import GridSpec, RealField, grad_inner, inner
 from .model import (
     PhysicalParams,
     chemical_potential_exact,
@@ -170,6 +170,15 @@ def init_state(phi0: RealField, p: PhysicalParams, t0: float = 0.0) -> SchemeSta
     return SchemeState(cur=level, prev=level, t0=t0)
 
 
+def _symbols(sigma: float, grid: GridSpec, dt: float, p: PhysicalParams):
+    """The solve's multipliers lin = beta k2 + lam and m0k2 = dt m0 k2, and the
+    reciprocal 1 / (sigma + m0k2 lin) of its symbol, which the grid keeps."""
+    lin, m0k2 = p.beta * grid.k2, dt * p.m0 * grid.k2
+    if p.lam != 0.0:
+        lin += p.lam
+    return lin, m0k2, grid.kept((sigma, dt, p.m0, p.beta, p.lam), lambda: 1.0 / (sigma + m0k2 * lin))
+
+
 def solve_linear_step(
     sigma: float, g: RealField, s: RealField, dt: float, p: PhysicalParams
 ) -> tuple[RealField, RealField]:
@@ -187,12 +196,10 @@ def solve_linear_step(
     keeps as one entry keyed on (sigma, dt, m0, beta, lam): a new sigma or dt rebuilds it.
     """
     grid, s_hat = g.grid, s.coeffs
-    lin, m0k2 = p.beta * grid.k2, dt * p.m0 * grid.k2
-    if p.lam != 0.0:
-        lin += p.lam
+    lin, m0k2, inv = _symbols(sigma, grid, dt, p)
     phi_hat = m0k2 * s_hat
     np.subtract(g.coeffs, phi_hat, out=phi_hat)
-    phi_hat *= grid.kept((sigma, dt, p.m0, p.beta, p.lam), lambda: 1.0 / (sigma + m0k2 * lin))
+    phi_hat *= inv
     mu_hat = lin * phi_hat
     mu_hat += s_hat
     return RealField(grid, coeffs=phi_hat), RealField(grid, coeffs=mu_hat)
@@ -250,11 +257,14 @@ def _bdf(order: int, state: SchemeState, dt: float, f_src: RealField | None):
     phi, old = state.cur.phi, state.prev.phi
     if order == 1:
         sigma, g_hat, ext = 1.0, phi.coeffs, phi.values
-    else:
-        sigma, g_hat = 1.5, 2.0 * phi.coeffs - 0.5 * old.coeffs
-        ext = 2.0 * phi.values - old.values
-    if f_src is not None:
-        g_hat = g_hat + dt * f_src.coeffs
+    else:  # formed in place, in the same order as 2 phi^n - phi^{n-1} / 2 and so on
+        sigma, g_hat, ext = 1.5, 2.0 * phi.coeffs, 2.0 * phi.values
+        g_hat -= 0.5 * old.coeffs
+        ext -= old.values
+    if f_src is not None and order == 1:
+        g_hat = g_hat + dt * f_src.coeffs  # g_hat is phi's own array: not written
+    elif f_src is not None:
+        g_hat += dt * f_src.coeffs
     return sigma, RealField(phi.grid, coeffs=g_hat), ext
 
 
@@ -292,7 +302,12 @@ def _imex_step(
     if scheme.xi is not None and not first:
         cross = quadratic_energy(cur.phi, prev.phi, p)
         e_ext = _energy(EXT, state, cross, w, p)
-        e_mid = _energy(MID, state, cross, well(0.5 * (ext + cur.phi.values)), p)
+        w_mid = ext + cur.phi.values  # becomes well() of the midpoint, in place
+        w_mid *= 0.5
+        w_mid *= w_mid
+        w_mid -= 1.0
+        e_mid = _energy(MID, state, cross, w_mid, p)
+        del w_mid
     xi, r = None, cur.r  # the xi scaling h(ext) in the field solve; semi keeps R
     if scheme.xi == "a":
         e_num, e_den = (cur.energy, cur.energy) if first else (e_ext, e_mid)
@@ -356,10 +371,12 @@ def step_sav2(
         mu^{n+1} = -beta lap phi^{n+1} + lam phi^{n+1} + r1^{n+1} b
         3 r1^{n+1} - 4 r1^n + r1^{n-1} = int b (3 phi^{n+1} - 4 phi^n + phi^{n-1}) / 2
 
-    The coupled linear system is resolved by superposition with two spectral
-    solves (phi^{n+1} = phi_1 + r1^{n+1} phi_2).  r1 carries no positivity
-    guarantee and may go negative.  Raises NonPositiveEnergy when
-    int H(phi_bar) + c0 <= 0, which at a cold start is int H(phi^0) + c0.
+    The system is linear in r1^{n+1}: phi^{n+1} = phi_1 + r1^{n+1} phi_2, where
+    phi_1 solves it without b and phi_2 with b alone, so int(b phi_1) and
+    int(b phi_2) are Parseval sums, and one spectral solve, with r1^{n+1} b,
+    gives phi^{n+1}.  r1 carries no positivity guarantee and may go negative.
+    Raises NonPositiveEnergy when int H(phi_bar) + c0 <= 0, which at a cold
+    start is int H(phi^0) + c0.
     """
     cur, prev = state.cur, state.prev
     grid = cur.phi.grid
@@ -370,17 +387,14 @@ def step_sav2(
     b_hat = grid.fft(potential_h(phi_bar, p).values / math.sqrt(e1_bar))
     if dealias:
         b_hat *= grid.dealias_mask
-    b = RealField(grid, coeffs=b_hat)
-    zero = RealField(grid, coeffs=np.zeros_like(b_hat))
-    phi_1, mu_1 = solve_linear_step(sigma, g, zero, dt, p)
-    phi_2, mu_2 = solve_linear_step(sigma, zero, b, dt, p)
-    ib_1, ib_2, ib_n, ib_p = (inner(b, f) for f in (phi_1, phi_2, cur.phi, prev.phi))
-    # int(b phi_2) <= 0, hence the denominator stays >= 3.
-    r1_new = (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (
-        3.0 - 1.5 * ib_2
-    )
-    phi_new = RealField(grid, coeffs=phi_1.coeffs + r1_new * phi_2.coeffs)
-    mu_new = RealField(grid, coeffs=mu_1.coeffs + r1_new * mu_2.coeffs)
+    _, m0k2, inv = _symbols(sigma, grid, dt, p)
+    wb = grid.parseval * b_hat  # int(b f) = Re vdot(wb, f_hat)
+    ib_n, ib_p = np.vdot(wb, cur.phi.coeffs).real, np.vdot(wb, prev.phi.coeffs).real
+    wb *= inv  # phi_1 has spectrum g_hat inv, phi_2 -m0k2 b_hat inv
+    ib_1, ib_2 = np.vdot(wb, g.coeffs).real, -np.vdot(wb, m0k2 * b_hat).real  # ib_2 <= 0: 3 - 1.5 ib_2 >= 3
+    del ext, phi_bar, wb, m0k2
+    r1_new = (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (3.0 - 1.5 * ib_2)
+    phi_new, mu_new = solve_linear_step(sigma, g, RealField(grid, coeffs=r1_new * b_hat), dt, p)
     _guard(phi_new, state.step + 1)
     new = Level(phi_new, mu_new, *_solved(phi_new, mu_new, p), cur.r, r1_new)
     return SchemeState(new, cur, state.step + 1, state.xi, state.t0)

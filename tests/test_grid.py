@@ -146,6 +146,25 @@ class TestTransforms:
             for q in (0, grid.ny // 2):
                 assert coeffs[-p % grid.nx, q] == pytest.approx(np.conj(coeffs[p, q]), abs=1e-15)
 
+    @pytest.mark.parametrize("shape", [(6, 6), (20, 20), (128, 128), (512, 512), (32, 64), (64, 32)])
+    def test_equals_plain_rfft2(self, shape):
+        # written into a fresh output array, bit for bit numpy's own result
+        grid = GridSpec(*shape, 2.0, 3.0)
+        values = random_field(grid, 7).values
+        coeffs = grid.fft(values)
+        assert coeffs.dtype == np.complex128
+        assert np.array_equal(coeffs, np.fft.rfft2(values, s=grid.shape, norm="forward"))
+
+    def test_result_is_fresh_and_contiguous(self):
+        grid = GridSpec(32, 64, 2.0, 2.0)
+        values = random_field(grid, 8).values
+        first, second = grid.fft(values), grid.fft(values)
+        assert first.flags.c_contiguous and second.flags.c_contiguous
+        assert not np.shares_memory(first, values)
+        assert not np.shares_memory(first, second)
+        second[0, 0] += 1.0
+        assert np.array_equal(first, np.fft.rfft2(values, s=grid.shape, norm="forward"))
+
 
 class TestLaplacian:
     def test_constant_maps_to_zero(self):
@@ -279,6 +298,14 @@ class TestH2Norm:
         # only the (0,0) mode contributes: c * sqrt(|Omega|)
         grid = GridSpec(16, 16, 2.0, 2.0)
         assert h2_norm(constant(grid, 3.0)) == pytest.approx(6.0)
+
+    def test_kept_weight_matches_formula(self):
+        # the weight the grid keeps is the product h2_norm used to form per call
+        grid = GridSpec(12, 16, 2.0, 3.0)
+        f = random_field(grid, 4)
+        c = f.coeffs
+        assert h2_norm(f) == float(np.sqrt(np.vdot(c, grid.parseval * (1.0 + grid.k2) ** 2 * c).real))
+        assert grid.h2_weight is grid.h2_weight
 
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 10_000))

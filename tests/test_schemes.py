@@ -3,12 +3,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cahnpav.schemes
 from cahnpav import (
     Diverged,
     GridSpec,
@@ -24,7 +26,8 @@ from cahnpav import (
 )
 from cahnpav.diagnostics import MASS_DRIFT_TOL, R_MONOTONE_SLACK
 from cahnpav.grid import inner, integrate
-from cahnpav.model import dissipation, energy_total, potential_h, quadratic_energy, well
+from cahnpav.model import dissipation, energy_total, potential_h, potential_integral, quadratic_energy, well
+from cahnpav.problems import source_spectra, source_term
 from cahnpav.schemes import (
     EXT,
     MID,
@@ -592,7 +595,77 @@ class TestDivergenceGuard:
         assert state.cur.r > 0
 
 
+def sav_two_solves(state, dt, p, source=None, *, dealias=False):
+    """r1^{n+1} and the spectra of phi^{n+1}, mu^{n+1} of one sav step, by the
+    textbook superposition phi^{n+1} = phi_1 + r1^{n+1} phi_2: phi_1 solves the
+    BDF2 system with g and no source, phi_2 with no g and the source b; each
+    solve divides by the symbol sigma + dt m0 k2 (beta k2 + lam)."""
+    cur, prev = state.cur, state.prev
+    grid = cur.phi.grid
+    lin = p.beta * grid.k2 + p.lam
+
+    def solve(g_hat, s_hat):
+        phi_hat = (g_hat - dt * p.m0 * grid.k2 * s_hat) / (1.5 + dt * p.m0 * grid.k2 * lin)
+        return phi_hat, lin * phi_hat + s_hat
+
+    g_hat = 2.0 * cur.phi.coeffs - 0.5 * prev.phi.coeffs
+    if source is not None:
+        g_hat = g_hat + dt * source(state.time(dt, 1.0)).coeffs
+    phi_bar = RealField(grid, 2.0 * cur.phi.values - prev.phi.values)
+    b_hat = grid.fft(potential_h(phi_bar, p).values / math.sqrt(potential_integral(phi_bar, p) + p.c0))
+    if dealias:
+        b_hat = b_hat * grid.dealias_mask
+    b, zero = RealField(grid, coeffs=b_hat), np.zeros_like(b_hat)
+    phi_1, mu_1 = solve(g_hat, zero)
+    phi_2, mu_2 = solve(zero, b_hat)
+    ib_1, ib_2 = (inner(b, RealField(grid, coeffs=f)) for f in (phi_1, phi_2))
+    r1 = (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * inner(b, cur.phi) + 0.5 * inner(b, prev.phi)) / (
+        3.0 - 1.5 * ib_2
+    )
+    return r1, phi_1 + r1 * phi_2, mu_1 + r1 * mu_2
+
+
 class TestSav:
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    @pytest.mark.parametrize("case", ["desk", "manufactured", "lam"])
+    def test_one_solve_matches_two_solve_superposition(self, case, dealias):
+        # every step, from the state step_sav2 reached: r1, phi and mu agree
+        # with the two-solve form to round-off
+        source = None
+        if case == "lam":
+            params, n_steps, dt = WITH_LAM, 30, 0.05
+            state = init_state(smooth_ic(GridSpec(32, 32, 2.0, 2.0), 35, amp=0.8), params)
+        else:
+            problem = desk_scale_drop_spec() if case == "desk" else manufactured_spec()
+            params, n_steps, dt = problem.params, 30 if case == "desk" else problem.n_steps, problem.dt
+            state = init_state(problem.initial_condition(), params, problem.t0)
+        if case == "manufactured":
+            spectra = source_spectra(problem.grid, params)
+            source = partial(source_term, grid=problem.grid, p=params, spectra=spectra)
+        for _ in range(n_steps):
+            r1, phi_hat, mu_hat = sav_two_solves(state, dt, params, source, dealias=dealias)
+            state = step_sav2(state, dt, params, source, dealias=dealias)
+            assert state.cur.sav_r == pytest.approx(r1, rel=1e-12)
+            for got, want in ((state.cur.phi.coeffs, phi_hat), (state.cur.mu.coeffs, mu_hat)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("with_source", [False, True], ids=["plain", "source"])
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    def test_one_solve_per_step(self, monkeypatch, dealias, with_source):
+        calls, solve = [], cahnpav.schemes.solve_linear_step
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cahnpav.schemes, "solve_linear_step", counted)
+        grid = GridSpec(16, 16, 2.0, 2.0)
+        f = smooth_ic(grid, 33, amp=0.1)
+        state = init_state(smooth_ic(grid, 34), THEORY)
+        for step in range(1, 4):  # the cold-start step 1 (prev is cur) through step 3
+            state = step_sav2(state, 0.05, THEORY, (lambda t: f) if with_source else None, dealias=dealias)
+            assert calls == [1.5] * step
+
     def test_modified_energy_decays(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 31, amp=0.8), THEORY)
@@ -710,7 +783,7 @@ class TestStepMemory:
     this repeats exactly.  Step 3 of each stepper on the desk field, after the
     cold start and the kept solve reciprocal are built."""
 
-    PEAK = {"1a": 5.00, "1b": 5.00, "2a": 6.00, "2b": 6.00, "semi": 6.00, "sav": 12.98}
+    PEAK = {"1a": 5.00, "1b": 5.00, "2a": 6.00, "2b": 6.00, "semi": 6.00, "sav": 7.50}
 
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
     def test_step_peak(self, kind):
