@@ -9,6 +9,7 @@ from pathlib import Path
 from .diagnostics import HistoryRecord, error_norms
 from .errors import Diverged, SolverError, ValidationError
 from .grid import h2_norm, integrate
+from .model import potential_integral
 from .output import write_snapshot
 from .problems import ProblemSpec, exact_solution, source_spectra, source_term
 from .schemes import STEPPERS, Level, SchemeKind, SchemeState, init_state, sav_energy
@@ -102,7 +103,7 @@ def run_simulation(
     seeded = seed_exact_history(problem) if exact_history else None
     state = init_state(problem.initial_condition(), params, problem.t0)
     if scheme is SchemeKind.SAV:
-        sav_energy(state.cur.phi, params)  # NonPositiveEnergy: sav cannot start from phi^0
+        sav_energy(potential_integral(state.cur.phi, params), params)  # NonPositiveEnergy: sav cannot start from phi^0
     if seeded is not None:
         state = replace(state, prev=seeded)
     source = None

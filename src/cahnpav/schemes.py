@@ -4,7 +4,7 @@ Four schemes evolve an auxiliary scalar R tracking sqrt(E) alongside the
 phase field, with the nonlinear term scaled by xi^2 where xi = R / sqrt(E).
 They differ in two choices only: the BDF order, and whether the (xi, R)
 update runs before the field solve (A) or after it (B).  One IMEX step
-serves them and the ``semi`` baseline, driven by this table (``SCHEMES``):
+serves them and the two baselines, driven by this table (``SCHEMES``):
 
     kind  order  xi update   xi in the field solve             drain level
     1a    1      A (before)  xi^{n+1}                          t^n
@@ -12,6 +12,7 @@ serves them and the ``semi`` baseline, driven by this table (``SCHEMES``):
     2a    2      A (before)  xi^{n+1}                          t^{n+1/2}
     2b    2      B (after)   (2 R^n - R^{n-1}) / sqrt(E[ext])  t^{n+1/2}
     semi  2      none        1 (plain explicit nonlinearity)   -
+    sav   2      none        xi^2 = r1^{n+1} / sqrt(e1[ext])   -
 
 Order 1 is BDF1 (sigma = 1, g = phi^n, ext = mid = phi^n, mu_mid = mu^n);
 order 2 is BDF2 (sigma = 3/2, g = 2 phi^n - phi^{n-1}/2, ext = 2 phi^n -
@@ -30,12 +31,19 @@ mean of phi exactly.
 
 The baselines: ``semi`` (BDF2, nonlinear term fully explicit, conditionally
 stable) and ``sav`` (BDF2 scalar auxiliary variable on the potential energy
-only, stable, but its auxiliary variable may go negative), which keeps its
-own body.  Every step, SAV's too, does one constant-coefficient spectral
-solve.  A state is two time levels; a step turns the
-current level into the previous one.  A ``Level`` keeps phi, mu, R, r1 and,
-so that no step recomputes them, E, m0 ||grad mu||^2 and the quadratic part
-Q = beta/2 ||grad phi||^2 + lam/2 ||phi||^2 of E.
+only, stable, but its auxiliary variable may go negative).  SAV's r1 tracks
+sqrt(e1), e1[phi] = int H(phi) + c0, and couples linearly to the field
+through b = h(ext) / sqrt(e1[ext]):
+
+    (3 phi^{n+1} - 4 phi^n + phi^{n-1}) / (2 dt) = m0 lap mu^{n+1} + f
+    mu^{n+1} = -beta lap phi^{n+1} + lam phi^{n+1} + r1^{n+1} b
+    3 r1^{n+1} - 4 r1^n + r1^{n-1} = int b (3 phi^{n+1} - 4 phi^n + phi^{n-1}) / 2
+
+which _sav_r1 solves for r1^{n+1} before the field solve.  Every step does
+one constant-coefficient spectral solve.  A state is two time levels; a step
+turns the current level into the previous one.  A ``Level`` keeps phi, mu, R,
+r1 and, so that no step recomputes them, E, m0 ||grad mu||^2 and the
+quadratic part Q = beta/2 ||grad phi||^2 + lam/2 ||phi||^2 of E.
 
 Energies by bilinearity: a step forms one phi cross term B =
 quadratic_energy(phi^n, phi^{n-1}), and Q(a phi^n + b phi^{n-1}) = a^2 Q^n +
@@ -66,7 +74,6 @@ from .model import (
     chemical_potential_exact,
     dissipation,
     energy_from_parts,
-    potential_h,
     potential_integral,
     quadratic_energy,
     well,
@@ -95,11 +102,13 @@ class SchemeKind(str, Enum):
 @dataclass(frozen=True)
 class Scheme:
     """A row of the table above: BDF order (1 or 2), xi update ("a", "b" or
-    None) and drain level in steps past t^n (None when there is no xi update)."""
+    None), drain level in steps past t^n (None when there is no xi update) and
+    whether h(ext) is scaled by SAV's r1^{n+1} / sqrt(e1[ext])."""
 
     order: int
     xi: str | None
     drain_level: float | None
+    sav: bool = False
 
 
 SCHEMES = {
@@ -108,6 +117,7 @@ SCHEMES = {
     SchemeKind.PAV_2A: Scheme(order=2, xi="a", drain_level=0.5),
     SchemeKind.PAV_2B: Scheme(order=2, xi="b", drain_level=0.5),
     SchemeKind.SEMI_IMPLICIT: Scheme(order=2, xi=None, drain_level=None),
+    SchemeKind.SAV: Scheme(order=2, xi=None, drain_level=None, sav=True),
 }
 
 
@@ -128,8 +138,8 @@ class Level:
     def from_field(cls, phi: RealField, p: PhysicalParams) -> Level:
         """The level of phi alone: mu continuous-form, R = sqrt(E[phi]) and
         r1 = sqrt(int H(phi) + c0), or NaN where that root is undefined (only
-        ``sav`` reads r1, and step_sav2 refuses such a phi; see sav_energy).
-        Raises NonPositiveEnergy when E[phi] <= 0."""
+        the ``sav`` row reads r1, and refuses to start from such a phi; see
+        sav_energy).  Raises NonPositiveEnergy when E[phi] <= 0."""
         mu = chemical_potential_exact(phi, p)
         quad, potential = quadratic_energy(phi, phi, p), potential_integral(phi, p)
         energy = energy_from_parts(quad, potential, p)
@@ -155,10 +165,10 @@ class SchemeState:
         return self.t0 + (self.step + ahead) * dt
 
 
-def sav_energy(phi: RealField, p: PhysicalParams) -> float:
-    """int H(phi) + c0, the square of the SAV auxiliary r1; raises
-    NonPositiveEnergy when it is not positive (only ``sav`` needs it so)."""
-    e1 = potential_integral(phi, p) + p.c0
+def sav_energy(potential: float, p: PhysicalParams) -> float:
+    """e1 = int H(phi) + c0 from ``potential`` = int H(phi), the square of SAV's r1;
+    raises NonPositiveEnergy when it is not positive (only ``sav`` needs it so)."""
+    e1 = potential + p.c0
     if not e1 > 0:
         raise NonPositiveEnergy(f"potential energy + c0 = {e1} is not positive; sav needs a larger c0")
     return e1
@@ -281,6 +291,19 @@ def _guard(phi: RealField, step: int) -> None:
         raise Diverged(f"field blew up at step {step}")
 
 
+def _sav_r1(sigma: float, g: RealField, b_hat: np.ndarray, state: SchemeState, dt: float, p: PhysicalParams) -> float:
+    """r1^{n+1} of the SAV step, from b's coefficients b_hat.  The system is linear
+    in it: phi^{n+1} = phi_1 + r1^{n+1} phi_2, phi_1 solved without b and phi_2
+    with b alone, so int(b phi_1) and int(b phi_2) are Parseval sums."""
+    cur, prev, grid = state.cur, state.prev, g.grid
+    _, m0k2, inv = _symbols(sigma, grid, dt, p)
+    wb = grid.parseval * b_hat  # int(b f) = Re vdot(wb, f_hat)
+    ib_n, ib_p = np.vdot(wb, cur.phi.coeffs).real, np.vdot(wb, prev.phi.coeffs).real
+    wb *= inv  # phi_1 has spectrum g_hat inv, phi_2 -m0k2 b_hat inv
+    ib_1, ib_2 = np.vdot(wb, g.coeffs).real, -np.vdot(wb, m0k2 * b_hat).real  # ib_2 <= 0: 3 - 1.5 ib_2 >= 3
+    return (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (3.0 - 1.5 * ib_2)
+
+
 def _imex_step(
     scheme: Scheme, state: SchemeState, dt: float, p: PhysicalParams,
     source: Source | None = None, *, dealias: bool = False,
@@ -288,8 +311,10 @@ def _imex_step(
     """Advance one step of a table scheme (see the module docstring).
 
     ``source`` maps a time to the source field; g reads it at t^{n+1} and the
-    xi update at the scheme's drain level.  The ``semi`` row raises Diverged
-    when the new field is non-finite or exceeds the overflow guard.
+    xi update at the scheme's drain level.  The ``semi`` and ``sav`` rows raise
+    Diverged when the new field is non-finite or exceeds the overflow guard;
+    ``sav`` raises NonPositiveEnergy when e1[ext] <= 0, which at a cold start
+    is e1[phi^0].
     """
     f_src = f_drain = None if source is None else source(state.time(dt, 1.0))
     if source is not None and scheme.drain_level not in (None, 1.0):
@@ -308,8 +333,11 @@ def _imex_step(
         w_mid -= 1.0
         e_mid = _energy(MID, state, cross, w_mid, p)
         del w_mid
-    xi, r = None, cur.r  # the xi scaling h(ext) in the field solve; semi keeps R
-    if scheme.xi == "a":
+    xi, r, r1 = None, cur.r, cur.sav_r  # the xi scaling h(ext) in the field solve; semi and sav keep R
+    scale = p.well_amp  # of h(ext) / a when xi is None, over sqrt(e1[ext]) for sav's b
+    if scheme.sav:
+        scale /= math.sqrt(sav_energy(well_integral(w, grid, p), p))
+    elif scheme.xi == "a":
         e_num, e_den = (cur.energy, cur.energy) if first else (e_ext, e_mid)
         drain = _drain((1.0, 0.0) if first else MID, cur.mu, cur.dissipation, prev, f_drain, p)
         xi = _xi_update(cur.r, e_num, e_den, drain, dt)
@@ -320,11 +348,14 @@ def _imex_step(
         xi = (2.0 * cur.r - prev.r) / math.sqrt(e_ext)
 
     w *= ext  # now h(ext) / a
-    w *= p.well_amp if xi is None else xi * xi * p.well_amp
+    w *= scale if xi is None else xi * xi * p.well_amp
     s_hat = grid.fft(w)
     del ext, w  # not read again: freed before the solve, and g, s_hat after it, for a lower peak
     if dealias:
         s_hat *= grid.dealias_mask
+    if scheme.sav:
+        r1 = _sav_r1(sigma, g, s_hat, state, dt, p)
+        s_hat *= r1
     phi_new, mu_new = solve_linear_step(sigma, g, RealField(grid, coeffs=s_hat), dt, p)
     del g, s_hat
     if scheme.xi is None:
@@ -334,7 +365,7 @@ def _imex_step(
         drain = _drain((1.0, 0.0) if first else (0.5, 0.5), mu_new, diss, cur, f_drain, p)
         xi = _xi_update(cur.r, energy, energy if first else e_mid, drain, dt)
         r = xi * math.sqrt(energy)
-    new = Level(phi_new, mu_new, energy, diss, quad, r, cur.sav_r)
+    new = Level(phi_new, mu_new, energy, diss, quad, r, r1)
     return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, state.t0)
 
 
@@ -355,49 +386,7 @@ step_1b = _table_stepper(SchemeKind.PAV_1B, "step_1b")
 step_2a = _table_stepper(SchemeKind.PAV_2A, "step_2a")
 step_2b = _table_stepper(SchemeKind.PAV_2B, "step_2b")
 step_semi_implicit2 = _table_stepper(SchemeKind.SEMI_IMPLICIT, "step_semi_implicit2")
-
-
-def step_sav2(
-    state: SchemeState, dt: float, p: PhysicalParams,
-    source: Source | None = None, *, dealias: bool = False,
-) -> SchemeState:
-    """Baseline: BDF2 scalar-auxiliary-variable scheme.
-
-    The auxiliary r1 tracks sqrt(int H(phi) + c0) (potential energy only) and
-    couples linearly to the field through b(phi_bar) = h(phi_bar) /
-    sqrt(int H(phi_bar) + c0):
-
-        (3 phi^{n+1} - 4 phi^n + phi^{n-1}) / (2 dt) = m0 lap mu^{n+1} + f
-        mu^{n+1} = -beta lap phi^{n+1} + lam phi^{n+1} + r1^{n+1} b
-        3 r1^{n+1} - 4 r1^n + r1^{n-1} = int b (3 phi^{n+1} - 4 phi^n + phi^{n-1}) / 2
-
-    The system is linear in r1^{n+1}: phi^{n+1} = phi_1 + r1^{n+1} phi_2, where
-    phi_1 solves it without b and phi_2 with b alone, so int(b phi_1) and
-    int(b phi_2) are Parseval sums, and one spectral solve, with r1^{n+1} b,
-    gives phi^{n+1}.  r1 carries no positivity guarantee and may go negative.
-    Raises NonPositiveEnergy when int H(phi_bar) + c0 <= 0, which at a cold
-    start is int H(phi^0) + c0.
-    """
-    cur, prev = state.cur, state.prev
-    grid = cur.phi.grid
-    f_src = None if source is None else source(state.time(dt, 1.0))
-    sigma, g, ext = _bdf(2, state, dt, f_src)
-    phi_bar = RealField(grid, ext)
-    e1_bar = sav_energy(phi_bar, p)
-    b_hat = grid.fft(potential_h(phi_bar, p).values / math.sqrt(e1_bar))
-    if dealias:
-        b_hat *= grid.dealias_mask
-    _, m0k2, inv = _symbols(sigma, grid, dt, p)
-    wb = grid.parseval * b_hat  # int(b f) = Re vdot(wb, f_hat)
-    ib_n, ib_p = np.vdot(wb, cur.phi.coeffs).real, np.vdot(wb, prev.phi.coeffs).real
-    wb *= inv  # phi_1 has spectrum g_hat inv, phi_2 -m0k2 b_hat inv
-    ib_1, ib_2 = np.vdot(wb, g.coeffs).real, -np.vdot(wb, m0k2 * b_hat).real  # ib_2 <= 0: 3 - 1.5 ib_2 >= 3
-    del ext, phi_bar, wb, m0k2
-    r1_new = (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (3.0 - 1.5 * ib_2)
-    phi_new, mu_new = solve_linear_step(sigma, g, RealField(grid, coeffs=r1_new * b_hat), dt, p)
-    _guard(phi_new, state.step + 1)
-    new = Level(phi_new, mu_new, *_solved(phi_new, mu_new, p), cur.r, r1_new)
-    return SchemeState(new, cur, state.step + 1, state.xi, state.t0)
+step_sav2 = _table_stepper(SchemeKind.SAV, "step_sav2")
 
 
 STEPPERS = {
