@@ -12,7 +12,7 @@ from .grid import h2_norm, integrate
 from .model import potential_integral
 from .output import write_snapshot
 from .problems import ProblemSpec, exact_solution, source_spectra, source_term
-from .schemes import STEPPERS, Level, SchemeKind, SchemeState, init_state, sav_energy
+from .schemes import SCHEMES, STEPPERS, Level, Scheme, SchemeKind, SchemeState, init_state, sav_energy
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class RunResult:
         return self.final_state.step + 1 if self.diverged else None
 
 
-def _record(problem: ProblemSpec, scheme: SchemeKind, state: SchemeState) -> HistoryRecord:
+def _record(problem: ProblemSpec, row: Scheme, state: SchemeState) -> HistoryRecord:
     t = state.time(problem.dt)
     cur = state.cur
     phi = cur.phi
@@ -42,9 +42,9 @@ def _record(problem: ProblemSpec, scheme: SchemeKind, state: SchemeState) -> His
         t=t,
         mass=integrate(phi),
         energy=cur.energy,
-        r=cur.r if scheme.is_pav else None,
-        xi=state.xi if scheme.is_pav else None,
-        sav_r=cur.sav_r if scheme is SchemeKind.SAV else None,
+        r=cur.r if row.xi else None,
+        xi=state.xi if row.xi else None,
+        sav_r=cur.sav_r if row.sav else None,
         h2=h2_norm(phi),
         dissipation=cur.dissipation,
         linf_err=linf,
@@ -84,7 +84,8 @@ def run_simulation(
     and must be >= 1.  A bad argument, or an initial state the scheme cannot
     start from, raises before the first step.  A SolverError raised by a step,
     such as a Diverged baseline, is caught and reported as the result's
-    ``failure``, with the history complete up to the last finished step.
+    ``failure``.  Completed or not, the run records its last finished step and,
+    when snapshots are on, writes its snapshot, whatever the cadences.
     """
     dt = problem.dt
     if n_steps is None:
@@ -97,12 +98,12 @@ def run_simulation(
         raise ValidationError("snapshot_every", f"must be >= 0, got {snapshot_every}")
     if snapshot_every and output_dir is None:
         raise ValidationError("output_dir", f"snapshot_every={snapshot_every} needs a directory to write to")
-    step_fn = STEPPERS[scheme]
+    step_fn, row = STEPPERS[scheme], SCHEMES[scheme]
     params = problem.params
 
     seeded = seed_exact_history(problem) if exact_history else None
     state = init_state(problem.initial_condition(), params, problem.t0)
-    if scheme is SchemeKind.SAV:
+    if row.sav:
         sav_energy(potential_integral(state.cur.phi, params), params)  # NonPositiveEnergy: sav cannot start from phi^0
     if seeded is not None:
         state = replace(state, prev=seeded)
@@ -111,25 +112,27 @@ def run_simulation(
         spectra = source_spectra(problem.grid, params)
         source = partial(source_term, grid=problem.grid, p=params, spectra=spectra)
 
-    history = [_record(problem, scheme, state)]
+    def snapshot(state: SchemeState) -> None:
+        write_snapshot(state.cur.phi, state.time(dt), Path(output_dir) / f"snapshot_{state.step:08d}.dat")
+
+    history = [_record(problem, row, state)]
     if snapshot_every:
-        write_snapshot(state.cur.phi, state.time(dt), Path(output_dir) / _snap_name(0))
+        snapshot(state)
 
     failure = None
-    for n in range(n_steps):
+    for _ in range(n_steps):
         try:
             state = step_fn(state, dt, params, source, dealias=dealias)
         except SolverError as exc:
             failure = exc
             break
-        last = n == n_steps - 1
-        if state.step % history_every == 0 or last:
-            history.append(_record(problem, scheme, state))
-        if snapshot_every and (state.step % snapshot_every == 0 or last):
-            write_snapshot(state.cur.phi, state.time(dt), Path(output_dir) / _snap_name(state.step))
+        if state.step % history_every == 0:
+            history.append(_record(problem, row, state))
+        if snapshot_every and state.step % snapshot_every == 0:
+            snapshot(state)
+    if history[-1].step != state.step:  # the last finished step, completed or not
+        history.append(_record(problem, row, state))
+    if snapshot_every and state.step % snapshot_every:
+        snapshot(state)
 
     return RunResult(history=history, final_state=state, failure=failure)
-
-
-def _snap_name(step: int) -> str:
-    return f"snapshot_{step:08d}.dat"

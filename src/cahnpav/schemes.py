@@ -4,7 +4,8 @@ Four schemes evolve an auxiliary scalar R tracking sqrt(E) alongside the
 phase field, with the nonlinear term scaled by xi^2 where xi = R / sqrt(E).
 They differ in two choices only: the BDF order, and whether the (xi, R)
 update runs before the field solve (A) or after it (B).  One IMEX step
-serves them and the two baselines, driven by this table (``SCHEMES``):
+serves them and the two baselines, driven by this table (``SCHEMES``, the
+one list of schemes: ``STEPPERS`` binds the step to each of its rows):
 
     kind  order  xi update   xi in the field solve             drain level
     1a    1      A (before)  xi^{n+1}                          t^n
@@ -64,6 +65,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -85,7 +87,7 @@ Source = Callable[[float], RealField]  # the source field at a given time
 
 
 class SchemeKind(str, Enum):
-    """Identifiers for the available time steppers."""
+    """Identifiers of the schemes; each has a row in ``SCHEMES``."""
 
     PAV_1A = "1a"
     PAV_1B = "1b"
@@ -96,7 +98,7 @@ class SchemeKind(str, Enum):
 
     @property
     def is_pav(self) -> bool:
-        return self in (SchemeKind.PAV_1A, SchemeKind.PAV_1B, SchemeKind.PAV_2A, SchemeKind.PAV_2B)
+        return SCHEMES[self].xi is not None
 
 
 @dataclass(frozen=True)
@@ -369,31 +371,4 @@ def _imex_step(
     return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, state.t0)
 
 
-def _table_stepper(kind: SchemeKind, name: str):
-    """The named stepper of one table row, with the signature every stepper shares."""
-    scheme = SCHEMES[kind]
-
-    def step(state, dt, p, source=None, *, dealias=False) -> SchemeState:
-        return _imex_step(scheme, state, dt, p, source, dealias=dealias)
-
-    step.__name__ = step.__qualname__ = name
-    step.__doc__ = f"One {kind.value} step ({scheme}); returns the new state."
-    return step
-
-
-step_1a = _table_stepper(SchemeKind.PAV_1A, "step_1a")
-step_1b = _table_stepper(SchemeKind.PAV_1B, "step_1b")
-step_2a = _table_stepper(SchemeKind.PAV_2A, "step_2a")
-step_2b = _table_stepper(SchemeKind.PAV_2B, "step_2b")
-step_semi_implicit2 = _table_stepper(SchemeKind.SEMI_IMPLICIT, "step_semi_implicit2")
-step_sav2 = _table_stepper(SchemeKind.SAV, "step_sav2")
-
-
-STEPPERS = {
-    SchemeKind.PAV_1A: step_1a,
-    SchemeKind.PAV_1B: step_1b,
-    SchemeKind.PAV_2A: step_2a,
-    SchemeKind.PAV_2B: step_2b,
-    SchemeKind.SEMI_IMPLICIT: step_semi_implicit2,
-    SchemeKind.SAV: step_sav2,
-}
+STEPPERS = {kind: partial(_imex_step, row) for kind, row in SCHEMES.items()}

@@ -25,7 +25,7 @@ from cahnpav import (
 from cahnpav.diagnostics import fit_convergence_order
 from cahnpav.grid import h2_norm, integrate
 from cahnpav.model import chemical_potential_exact, energy_total
-from cahnpav.schemes import STEPPERS, step_sav2
+from cahnpav.schemes import STEPPERS
 
 from helpers import from_function, sav_modified_energy
 
@@ -290,8 +290,9 @@ class TestCriterion10SavModifiedEnergy:
         state = init_state(problem.initial_condition(), p)
         energies = [sav_modified_energy(state, p)]
         r1 = [state.cur.sav_r]
+        step = STEPPERS[SchemeKind.SAV]
         for _ in range(500):
-            state = step_sav2(state, 0.1, p)
+            state = step(state, 0.1, p)
             energies.append(sav_modified_energy(state, p))
             r1.append(state.cur.sav_r)
         violations = [

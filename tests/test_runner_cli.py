@@ -82,22 +82,36 @@ class TestRunSimulation:
         result = run_simulation(desk_scale_drop_spec(), SchemeKind.PAV_1A, n_steps=2)
         assert all(rec.linf_err is None for rec in result.history)
 
-    def test_pav_records_r_and_xi(self):
-        result = run_simulation(manufactured_spec(), SchemeKind.PAV_1B, n_steps=3)
-        assert all(rec.r is not None and rec.xi is not None for rec in result.history)
-        assert result.history[0].xi == 1.0
-        assert all(rec.sav_r is None for rec in result.history)
-
-    def test_sav_records_aux(self):
-        result = run_simulation(manufactured_spec(), SchemeKind.SAV, n_steps=3)
-        assert all(rec.sav_r is not None for rec in result.history)
-        assert all(rec.r is None and rec.xi is None for rec in result.history)
+    @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.value)
+    def test_records_have_the_columns_of_their_scheme(self, scheme):
+        # r and xi exactly for the PAV schemes, sav_r exactly for sav
+        pav, sav = scheme.value in ("1a", "1b", "2a", "2b"), scheme.value == "sav"
+        result = run_simulation(manufactured_spec(), scheme, n_steps=3)
+        for rec in result.history:
+            assert (rec.r is not None, rec.xi is not None, rec.sav_r is not None) == (pav, pav, sav)
+        assert result.history[0].xi == (1.0 if pav else None)
 
     def test_deterministic(self):
         problem = manufactured_spec()
         a = run_simulation(problem, SchemeKind.PAV_2B, n_steps=6)
         b = run_simulation(problem, SchemeKind.PAV_2B, n_steps=6)
         assert a.history == b.history
+
+    def test_early_stop_records_the_last_finished_step(self, tmp_path):
+        # semi diverges at step 28, which neither cadence reaches: the history
+        # and the snapshots still end at the last finished step, 27
+        result = run_simulation(
+            desk_scale_drop_spec(dt=0.05),
+            SchemeKind.SEMI_IMPLICIT,
+            n_steps=60,
+            history_every=7,
+            snapshot_every=5,
+            output_dir=tmp_path,
+        )
+        assert result.diverged and result.final_state.step == 27
+        assert [rec.step for rec in result.history] == [0, 7, 14, 21, 27]
+        snaps = sorted(p.name for p in tmp_path.glob("snapshot_*.dat"))
+        assert snaps == [f"snapshot_{step:08d}.dat" for step in (0, 5, 10, 15, 20, 25, 27)]
 
     def test_diverged_keeps_partial_history(self):
         # the semi-implicit baseline blows up quickly at this step size
@@ -405,6 +419,22 @@ class TestCliRun:
         # rows up to the divergence are all present
         records = read_history_csv(tmp_path / "out" / "history.csv")
         assert len(records) > 1
+
+    def test_early_stop_writes_the_last_finished_step(self, tmp_path, capsys):
+        # as in TestRunSimulation: semi diverges at step 28 of this run
+        out = tmp_path / "out"
+        doc = {
+            "problem": {"kind": "drop_array"},
+            "scheme": "semi",
+            "time": {"dt": 0.05, "tf": 3.0},
+            "output": {"dir": str(out), "history_every": 7, "snapshot_every": 5},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 3
+        assert "diverged" in capsys.readouterr().err
+        assert [rec.step for rec in read_history_csv(out / "history.csv")] == [0, 7, 14, 21, 27]
+        assert (out / "snapshot_00000027.dat").exists()
 
 
 class TestCliConvergence:

@@ -3,7 +3,8 @@
 import math
 import tracemalloc
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
+from inspect import Parameter, signature
 
 import numpy as np
 import pytest
@@ -41,22 +42,22 @@ from cahnpav.schemes import (
     _guard,
     _xi_update,
     solve_linear_step,
-    step_1a,
-    step_1b,
-    step_2a,
-    step_2b,
-    step_sav2,
-    step_semi_implicit2,
 )
 
 from helpers import constant, from_function, mean, sav_modified_energy
+from reference import reference_step
 
 THEORY = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=1.0)
 LINEAR = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=0.0, c0=1.0)
 WITH_LAM = PhysicalParams(m0=0.7, beta=0.8, eta=1.0, well_amp=1.3, lam=0.6, c0=1.0)
 
-PAV_STEPPERS = [step_1a, step_1b, step_2a, step_2b]
-ALL_STEPPERS = PAV_STEPPERS + [step_semi_implicit2, step_sav2]
+PAV = [kind for kind in SchemeKind if kind.is_pav]
+SAV, SEMI = SchemeKind.SAV, SchemeKind.SEMI_IMPLICIT
+
+
+def step_id(kind):
+    """A kind's test id: the stepper's name in earlier releases, so results compare across commits."""
+    return {"semi": "step_semi_implicit2", "sav": "step_sav2"}.get(kind.value, f"step_{kind.value}")
 
 
 def smooth_ic(grid, seed, amp=0.4):
@@ -219,23 +220,28 @@ class TestInitState:
 
 
 class TestStepperTable:
-    def test_one_distinct_named_stepper_per_kind(self):
-        assert {kind.value: fn.__name__ for kind, fn in STEPPERS.items()} == {
-            "1a": "step_1a",
-            "1b": "step_1b",
-            "2a": "step_2a",
-            "2b": "step_2b",
-            "semi": "step_semi_implicit2",
-            "sav": "step_sav2",
-        }
-        assert len({id(fn) for fn in STEPPERS.values()}) == len(STEPPERS)
+    def test_one_distinct_stepper_per_kind(self):
+        # one callable per kind, each with the shared signature; the PAV kinds
+        # are the rows with a xi update
+        assert set(STEPPERS) == set(SchemeKind)
+        assert len({id(fn) for fn in STEPPERS.values()}) == len(STEPPERS) == 6
+        for fn in STEPPERS.values():
+            params = [(q.name, q.kind, q.default) for q in signature(fn).parameters.values()]
+            assert params == [
+                ("state", Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty),
+                ("dt", Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty),
+                ("p", Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty),
+                ("source", Parameter.POSITIONAL_OR_KEYWORD, None),
+                ("dealias", Parameter.KEYWORD_ONLY, False),
+            ]
+        assert {kind.value for kind in PAV} == {"1a", "1b", "2a", "2b"}
 
     def test_every_kind_has_a_row(self):
         # every stepper, the baselines' too, is the one IMEX step read from a row
         assert set(SCHEMES) == set(SchemeKind)
 
-    @pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
-    def test_state_carries_energy_and_dissipation_of_current_level(self, stepper):
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=step_id)
+    def test_state_carries_energy_and_dissipation_of_current_level(self, kind):
         # after every step, each scalar a level keeps is the same function of
         # the same arrays as a fresh recomputation from its fields, so equal exactly
         grid = GridSpec(16, 16, 2.0, 2.0)
@@ -243,7 +249,7 @@ class TestStepperTable:
         for p in (THEORY, WITH_LAM):
             state = init_state(smooth_ic(grid, 50, amp=0.8), p)
             for _ in range(4):
-                state = stepper(state, 0.1, p, lambda t: f)
+                state = STEPPERS[kind](state, 0.1, p, lambda t: f)
                 for level in (state.cur, state.prev):
                     assert level.energy == energy_total(level.phi, p)
                     assert level.dissipation == dissipation(level.mu, p)
@@ -300,24 +306,24 @@ class TestBilinearEnergy:
             assert _drain((a, b), x.mu, x.dissipation, y, f_src, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", list(SchemeKind), ids=step_id)
 class TestFixedPoint:
-    def test_equilibrium_plus_one(self, stepper):
+    def test_equilibrium_plus_one(self, kind):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(constant(grid, 1.0), THEORY)
-        new = stepper(state, 0.5, THEORY)
+        new = STEPPERS[kind](state, 0.5, THEORY)
         assert np.max(np.abs(new.cur.phi.values - 1.0)) < 1e-13
         assert np.max(np.abs(new.cur.mu.values)) < 1e-13
         assert new.step == 1
-        if stepper in PAV_STEPPERS:
+        if kind.is_pav:
             assert new.cur.r == pytest.approx(1.0)
-        if stepper is step_sav2:
+        if kind is SAV:
             assert new.cur.sav_r == pytest.approx(1.0)
 
-    def test_equilibrium_minus_one(self, stepper):
+    def test_equilibrium_minus_one(self, kind):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(constant(grid, -1.0), THEORY)
-        new = stepper(state, 0.5, THEORY)
+        new = STEPPERS[kind](state, 0.5, THEORY)
         assert np.max(np.abs(new.cur.phi.values + 1.0)) < 1e-13
 
 
@@ -349,18 +355,18 @@ class TestLinearOracle:
         return amps
 
     @pytest.mark.parametrize(
-        "stepper,order",
+        "kind,order",
         [
-            (step_1a, 1),
-            (step_1b, 1),
-            (step_2a, 2),
-            (step_2b, 2),
-            (step_semi_implicit2, 2),
-            (step_sav2, 2),
+            (SchemeKind.PAV_1A, 1),
+            (SchemeKind.PAV_1B, 1),
+            (SchemeKind.PAV_2A, 2),
+            (SchemeKind.PAV_2B, 2),
+            (SEMI, 2),
+            (SAV, 2),
         ],
-        ids=lambda v: getattr(v, "__name__", v),
+        ids=lambda v: step_id(v) if isinstance(v, SchemeKind) else None,
     )
-    def test_single_mode_amplification(self, stepper, order):
+    def test_single_mode_amplification(self, kind, order):
         grid = GridSpec(16, 16, 2.0, 2.0)
         rng = np.random.default_rng(42)
         for _ in range(10):
@@ -370,7 +376,7 @@ class TestLinearOracle:
             f0 = self.mode_field(grid, p, q)
             state = init_state(f0, params)
             for _ in range(3):
-                state = stepper(state, dt, params)
+                state = STEPPERS[kind](state, dt, params)
             k2 = (2 * np.pi * p / grid.lx) ** 2 + (2 * np.pi * q / grid.ly) ** 2
             amp = self.closed_form_factors(k2, dt, params, 3, order)[-1]
             assert np.max(np.abs(state.cur.phi.values - amp * f0.values)) < 1e-12
@@ -382,8 +388,8 @@ class TestLinearOracle:
         s1 = init_state(smooth_ic(grid, 9), params)
         s2 = s1
         for _ in range(4):
-            s1 = step_sav2(s1, 0.05, params)
-            s2 = step_semi_implicit2(s2, 0.05, params)
+            s1 = STEPPERS[SAV](s1, 0.05, params)
+            s2 = STEPPERS[SEMI](s2, 0.05, params)
         assert np.max(np.abs(s1.cur.phi.values - s2.cur.phi.values)) < 1e-13
         assert s1.cur.sav_r == pytest.approx(1.0)
 
@@ -413,14 +419,14 @@ class TestSourceTimes:
 
 
 class TestMassConservation:
-    @pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=step_id)
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_mean_preserved_without_source(self, stepper, seed):
+    def test_mean_preserved_without_source(self, kind, seed):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, seed), THEORY)
         mass0 = integrate(state.cur.phi)
         for _ in range(5):
-            state = stepper(state, 0.2, THEORY)
+            state = STEPPERS[kind](state, 0.2, THEORY)
         drift = abs(integrate(state.cur.phi) - mass0)
         assert drift <= 1e-13 * max(abs(mass0), 1.0)
 
@@ -430,7 +436,7 @@ class TestMassConservation:
         state = init_state(smooth_ic(grid, 2), THEORY)
         f_src = smooth_ic(grid, 3)
         dt = 0.13
-        new = step_1a(state, dt, THEORY, lambda t: f_src)
+        new = STEPPERS[SchemeKind.PAV_1A](state, dt, THEORY, lambda t: f_src)
         expected = integrate(state.cur.phi) + dt * integrate(f_src)
         assert integrate(new.cur.phi) == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
@@ -442,38 +448,38 @@ class TestMassConservation:
         dt = 0.07
         m_prev = mean(state.prev.phi)
         m_cur = mean(state.cur.phi)
-        new = step_2a(state, dt, THEORY, lambda t: f_src)
+        new = STEPPERS[SchemeKind.PAV_2A](state, dt, THEORY, lambda t: f_src)
         lhs = (3 * mean(new.cur.phi) - 4 * m_cur + m_prev) / (2 * dt)
         assert lhs == pytest.approx(mean(f_src), rel=1e-12, abs=1e-14)
 
 
 class TestRChain:
-    @pytest.mark.parametrize("stepper", PAV_STEPPERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kind", PAV, ids=step_id)
     @pytest.mark.parametrize("dt", [1e-2, 0.5, 10.0])
-    def test_positive_nonincreasing(self, stepper, dt):
+    def test_positive_nonincreasing(self, kind, dt):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 8, amp=0.8), THEORY)
         r_values = [state.cur.r]
         for _ in range(100):
-            state = stepper(state, dt, THEORY)
+            state = STEPPERS[kind](state, dt, THEORY)
             r_values.append(state.cur.r)
         assert all(r > 0 for r in r_values)
         assert all(b <= a * (1 + 1e-14) for a, b in zip(r_values, r_values[1:]))
 
-    @pytest.mark.parametrize("stepper", PAV_STEPPERS, ids=lambda f: f.__name__)
-    def test_xi_positive_and_bounded(self, stepper):
+    @pytest.mark.parametrize("kind", PAV, ids=step_id)
+    def test_xi_positive_and_bounded(self, kind):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 13, amp=0.8), THEORY)
         for _ in range(30):
             prev_r = state.cur.r
-            state = stepper(state, 0.3, THEORY)
+            state = STEPPERS[kind](state, 0.3, THEORY)
             assert state.xi > 0
             # xi <= R^n / sqrt(E[denominator field]); E >= c0 always
             assert state.xi <= prev_r / math.sqrt(THEORY.c0) + 1e-14
 
     @settings(deadline=None, max_examples=100)
     @given(
-        kind=st.sampled_from([SchemeKind.PAV_1A, SchemeKind.PAV_1B, SchemeKind.PAV_2A, SchemeKind.PAV_2B]),
+        kind=st.sampled_from(PAV),
         dt=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
         nx=st.integers(4, 16).map(lambda n: 2 * n),
         ny=st.integers(4, 16).map(lambda n: 2 * n),
@@ -513,14 +519,14 @@ class TestStepOrderingAsymmetry:
         e_n = energy_total(state.cur.phi, THEORY)
         diss_n = dissipation(state.cur.mu, THEORY)
         expected_xi = _xi_update(state.cur.r, e_n, e_n, diss_n, 0.2)
-        new = step_1a(state, 0.2, THEORY)
+        new = STEPPERS[SchemeKind.PAV_1A](state, 0.2, THEORY)
         assert new.xi == pytest.approx(expected_xi, rel=1e-15)
         assert new.cur.r == pytest.approx(expected_xi * math.sqrt(e_n), rel=1e-15)
 
     def test_1b_xi_depends_on_new_fields(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 22, amp=0.6), THEORY)
-        new = step_1b(state, 0.2, THEORY)
+        new = STEPPERS[SchemeKind.PAV_1B](state, 0.2, THEORY)
         e_new = energy_total(new.cur.phi, THEORY)
         diss_new = dissipation(new.cur.mu, THEORY)
         expected_xi = _xi_update(state.cur.r, e_new, e_new, diss_new, 0.2)
@@ -528,12 +534,12 @@ class TestStepOrderingAsymmetry:
         # stored for the next lagged solve
         s = RealField(grid, new.xi**2 * potential_h(new.cur.phi, THEORY).values)
         manual_phi, _ = solve_linear_step(1.0, new.cur.phi, s, 0.2, THEORY)
-        assert np.max(np.abs(step_1b(new, 0.2, THEORY).cur.phi.values - manual_phi.values)) < 1e-15
+        assert np.max(np.abs(STEPPERS[SchemeKind.PAV_1B](new, 0.2, THEORY).cur.phi.values - manual_phi.values)) < 1e-15
 
     def test_1b_first_step_uses_unit_xi(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 23, amp=0.6), THEORY)
-        new = step_1b(state, 0.2, THEORY)
+        new = STEPPERS[SchemeKind.PAV_1B](state, 0.2, THEORY)
         # manual: BDF1 solve with s = 1^2 h(phi^0)
         manual_phi, _ = solve_linear_step(1.0, state.cur.phi, potential_h(state.cur.phi, THEORY), 0.2, THEORY)
         assert np.max(np.abs(new.cur.phi.values - manual_phi.values)) < 1e-15
@@ -542,7 +548,7 @@ class TestStepOrderingAsymmetry:
         # phi^{-1} = phi^0 and R^{-1} = R^0 make xi_hat = R^0 / sqrt(E^0) = 1
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 24, amp=0.6), THEORY)
-        new = step_2b(state, 0.2, THEORY)
+        new = STEPPERS[SchemeKind.PAV_2B](state, 0.2, THEORY)
         g = RealField(grid, 1.5 * state.cur.phi.values)
         manual_phi, _ = solve_linear_step(1.5, g, potential_h(state.cur.phi, THEORY), 0.2, THEORY)
         assert np.max(np.abs(new.cur.phi.values - manual_phi.values)) < 1e-15
@@ -550,7 +556,7 @@ class TestStepOrderingAsymmetry:
     def test_2a_xi_uses_extrapolated_fields(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 25, amp=0.6), THEORY)
-        state = step_2a(state, 0.15, THEORY)  # build distinct history
+        state = STEPPERS[SchemeKind.PAV_2A](state, 0.15, THEORY)  # build distinct history
         phi_bar = RealField(grid, 2 * state.cur.phi.values - state.prev.phi.values)
         phi_til = RealField(grid, 1.5 * state.cur.phi.values - 0.5 * state.prev.phi.values)
         mu_til = RealField(grid, 1.5 * state.cur.mu.values - 0.5 * state.prev.mu.values)
@@ -558,7 +564,7 @@ class TestStepOrderingAsymmetry:
         e_til = energy_total(phi_til, THEORY)
         diss = dissipation(mu_til, THEORY)
         expected = state.cur.r / (math.sqrt(e_bar) + 0.15 * diss / (2 * math.sqrt(e_til)))
-        new = step_2a(state, 0.15, THEORY)
+        new = STEPPERS[SchemeKind.PAV_2A](state, 0.15, THEORY)
         assert new.xi == pytest.approx(expected, rel=1e-15)
 
 
@@ -588,71 +594,98 @@ class TestDivergenceGuard:
         state = init_state(smooth_ic(grid, 30, amp=2.0), params)
         with pytest.raises(Diverged, match=r"at step \d+"):
             for _ in range(200):
-                state = step_semi_implicit2(state, 1.0, params)
+                state = STEPPERS[SEMI](state, 1.0, params)
 
     def test_pav_survives_same_setup(self):
         grid = GridSpec(32, 32, 2.0, 2.0)
         params = PhysicalParams(m0=1.0, beta=1e-4, eta=1.0, well_amp=1e4, c0=1.0)
         state = init_state(smooth_ic(grid, 30, amp=2.0), params)
         for _ in range(50):
-            state = step_2a(state, 1.0, params)
+            state = STEPPERS[SchemeKind.PAV_2A](state, 1.0, params)
         assert np.all(np.isfinite(state.cur.phi.values))
         assert state.cur.r > 0
 
 
-def sav_two_solves(state, dt, p, source=None, *, dealias=False):
-    """r1^{n+1} and the spectra of phi^{n+1}, mu^{n+1} of one sav step, by the
-    textbook superposition phi^{n+1} = phi_1 + r1^{n+1} phi_2: phi_1 solves the
-    BDF2 system with g and no source, phi_2 with no g and the source b; each
-    solve divides by the symbol sigma + dt m0 k2 (beta k2 + lam)."""
-    cur, prev = state.cur, state.prev
-    grid = cur.phi.grid
-    lin = p.beta * grid.k2 + p.lam
+@cache
+def reference_case(case):
+    """(initial field, params, t0, dt, steps, source) of a reference
+    comparison: 30 desk steps at the preset dt, the manufactured run with its
+    source, and 30 steps with lam > 0."""
+    if case == "lam":
+        return smooth_ic(GridSpec(32, 32, 2.0, 2.0), 35, amp=0.8), WITH_LAM, 0.0, 0.05, 30, None
+    problem = desk_scale_drop_spec() if case == "desk" else manufactured_spec()
+    source = None
+    if case == "manufactured":
+        spectra = source_spectra(problem.grid, problem.params)
+        source = partial(source_term, grid=problem.grid, p=problem.params, spectra=spectra)
+    n_steps = 30 if case == "desk" else problem.n_steps
+    return problem.initial_condition(), problem.params, problem.t0, problem.dt, n_steps, source
 
-    def solve(g_hat, s_hat):
-        phi_hat = (g_hat - dt * p.m0 * grid.k2 * s_hat) / (1.5 + dt * p.m0 * grid.k2 * lin)
-        return phi_hat, lin * phi_hat + s_hat
 
-    g_hat = 2.0 * cur.phi.coeffs - 0.5 * prev.phi.coeffs
-    if source is not None:
-        g_hat = g_hat + dt * source(state.time(dt, 1.0)).coeffs
-    phi_bar = RealField(grid, 2.0 * cur.phi.values - prev.phi.values)
-    b_hat = grid.fft(potential_h(phi_bar, p).values / math.sqrt(potential_integral(phi_bar, p) + p.c0))
-    if dealias:
-        b_hat = b_hat * grid.dealias_mask
-    b, zero = RealField(grid, coeffs=b_hat), np.zeros_like(b_hat)
-    phi_1, mu_1 = solve(g_hat, zero)
-    phi_2, mu_2 = solve(zero, b_hat)
-    ib_1, ib_2 = (inner(b, RealField(grid, coeffs=f)) for f in (phi_1, phi_2))
-    r1 = (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * inner(b, cur.phi) + 0.5 * inner(b, prev.phi)) / (
-        3.0 - 1.5 * ib_2
+def assert_matches_reference(kind, dealias, phi0, p, t0, dt, n_steps, source):
+    """Every step of a run from init_state, against the reference step from
+    the same state: phi, mu, R and xi (PAV) and r1 (sav) agree to 1e-12
+    relative.  The reference reads no scalar a Level keeps, so a wrong one
+    shows at the next step."""
+    state = init_state(phi0, p, t0)
+    for _ in range(n_steps):
+        ref = reference_step(kind, state, dt, p, source, dealias)
+        state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
+        for got, want in ((state.cur.phi.values, ref.cur.phi.values), (state.cur.mu.values, ref.cur.mu.values)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if kind.is_pav:
+            assert state.cur.r == pytest.approx(ref.cur.r, rel=1e-12, abs=0.0)
+            assert state.xi == pytest.approx(ref.xi, rel=1e-12, abs=0.0)
+        if kind is SAV:
+            assert state.cur.sav_r == pytest.approx(ref.cur.sav_r, rel=1e-12, abs=0.0)
+
+
+class TestReferenceStep:
+    """Each stepper against tests/reference.py, a plain step written from the
+    schemes docstring's equations.  The sav row runs in TestSav."""
+
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    @pytest.mark.parametrize("case", ["desk", "manufactured", "lam"])
+    @pytest.mark.parametrize("kind", [kind for kind in SchemeKind if kind is not SAV], ids=lambda k: k.value)
+    def test_matches_reference(self, kind, case, dealias):
+        assert_matches_reference(kind, dealias, *reference_case(case))
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        kind=st.sampled_from(list(SchemeKind)),
+        dt=st.floats(-4.0, 0.0).map(lambda e: 10.0**e),
+        nx=st.integers(4, 16).map(lambda n: 2 * n),
+        ny=st.integers(4, 16).map(lambda n: 2 * n),
+        eta=st.floats(0.05, 1.0),
+        c0=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        amp=st.floats(0.05, 1.0),
+        with_source=st.booleans(),
+        dealias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
     )
-    return r1, phi_1 + r1 * phi_2, mu_1 + r1 * mu_2
+    def test_matches_reference_for_random_parameters(
+        self, kind, dt, nx, ny, eta, c0, lam, amp, with_source, dealias, seed
+    ):
+        # six steps; the source grows in time, so each drain level reads its own value
+        grid = GridSpec(nx, ny, 2.0, 2.0)
+        params = PhysicalParams(m0=0.01, beta=0.01, eta=eta, lam=lam, c0=c0)
+        f = smooth_ic(grid, seed + 1, amp=0.5).values
+        source = (lambda t: RealField(grid, (1.0 + t) * f)) if with_source else None
+        try:
+            assert_matches_reference(kind, dealias, smooth_ic(grid, seed, amp=amp), params, 0.0, dt, 6, source)
+        except Diverged:
+            assert kind is SEMI  # only the conditionally stable baseline may blow up
+        except InvalidState:
+            assert kind.is_pav and with_source  # source work can make the drain negative
 
 
 class TestSav:
     @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
     @pytest.mark.parametrize("case", ["desk", "manufactured", "lam"])
     def test_one_solve_matches_two_solve_superposition(self, case, dealias):
-        # every step, from the state step_sav2 reached: r1, phi and mu agree
-        # with the two-solve form to round-off
-        source = None
-        if case == "lam":
-            params, n_steps, dt = WITH_LAM, 30, 0.05
-            state = init_state(smooth_ic(GridSpec(32, 32, 2.0, 2.0), 35, amp=0.8), params)
-        else:
-            problem = desk_scale_drop_spec() if case == "desk" else manufactured_spec()
-            params, n_steps, dt = problem.params, 30 if case == "desk" else problem.n_steps, problem.dt
-            state = init_state(problem.initial_condition(), params, problem.t0)
-        if case == "manufactured":
-            spectra = source_spectra(problem.grid, params)
-            source = partial(source_term, grid=problem.grid, p=params, spectra=spectra)
-        for _ in range(n_steps):
-            r1, phi_hat, mu_hat = sav_two_solves(state, dt, params, source, dealias=dealias)
-            state = step_sav2(state, dt, params, source, dealias=dealias)
-            assert state.cur.sav_r == pytest.approx(r1, rel=1e-12)
-            for got, want in ((state.cur.phi.coeffs, phi_hat), (state.cur.mu.coeffs, mu_hat)):
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the reference's sav row is the two-solve superposition
+        assert_matches_reference(SAV, dealias, *reference_case(case))
 
     @pytest.mark.parametrize("with_source", [False, True], ids=["plain", "source"])
     @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
@@ -668,7 +701,7 @@ class TestSav:
         f = smooth_ic(grid, 33, amp=0.1)
         state = init_state(smooth_ic(grid, 34), THEORY)
         for step in range(1, 4):  # the cold-start step 1 (prev is cur) through step 3
-            state = step_sav2(state, 0.05, THEORY, (lambda t: f) if with_source else None, dealias=dealias)
+            state = STEPPERS[SAV](state, 0.05, THEORY, (lambda t: f) if with_source else None, dealias=dealias)
             assert calls == [1.5] * step
 
     def test_modified_energy_decays(self):
@@ -676,7 +709,7 @@ class TestSav:
         state = init_state(smooth_ic(grid, 31, amp=0.8), THEORY)
         prev = sav_modified_energy(state, THEORY)
         for _ in range(50):
-            state = step_sav2(state, 0.1, THEORY)
+            state = STEPPERS[SAV](state, 0.1, THEORY)
             cur = sav_modified_energy(state, THEORY)
             assert cur <= prev + 1e-10
             prev = cur
@@ -689,7 +722,7 @@ class TestSav:
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 32, amp=0.5), params)
         for _ in range(20):
-            state = step_sav2(state, 1e-3, params)
+            state = STEPPERS[SAV](state, 1e-3, params)
         target = math.sqrt(potential_integral(state.cur.phi, params) + params.c0)
         assert state.cur.sav_r == pytest.approx(target, rel=1e-4)
 
@@ -700,9 +733,9 @@ class TestSav:
         params = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=-1.0)
         state = init_state(from_function(grid, lambda X, Y: np.cos(np.pi * X)), params)
         assert math.isnan(state.cur.sav_r)
-        assert 0 < step_2a(state, 0.1, params).cur.r <= state.cur.r
+        assert 0 < STEPPERS[SchemeKind.PAV_2A](state, 0.1, params).cur.r <= state.cur.r
         with pytest.raises(NonPositiveEnergy, match="potential energy"):
-            step_sav2(state, 0.1, params)
+            STEPPERS[SAV](state, 0.1, params)
 
     def test_energy_rule_reads_the_extrapolant(self):
         # both levels pass the rule, ext = 2 phi^n - phi^{n-1} = 1 does not:
@@ -712,7 +745,7 @@ class TestSav:
         cur, prev = (Level.from_field(constant(grid, v), params) for v in (0.6, 0.2))
         assert cur.sav_r > 0 and prev.sav_r > 0 and cur.energy > 0 and prev.energy > 0
         with pytest.raises(NonPositiveEnergy, match="potential energy"):
-            step_sav2(SchemeState(cur, prev, step=1), 0.1, params)
+            STEPPERS[SAV](SchemeState(cur, prev, step=1), 0.1, params)
 
 
 class TestDealias:
@@ -728,7 +761,7 @@ class TestDealias:
         manual_phi, _ = solve_linear_step(
             1.0, state.cur.phi, RealField(grid, s_filtered), dt, THEORY
         )
-        new = step_1a(state, dt, THEORY, dealias=True)
+        new = STEPPERS[SchemeKind.PAV_1A](state, dt, THEORY, dealias=True)
         assert np.max(np.abs(new.cur.phi.values - manual_phi.values)) < 1e-14
 
     def test_no_effect_on_band_limited_nonlinearity(self):
@@ -742,13 +775,13 @@ class TestDealias:
             assert rb.energy == pytest.approx(ra.energy, rel=1e-13)
             assert rb.xi == pytest.approx(ra.xi, rel=1e-13)
 
-    @pytest.mark.parametrize("stepper", ALL_STEPPERS, ids=lambda f: f.__name__)
-    def test_preserves_mass(self, stepper):
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=step_id)
+    def test_preserves_mass(self, kind):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 41, amp=1.0), THEORY)
         mass0 = integrate(state.cur.phi)
         for _ in range(3):
-            state = stepper(state, 0.1, THEORY, dealias=True)
+            state = STEPPERS[kind](state, 0.1, THEORY, dealias=True)
         assert integrate(state.cur.phi) == pytest.approx(mass0, rel=1e-13, abs=1e-14)
 
 
