@@ -2,8 +2,8 @@
 
 :class:`GridSpec` is the only code that knows the transform convention: its
 ``fft``/``ifft`` pair takes and returns plain arrays, and its multipliers
-``k2``, ``dealias_mask``, ``parseval``, ``grad_weight``, ``h2_weight`` and the one ``kept``
-under a key (the solve's reciprocal symbol) act on coefficients.  A
+``k2``, ``dealias_mask``, ``parseval``, ``grad_weight``, ``h2_weight`` and the one entry
+``kept`` under a key (the solve's operator) act on coefficients.  A
 :class:`RealField` holds a field's values, its coefficients or both; the
 reductions below take one and read the form they need.
 
@@ -121,8 +121,8 @@ class GridSpec:
         ky_cut = (2.0 / 3.0) * np.abs(self.ky).max()
         return (np.abs(self.kx) <= kx_cut) & (np.abs(self.ky) <= ky_cut)
 
-    def kept(self, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
-        """``make()``, kept for later calls with an equal key: one entry, rebuilt on another key."""
+    def kept(self, key: tuple, make: Callable[[], tuple]) -> tuple:
+        """``make()`` (the solve's operator), kept for calls with an equal key; another key rebuilds it."""
         if self.__dict__.get("_kept", (None,))[0] != key:
             self.__dict__["_kept"] = (key, make())
         return self.__dict__["_kept"][1]

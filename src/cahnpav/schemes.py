@@ -15,20 +15,19 @@ one list of schemes: ``STEPPERS`` binds the step to each of its rows):
     semi  2      none        1 (plain explicit nonlinearity)   -
     sav   2      none        xi^2 = r1^{n+1} / sqrt(e1[ext])   -
 
-Order 1 is BDF1 (sigma = 1, g = phi^n, ext = mid = phi^n, mu_mid = mu^n);
-order 2 is BDF2 (sigma = 3/2, g = 2 phi^n - phi^{n-1}/2, ext = 2 phi^n -
-phi^{n-1}, mid = 3/2 phi^n - 1/2 phi^{n-1}, mu_mid likewise).  The field
-solve uses xi^2 h(ext).  The xi update is
+Order 1 is BDF1 (sigma = 1, g = phi^n, ext = mid = phi^n); order 2 is BDF2
+(sigma = 3/2, g = 2 phi^n - phi^{n-1}/2, ext = 2 phi^n - phi^{n-1}, mid =
+3/2 phi^n - 1/2 phi^{n-1}).  The field solve uses xi^2 h(ext).  The xi update is
 
     xi = R^n / (sqrt(E_num) + dt drain / (2 sqrt(E_den))),   R^{n+1} = xi sqrt(E_num)
 
-with drain = m0 ||grad mu_d||^2 - int(f mu_d), f the source, which the
-stepper evaluates at the drain level.  A: E_num = E[ext], E_den = E[mid],
-mu_d = mu_mid.  B: E_num = E[phi^{n+1}]; 1b takes E_den = E[phi^{n+1}],
-mu_d = mu^{n+1}, and 2b E_den = E[mid], mu_d = (mu^{n+1} + mu^n)/2.  The
-A/B ordering asymmetry is the defining difference and must not be rearranged.
-All four guarantee 0 < R^{n+1} <= R^n for every step size and conserve the
-mean of phi exactly.
+with drain = m0 ||grad mu_d||^2 - int(f mu_d), f the source.  A: E_num = E[ext];
+B: E_num = E[phi^{n+1}].  The row's drain level L alone sets the rest: f at
+t^{n+L}; E_den = E^n at L = 0, E[mid] at L = 1/2 and E^{n+1} at L = 1; mu_d =
+(1 + L) mu^n - L mu^{n-1} for A (extrapolated), L mu^{n+1} + (1 - L) mu^n for B
+(interpolated).  The A/B ordering asymmetry is the defining difference and must
+not be rearranged.  All four guarantee 0 < R^{n+1} <= R^n for every step size
+and conserve the mean of phi exactly.
 
 The baselines: ``semi`` (BDF2, nonlinear term fully explicit, conditionally
 stable) and ``sav`` (BDF2 scalar auxiliary variable on the potential energy
@@ -143,11 +142,10 @@ class Level:
         the ``sav`` row reads r1, and refuses to start from such a phi; see
         sav_energy).  Raises NonPositiveEnergy when E[phi] <= 0."""
         mu = chemical_potential_exact(phi, p)
-        quad, potential = quadratic_energy(phi, phi, p), potential_integral(phi, p)
-        energy = energy_from_parts(quad, potential, p)
+        energy, diss, quad, potential = _solved(phi, mu, p)
         e1 = potential + p.c0
         sav_r = math.sqrt(e1) if e1 > 0 else math.nan
-        return cls(phi, mu, energy, dissipation(mu, p), quad, math.sqrt(energy), sav_r)
+        return cls(phi, mu, energy, diss, quad, math.sqrt(energy), sav_r)
 
 
 @dataclass(frozen=True)
@@ -183,12 +181,13 @@ def init_state(phi0: RealField, p: PhysicalParams, t0: float = 0.0) -> SchemeSta
 
 
 def _symbols(sigma: float, grid: GridSpec, dt: float, p: PhysicalParams):
-    """The solve's multipliers lin = beta k2 + lam and m0k2 = dt m0 k2, and the
-    reciprocal 1 / (sigma + m0k2 lin) of its symbol, which the grid keeps."""
-    lin, m0k2 = p.beta * grid.k2, dt * p.m0 * grid.k2
-    if p.lam != 0.0:
-        lin += p.lam
-    return lin, m0k2, grid.kept((sigma, dt, p.m0, p.beta, p.lam), lambda: 1.0 / (sigma + m0k2 * lin))
+    """The solve's operator lin = beta k2 + lam, m0k2 = dt m0 k2 and inv = 1 / (sigma
+    + m0k2 lin), kept by the grid as one entry keyed on (sigma, dt, m0, beta, lam):
+    a call with the kept key makes no array.  Callers must not write to them."""
+    def make():
+        lin, m0k2 = p.beta * grid.k2 + p.lam, dt * p.m0 * grid.k2
+        return lin, m0k2, 1.0 / (sigma + m0k2 * lin)
+    return grid.kept((sigma, dt, p.m0, p.beta, p.lam), make)
 
 
 def solve_linear_step(
@@ -204,8 +203,9 @@ def solve_linear_step(
     i.e.  phi_hat = (g_hat - dt m0 |k|^2 s_hat) / (sigma + dt m0 |k|^2 (beta |k|^2 + lam)).
     sigma = 1 with g = phi^n for BDF1; sigma = 3/2 with g = 2 phi^n - phi^{n-1}/2
     for BDF2.  The denominator is >= sigma > 0, so the solve is total.  phi_hat is
-    multiplied by its reciprocal, bit-identical to numpy's division, which the grid
-    keeps as one entry keyed on (sigma, dt, m0, beta, lam): a new sigma or dt rebuilds it.
+    multiplied by its reciprocal, bit-identical to numpy's division.  The grid keeps
+    beta |k|^2 + lam, dt m0 |k|^2 and that reciprocal as one entry (see _symbols):
+    a new sigma, dt, m0, beta or lam rebuilds all three, any other call none.
     """
     grid, s_hat = g.grid, s.coeffs
     lin, m0k2, inv = _symbols(sigma, grid, dt, p)
@@ -221,8 +221,7 @@ def _xi_update(r_n: float, e_num: float, e_den: float, drain: float, dt: float) 
     """Closed-form xi = r / (sqrt(e_num) + dt * drain / (2 sqrt(e_den))).
 
     With r > 0 and drain >= 0 the result satisfies 0 < xi <= r / sqrt(e_num).
-    drain = dissipation - source work; it may be negative only in
-    manufactured runs.
+    drain = dissipation - source work may be negative only in manufactured runs.
     """
     if not e_num > 0 or not e_den > 0:
         raise InvalidState(f"energy must be positive in xi update, got {e_num}, {e_den}")
@@ -280,10 +279,11 @@ def _bdf(order: int, state: SchemeState, dt: float, f_src: RealField | None):
     return sigma, RealField(phi.grid, coeffs=g_hat), ext
 
 
-def _solved(phi: RealField, mu: RealField, p: PhysicalParams) -> tuple[float, float, float]:
-    """(E, m0 ||grad mu||^2, quad) of solved phi, mu; NonPositiveEnergy when E <= 0."""
-    quad = quadratic_energy(phi, phi, p)
-    return energy_from_parts(quad, potential_integral(phi, p), p), dissipation(mu, p), quad
+def _solved(phi: RealField, mu: RealField, p: PhysicalParams) -> tuple[float, float, float, float]:
+    """(E, m0 ||grad mu||^2, quad, int H) of a level's phi and mu: the scalars a Level
+    keeps, assembled here only, and int H for r1.  NonPositiveEnergy when E <= 0."""
+    quad, potential = quadratic_energy(phi, phi, p), potential_integral(phi, p)
+    return energy_from_parts(quad, potential, p), dissipation(mu, p), quad, potential
 
 
 def _guard(phi: RealField, step: int) -> None:
@@ -318,14 +318,16 @@ def _imex_step(
     ``sav`` raises NonPositiveEnergy when e1[ext] <= 0, which at a cold start
     is e1[phi^0].
     """
+    level = scheme.drain_level  # L: the time of mu_d, E_den and f in the drain
     f_src = f_drain = None if source is None else source(state.time(dt, 1.0))
-    if source is not None and scheme.drain_level not in (None, 1.0):
-        f_drain = source(state.time(dt, scheme.drain_level))
+    if source is not None and level not in (None, 1.0):
+        f_drain = source(state.time(dt, level))
     first = scheme.order == 1
     cur, prev = state.cur, state.prev
     grid = cur.phi.grid
     sigma, g, ext = _bdf(scheme.order, state, dt, f_src)
     w = well(ext)
+    e_ext = e_mid = cur.energy  # order 1: ext = mid = phi^n
     if scheme.xi is not None and not first:
         cross = quadratic_energy(cur.phi, prev.phi, p)
         e_ext = _energy(EXT, state, cross, w, p)
@@ -335,19 +337,17 @@ def _imex_step(
         w_mid -= 1.0
         e_mid = _energy(MID, state, cross, w_mid, p)
         del w_mid
+    e_den = cur.energy if level == 0.0 else e_mid  # E at L, until L = 1 reads E^{n+1}
     xi, r, r1 = None, cur.r, cur.sav_r  # the xi scaling h(ext) in the field solve; semi and sav keep R
     scale = p.well_amp  # of h(ext) / a when xi is None, over sqrt(e1[ext]) for sav's b
     if scheme.sav:
         scale /= math.sqrt(sav_energy(well_integral(w, grid, p), p))
-    elif scheme.xi == "a":
-        e_num, e_den = (cur.energy, cur.energy) if first else (e_ext, e_mid)
-        drain = _drain((1.0, 0.0) if first else MID, cur.mu, cur.dissipation, prev, f_drain, p)
-        xi = _xi_update(cur.r, e_num, e_den, drain, dt)
-        r = xi * math.sqrt(e_num)
-    elif scheme.xi == "b" and first:
-        xi = state.xi
+    elif scheme.xi == "a":  # mu_d = (1 + L) mu^n - L mu^{n-1}
+        drain = _drain((1.0 + level, -level), cur.mu, cur.dissipation, prev, f_drain, p)
+        xi = _xi_update(cur.r, e_ext, e_den, drain, dt)
+        r = xi * math.sqrt(e_ext)
     elif scheme.xi == "b":
-        xi = (2.0 * cur.r - prev.r) / math.sqrt(e_ext)
+        xi = state.xi if first else (2.0 * cur.r - prev.r) / math.sqrt(e_ext)
 
     w *= ext  # now h(ext) / a
     w *= scale if xi is None else xi * xi * p.well_amp
@@ -362,10 +362,10 @@ def _imex_step(
     del g, s_hat
     if scheme.xi is None:
         _guard(phi_new, state.step + 1)
-    energy, diss, quad = _solved(phi_new, mu_new, p)
-    if scheme.xi == "b":
-        drain = _drain((1.0, 0.0) if first else (0.5, 0.5), mu_new, diss, cur, f_drain, p)
-        xi = _xi_update(cur.r, energy, energy if first else e_mid, drain, dt)
+    energy, diss, quad, _ = _solved(phi_new, mu_new, p)
+    if scheme.xi == "b":  # mu_d = L mu^{n+1} + (1 - L) mu^n
+        drain = _drain((level, 1.0 - level), mu_new, diss, cur, f_drain, p)
+        xi = _xi_update(cur.r, energy, energy if level == 1.0 else e_den, drain, dt)
         r = xi * math.sqrt(energy)
     new = Level(phi_new, mu_new, energy, diss, quad, r, r1)
     return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, state.t0)

@@ -439,23 +439,17 @@ class TestCliRun:
 
 class TestCliConvergence:
     def test_sweep_writes_csv_and_slope(self, tmp_path, capsys):
-        code = main(
-            [
-                "convergence",
-                "--scheme",
-                "2a",
-                "--dts",
-                "0.1,0.05,0.025,0.0125",
-                "--output-dir",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fitted slope" in out
-        csv = (tmp_path / "convergence_2a.csv").read_text().splitlines()
-        assert csv[0] == "dt,linf_err,l2_err"
-        assert len(csv) == 5
+        # 2a, and 1a over the sweep that CI's console-script step runs: the
+        # printed slopes, linf and l2, reach each scheme's order
+        for scheme, dts, floor in (("2a", "0.1,0.05,0.025,0.0125", 1.9), ("1a", "0.1,0.05,0.025", 0.9)):
+            code = main(["convergence", "--scheme", scheme, "--dts", dts, "--output-dir", str(tmp_path)])
+            assert code == 0
+            (line,) = [line for line in capsys.readouterr().out.splitlines() if "fitted slope" in line]
+            slopes = dict(part.split("=") for part in line.split()[-2:])
+            assert min(float(slopes["linf"]), float(slopes["l2"])) >= floor, (scheme, line)
+            csv = (tmp_path / f"convergence_{scheme}.csv").read_text().splitlines()
+            assert csv[0] == "dt,linf_err,l2_err"
+            assert len(csv) == len(dts.split(",")) + 1
 
 
 class TestCliCompare:
