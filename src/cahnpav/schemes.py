@@ -9,35 +9,41 @@ one list of schemes: ``STEPPERS`` binds the step to each of its rows):
 
     kind  order  xi update   xi in the field solve             drain level
     1a    1      A (before)  xi^{n+1}                          t^n
-    1b    1      B (after)   lagged xi^n, xi^0 = 1             t^{n+1}
+    1b    1      B (after)   R^n / sqrt(E^n)                   t^{n+1}
     2a    2      A (before)  xi^{n+1}                          t^{n+1/2}
     2b    2      B (after)   (2 R^n - R^{n-1}) / sqrt(E[ext])  t^{n+1/2}
     semi  2      none        1 (plain explicit nonlinearity)   -
     sav   2      none        xi^2 = r1^{n+1} / sqrt(e1[ext])   -
 
-Order 1 is BDF1 (sigma = 1, g = phi^n, ext = mid = phi^n); order 2 is BDF2
-(sigma = 3/2, g = 2 phi^n - phi^{n-1}/2, ext = 2 phi^n - phi^{n-1}, mid =
-3/2 phi^n - 1/2 phi^{n-1}).  The field solve uses xi^2 h(ext).  The xi update is
+A step reads its history through one number, the step ratio r = order - 1
+(r = dt_n / dt_{n-1} in variable-step BDF2: 0 is BDF1, 1 fixed-step BDF2).
+_weights turns it into every history weight: sigma = (1 + 2r) / (1 + r),
+g = (1 + r) phi^n - r^2 / (1 + r) phi^{n-1}, and the extrapolation (1 + L r)
+x^n - L r x^{n-1} to t^{n+L}: ext at L = 1, mid (the mean of phi^n and ext) at
+L = 1/2.  They are exact at r = 1, and at r = 0 each is phi^n, so E[ext] =
+E[mid] = E^n.  The field solve uses xi^2 h(ext); a B row's xi there is R
+extrapolated to t^{n+1} over sqrt(E[ext]), at r = 0 R^n / sqrt(E^n) = xi^n
+(a B step sets R^n = xi^n sqrt(E^n)).  The xi update is
 
     xi = R^n / (sqrt(E_num) + dt drain / (2 sqrt(E_den))),   R^{n+1} = xi sqrt(E_num)
 
 with drain = m0 ||grad mu_d||^2 - int(f mu_d), f the source.  A: E_num = E[ext];
 B: E_num = E[phi^{n+1}].  The row's drain level L alone sets the rest: f at
 t^{n+L}; E_den = E^n at L = 0, E[mid] at L = 1/2 and E^{n+1} at L = 1; mu_d =
-(1 + L) mu^n - L mu^{n-1} for A (extrapolated), L mu^{n+1} + (1 - L) mu^n for B
-(interpolated).  The A/B ordering asymmetry is the defining difference and must
-not be rearranged.  All four guarantee 0 < R^{n+1} <= R^n for every step size
-and conserve the mean of phi exactly.
+mu extrapolated to t^{n+L} for A, L mu^{n+1} + (1 - L) mu^n for B.  The A/B
+ordering asymmetry is the defining difference and must not be rearranged.  All
+four guarantee 0 < R^{n+1} <= R^n for every step size and conserve the mean of
+phi exactly.
 
 The baselines: ``semi`` (BDF2, nonlinear term fully explicit, conditionally
 stable) and ``sav`` (BDF2 scalar auxiliary variable on the potential energy
 only, stable, but its auxiliary variable may go negative).  SAV's r1 tracks
 sqrt(e1), e1[phi] = int H(phi) + c0, and couples linearly to the field
-through b = h(ext) / sqrt(e1[ext]):
+through b = h(ext) / sqrt(e1[ext]); with g_x the g weights applied to x:
 
-    (3 phi^{n+1} - 4 phi^n + phi^{n-1}) / (2 dt) = m0 lap mu^{n+1} + f
+    (sigma phi^{n+1} - g_phi) / dt = m0 lap mu^{n+1} + f
     mu^{n+1} = -beta lap phi^{n+1} + lam phi^{n+1} + r1^{n+1} b
-    3 r1^{n+1} - 4 r1^n + r1^{n-1} = int b (3 phi^{n+1} - 4 phi^n + phi^{n-1}) / 2
+    2 (sigma r1^{n+1} - g_r1) = int b (sigma phi^{n+1} - g_phi)
 
 which _sav_r1 solves for r1^{n+1} before the field solve.  Every step does
 one constant-coefficient spectral solve.  A state is two time levels; a step
@@ -150,9 +156,9 @@ class Level:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """Two time levels, the step count, the last xi (1 until a PAV step runs)
-    and the time t0 of step 0.  At a cold start ``prev`` is ``cur``: order 2
-    reads it as phi^{-1} = phi^0, R^{-1} = R^0 and so on."""
+    """Two time levels, the step count, the last xi (1 until a PAV step runs;
+    recorded, read by no step) and the time t0 of step 0.  At a cold start
+    ``prev`` is ``cur``: order 2 reads it as phi^{-1} = phi^0, R^{-1} = R^0."""
 
     cur: Level
     prev: Level
@@ -191,7 +197,7 @@ def _symbols(sigma: float, grid: GridSpec, dt: float, p: PhysicalParams):
 
 
 def solve_linear_step(
-    sigma: float, g: RealField, s: RealField, dt: float, p: PhysicalParams
+    sigma: float, grid: GridSpec, g_hat: np.ndarray, s_hat: np.ndarray, dt: float, p: PhysicalParams
 ) -> tuple[RealField, RealField]:
     """Solve the constant-coefficient implicit system for one time step.
 
@@ -200,17 +206,15 @@ def solve_linear_step(
         (sigma/dt) phi = m0 lap(-beta lap phi + lam phi + s) + g/dt
         mu = -beta lap phi + lam phi + s
 
-    i.e.  phi_hat = (g_hat - dt m0 |k|^2 s_hat) / (sigma + dt m0 |k|^2 (beta |k|^2 + lam)).
-    sigma = 1 with g = phi^n for BDF1; sigma = 3/2 with g = 2 phi^n - phi^{n-1}/2
-    for BDF2.  The denominator is >= sigma > 0, so the solve is total.  phi_hat is
-    multiplied by its reciprocal, bit-identical to numpy's division.  The grid keeps
-    beta |k|^2 + lam, dt m0 |k|^2 and that reciprocal as one entry (see _symbols):
-    a new sigma, dt, m0, beta or lam rebuilds all three, any other call none.
+    i.e.  phi_hat = (g_hat - dt m0 |k|^2 s_hat) / (sigma + dt m0 |k|^2 (beta |k|^2 + lam)),
+    from the half-spectra g_hat and s_hat on ``grid`` (neither is written).  The
+    denominator is >= sigma > 0, so the solve is total.  phi_hat is multiplied by
+    its reciprocal, bit-identical to numpy's division; the grid keeps it with
+    beta |k|^2 + lam and dt m0 |k|^2 as one entry (see _symbols).
     """
-    grid, s_hat = g.grid, s.coeffs
     lin, m0k2, inv = _symbols(sigma, grid, dt, p)
     phi_hat = m0k2 * s_hat
-    np.subtract(g.coeffs, phi_hat, out=phi_hat)
+    np.subtract(g_hat, phi_hat, out=phi_hat)
     phi_hat *= inv
     mu_hat = lin * phi_hat
     mu_hat += s_hat
@@ -218,11 +222,8 @@ def solve_linear_step(
 
 
 def _xi_update(r_n: float, e_num: float, e_den: float, drain: float, dt: float) -> float:
-    """Closed-form xi = r / (sqrt(e_num) + dt * drain / (2 sqrt(e_den))).
-
-    With r > 0 and drain >= 0 the result satisfies 0 < xi <= r / sqrt(e_num).
-    drain = dissipation - source work may be negative only in manufactured runs.
-    """
+    """Closed-form xi = r / (sqrt(e_num) + dt drain / (2 sqrt(e_den))): 0 < xi <= r /
+    sqrt(e_num) when r > 0 and drain >= 0 (drain < 0 only in manufactured runs)."""
     if not e_num > 0 or not e_den > 0:
         raise InvalidState(f"energy must be positive in xi update, got {e_num}, {e_den}")
     denom = math.sqrt(e_num) + dt * drain / (2.0 * math.sqrt(e_den))
@@ -232,8 +233,22 @@ def _xi_update(r_n: float, e_num: float, e_den: float, drain: float, dt: float) 
 
 
 Coef = tuple[float, float]  # (a, b) of a combination a x + b y of two levels' fields
-EXT: Coef = (2.0, -1.0)  # second order: phi^{n+1} ~ 2 phi^n - phi^{n-1}
-MID: Coef = (1.5, -0.5)  # and phi^{n+1/2} ~ 3/2 phi^n - 1/2 phi^{n-1}
+
+
+def _weights(r: float, level: float = 1.0) -> tuple[float, Coef, Coef]:
+    """sigma, g's weights and those of the linear extrapolation to t^{n+level}
+    at step ratio r (see the module docstring); exact at r = 0 and r = 1."""
+    return (1.0 + 2.0 * r) / (1.0 + r), (1.0 + r, -r * r / (1.0 + r)), (1.0 + level * r, -level * r)
+
+
+def _combine(coef: Coef, x, y):
+    """a x + b y, (a, b) = coef, of two arrays (a new one) or floats; x itself when b is 0 (a is then 1)."""
+    a, b = coef
+    if not b:
+        return x
+    out = a * x
+    out += b * y
+    return out
 
 
 def _bilinear(coef: Coef, q_x: float, cross: float, q_y: float) -> float:
@@ -262,23 +277,6 @@ def _drain(coef: Coef, mu: RealField, diss: float, y: Level, f_src: RealField | 
     return drain
 
 
-def _bdf(order: int, state: SchemeState, dt: float, f_src: RealField | None):
-    """BDF coefficient sigma, right-hand side g (plus dt f; coefficients only)
-    and the values of the extrapolant of phi^{n+1}."""
-    phi, old = state.cur.phi, state.prev.phi
-    if order == 1:
-        sigma, g_hat, ext = 1.0, phi.coeffs, phi.values
-    else:  # formed in place, in the same order as 2 phi^n - phi^{n-1} / 2 and so on
-        sigma, g_hat, ext = 1.5, 2.0 * phi.coeffs, 2.0 * phi.values
-        g_hat -= 0.5 * old.coeffs
-        ext -= old.values
-    if f_src is not None and order == 1:
-        g_hat = g_hat + dt * f_src.coeffs  # g_hat is phi's own array: not written
-    elif f_src is not None:
-        g_hat += dt * f_src.coeffs
-    return sigma, RealField(phi.grid, coeffs=g_hat), ext
-
-
 def _solved(phi: RealField, mu: RealField, p: PhysicalParams) -> tuple[float, float, float, float]:
     """(E, m0 ||grad mu||^2, quad, int H) of a level's phi and mu: the scalars a Level
     keeps, assembled here only, and int H for r1.  NonPositiveEnergy when E <= 0."""
@@ -293,81 +291,83 @@ def _guard(phi: RealField, step: int) -> None:
         raise Diverged(f"field blew up at step {step}")
 
 
-def _sav_r1(sigma: float, g: RealField, b_hat: np.ndarray, state: SchemeState, dt: float, p: PhysicalParams) -> float:
-    """r1^{n+1} of the SAV step, from b's coefficients b_hat.  The system is linear
-    in it: phi^{n+1} = phi_1 + r1^{n+1} phi_2, phi_1 solved without b and phi_2
-    with b alone, so int(b phi_1) and int(b phi_2) are Parseval sums."""
-    cur, prev, grid = state.cur, state.prev, g.grid
+def _sav_r1(r: float, g_hat: np.ndarray, b_hat: np.ndarray, state: SchemeState, dt: float, p: PhysicalParams) -> float:
+    """r1^{n+1} of the SAV step at step ratio r, from b's coefficients b_hat.  The
+    system is linear in it: phi^{n+1} = phi_1 + r1^{n+1} phi_2, phi_1 solved without
+    b and phi_2 with b alone, so int(b phi_1) and int(b phi_2) are Parseval sums."""
+    cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
+    sigma, (a, b), _ = _weights(r)
     _, m0k2, inv = _symbols(sigma, grid, dt, p)
     wb = grid.parseval * b_hat  # int(b f) = Re vdot(wb, f_hat)
     ib_n, ib_p = np.vdot(wb, cur.phi.coeffs).real, np.vdot(wb, prev.phi.coeffs).real
     wb *= inv  # phi_1 has spectrum g_hat inv, phi_2 -m0k2 b_hat inv
-    ib_1, ib_2 = np.vdot(wb, g.coeffs).real, -np.vdot(wb, m0k2 * b_hat).real  # ib_2 <= 0: 3 - 1.5 ib_2 >= 3
-    return (4.0 * cur.sav_r - prev.sav_r + 1.5 * ib_1 - 2.0 * ib_n + 0.5 * ib_p) / (3.0 - 1.5 * ib_2)
+    ib_1, ib_2 = np.vdot(wb, g_hat).real, -np.vdot(wb, m0k2 * b_hat).real  # ib_2 <= 0: divisor >= 2 sigma
+    num = 2.0 * a * cur.sav_r + 2.0 * b * prev.sav_r + sigma * ib_1 - a * ib_n - b * ib_p
+    return num / (2.0 * sigma - sigma * ib_2)
 
 
 def _imex_step(
     scheme: Scheme, state: SchemeState, dt: float, p: PhysicalParams,
     source: Source | None = None, *, dealias: bool = False,
 ) -> SchemeState:
-    """Advance one step of a table scheme (see the module docstring).
-
-    ``source`` maps a time to the source field; g reads it at t^{n+1} and the
-    xi update at the scheme's drain level.  The ``semi`` and ``sav`` rows raise
-    Diverged when the new field is non-finite or exceeds the overflow guard;
-    ``sav`` raises NonPositiveEnergy when e1[ext] <= 0, which at a cold start
-    is e1[phi^0].
-    """
+    """Advance one step of a table scheme (see the module docstring).  ``source``
+    maps a time to the source field; g reads it at t^{n+1} and the xi update at
+    the drain level.  The ``semi`` and ``sav`` rows raise Diverged when the new
+    field is non-finite or exceeds the overflow guard; ``sav`` raises
+    NonPositiveEnergy when e1[ext] <= 0, at a cold start e1[phi^0]."""
     level = scheme.drain_level  # L: the time of mu_d, E_den and f in the drain
     f_src = f_drain = None if source is None else source(state.time(dt, 1.0))
     if source is not None and level not in (None, 1.0):
         f_drain = source(state.time(dt, level))
-    first = scheme.order == 1
-    cur, prev = state.cur, state.prev
-    grid = cur.phi.grid
-    sigma, g, ext = _bdf(scheme.order, state, dt, f_src)
+    r = scheme.order - 1.0  # the step ratio dt_n / dt_{n-1}
+    cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
+    sigma, g_coef, ext_coef = _weights(r)
+    g_hat = _combine(g_coef, cur.phi.coeffs, prev.phi.coeffs)
+    if f_src is not None:  # a new array: g_hat may be phi^n's own
+        g_hat = g_hat + dt * f_src.coeffs
+    ext = _combine(ext_coef, cur.phi.values, prev.phi.values)
     w = well(ext)
-    e_ext = e_mid = cur.energy  # order 1: ext = mid = phi^n
-    if scheme.xi is not None and not first:
+    e_ext = e_mid = cur.energy  # r = 0: ext = mid = phi^n
+    if scheme.xi is not None and r:
         cross = quadratic_energy(cur.phi, prev.phi, p)
-        e_ext = _energy(EXT, state, cross, w, p)
+        e_ext = _energy(ext_coef, state, cross, w, p)
         w_mid = ext + cur.phi.values  # becomes well() of the midpoint, in place
         w_mid *= 0.5
         w_mid *= w_mid
         w_mid -= 1.0
-        e_mid = _energy(MID, state, cross, w_mid, p)
+        e_mid = _energy(_weights(r, 0.5)[2], state, cross, w_mid, p)
         del w_mid
     e_den = cur.energy if level == 0.0 else e_mid  # E at L, until L = 1 reads E^{n+1}
-    xi, r, r1 = None, cur.r, cur.sav_r  # the xi scaling h(ext) in the field solve; semi and sav keep R
+    xi, r_new, r1 = None, cur.r, cur.sav_r  # the xi scaling h(ext) in the field solve; semi and sav keep R
     scale = p.well_amp  # of h(ext) / a when xi is None, over sqrt(e1[ext]) for sav's b
     if scheme.sav:
         scale /= math.sqrt(sav_energy(well_integral(w, grid, p), p))
-    elif scheme.xi == "a":  # mu_d = (1 + L) mu^n - L mu^{n-1}
-        drain = _drain((1.0 + level, -level), cur.mu, cur.dissipation, prev, f_drain, p)
+    elif scheme.xi == "a":  # mu_d: mu extrapolated to t^{n+L}
+        drain = _drain(_weights(r, level)[2], cur.mu, cur.dissipation, prev, f_drain, p)
         xi = _xi_update(cur.r, e_ext, e_den, drain, dt)
-        r = xi * math.sqrt(e_ext)
-    elif scheme.xi == "b":
-        xi = state.xi if first else (2.0 * cur.r - prev.r) / math.sqrt(e_ext)
+        r_new = xi * math.sqrt(e_ext)
+    elif scheme.xi == "b":  # R extrapolated to t^{n+1}: xi^n at r = 0
+        xi = _combine(ext_coef, cur.r, prev.r) / math.sqrt(e_ext)
 
     w *= ext  # now h(ext) / a
     w *= scale if xi is None else xi * xi * p.well_amp
     s_hat = grid.fft(w)
-    del ext, w  # not read again: freed before the solve, and g, s_hat after it, for a lower peak
+    del ext, w  # not read again: freed before the solve, and g_hat, s_hat after it, for a lower peak
     if dealias:
         s_hat *= grid.dealias_mask
     if scheme.sav:
-        r1 = _sav_r1(sigma, g, s_hat, state, dt, p)
+        r1 = _sav_r1(r, g_hat, s_hat, state, dt, p)
         s_hat *= r1
-    phi_new, mu_new = solve_linear_step(sigma, g, RealField(grid, coeffs=s_hat), dt, p)
-    del g, s_hat
+    phi_new, mu_new = solve_linear_step(sigma, grid, g_hat, s_hat, dt, p)
+    del g_hat, s_hat
     if scheme.xi is None:
         _guard(phi_new, state.step + 1)
     energy, diss, quad, _ = _solved(phi_new, mu_new, p)
     if scheme.xi == "b":  # mu_d = L mu^{n+1} + (1 - L) mu^n
         drain = _drain((level, 1.0 - level), mu_new, diss, cur, f_drain, p)
         xi = _xi_update(cur.r, energy, energy if level == 1.0 else e_den, drain, dt)
-        r = xi * math.sqrt(energy)
-    new = Level(phi_new, mu_new, energy, diss, quad, r, r1)
+        r_new = xi * math.sqrt(energy)
+    new = Level(phi_new, mu_new, energy, diss, quad, r_new, r1)
     return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, state.t0)
 
 

@@ -30,8 +30,6 @@ from cahnpav.grid import inner, integrate
 from cahnpav.model import dissipation, energy_total, potential_h, potential_integral, quadratic_energy, well
 from cahnpav.problems import source_spectra, source_term
 from cahnpav.schemes import (
-    EXT,
-    MID,
     OVERFLOW_GUARD,
     SCHEMES,
     STEPPERS,
@@ -41,6 +39,7 @@ from cahnpav.schemes import (
     _energy,
     _guard,
     _symbols,
+    _weights,
     _xi_update,
     solve_linear_step,
 )
@@ -77,21 +76,21 @@ class TestSolveLinearStep:
     def test_zero_inputs(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         zero = constant(grid, 0.0)
-        phi, mu = solve_linear_step(1.0, zero, zero, 0.1, THEORY)
+        phi, mu = solve_linear_step(1.0, grid, zero.coeffs, zero.coeffs, 0.1, THEORY)
         assert np.max(np.abs(phi.values)) == 0.0
         assert np.max(np.abs(mu.values)) == 0.0
 
     def test_zero_mode_preserves_mean(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         g = smooth_ic(grid, 1)
-        phi, _ = solve_linear_step(1.0, g, constant(grid, 0.0), 0.3, THEORY)
+        phi, _ = solve_linear_step(1.0, grid, g.coeffs, constant(grid, 0.0).coeffs, 0.3, THEORY)
         assert mean(phi) == pytest.approx(mean(g), rel=1e-14)
 
     def test_single_mode_closed_form(self):
         # cos(pi x) on lx = 2: k = pi, amplification 1 / (1 + dt m0 k^2 beta k^2)
         grid = GridSpec(16, 16, 2.0, 2.0)
         g = from_function(grid, lambda X, Y: np.cos(np.pi * X))
-        phi, _ = solve_linear_step(1.0, g, constant(grid, 0.0), 0.1, THEORY)
+        phi, _ = solve_linear_step(1.0, grid, g.coeffs, constant(grid, 0.0).coeffs, 0.1, THEORY)
         amp = 1.0 / (1.0 + 0.1 * np.pi**4)
         assert np.max(np.abs(phi.values - amp * g.values)) < 1e-13
 
@@ -110,7 +109,7 @@ class TestSolveLinearStep:
             grid,
             lambda X, Y: np.cos(2 * np.pi * p * X / grid.lx) * np.cos(2 * np.pi * q * Y / grid.ly),
         )
-        phi, mu = solve_linear_step(sigma_bdf, g, constant(grid, 0.0), dt, params)
+        phi, mu = solve_linear_step(sigma_bdf, grid, g.coeffs, constant(grid, 0.0).coeffs, dt, params)
         k2 = (2 * np.pi * p / grid.lx) ** 2 + (2 * np.pi * q / grid.ly) ** 2
         amp = 1.0 / (sigma_bdf + dt * params.m0 * k2 * (params.beta * k2 + params.lam))
         assert np.max(np.abs(phi.values - amp * g.values)) < 1e-12 * max(1.0, amp)
@@ -122,7 +121,7 @@ class TestSolveLinearStep:
         params = PhysicalParams(m0=0.05, beta=0.4, eta=1.0, well_amp=1.0, lam=0.1)
         g, s = smooth_ic(grid, 5), smooth_ic(grid, 6)
         dt, sigma = 0.07, 1.5
-        phi, mu = solve_linear_step(sigma, g, s, dt, params)
+        phi, mu = solve_linear_step(sigma, grid, g.coeffs, s.coeffs, dt, params)
         # independent spectral residual with raw numpy transforms
         lap = lambda v: np.fft.irfft2(-grid.k2 * np.fft.rfft2(v), s=grid.shape)
         res_mu = mu.values - (-params.beta * lap(phi.values) + params.lam * phi.values + s.values)
@@ -144,7 +143,7 @@ class TestSolveLinearStep:
         params = PhysicalParams(m0=0.7, beta=0.3, eta=1.0, well_amp=1.0, lam=lam)
         g, s = self.random_pair(grid, n)
         for dt in (1e-5, 1e-2, 1.0, 50.0):
-            phi, mu = solve_linear_step(sigma, g, s, dt, params)
+            phi, mu = solve_linear_step(sigma, grid, g.coeffs, s.coeffs, dt, params)
             m0k2, lin = dt * params.m0 * grid.k2, params.beta * grid.k2 + params.lam
             expected = (g.coeffs - m0k2 * s.coeffs) / (sigma + m0k2 * lin)
             assert np.array_equal(phi.coeffs, expected)
@@ -159,7 +158,8 @@ class TestSolveLinearStep:
 
         def solve(on, sigma, dt, m0, beta, lam):
             params = PhysicalParams(m0=m0, beta=beta, eta=1.0, well_amp=1.0, lam=lam)
-            return solve_linear_step(sigma, *self.random_pair(on, 7), dt, params)
+            g, s = self.random_pair(on, 7)
+            return solve_linear_step(sigma, on, g.coeffs, s.coeffs, dt, params)
 
         for name, value in changes.items():
             solve(grid, **base)
@@ -264,12 +264,29 @@ class TestStepperTable:
                     assert level.quad == quadratic_energy(level.phi, level.phi, p)
 
 
+class TestWeights:
+    """The history weights of a step ratio are exact at r = 1 (fixed-step
+    BDF2) and r = 0 (BDF1), so that fixed-step runs do not move."""
+
+    def test_fixed_step_bdf2(self):
+        sigma, g, ext = _weights(1.0)
+        assert (sigma, g, ext) == (1.5, (2.0, -0.5), (2.0, -1.0))
+        assert _weights(1.0, 0.5)[2] == (1.5, -0.5)  # mid
+        assert _weights(1.0, SCHEMES[SchemeKind.PAV_2A].drain_level)[2] == (1.5, -0.5)  # 2a's mu_d
+
+    def test_bdf1(self):
+        for level in (0.0, 0.5, 1.0):  # 1a's mu_d, mid, ext
+            sigma, g, ext = _weights(0.0, level)
+            assert sigma == 1.0 and g == ext == (1.0, 0.0)  # 0.0 == -0.0: either sign
+
+
 class TestBilinearEnergy:
     """E[ext], E[mid] and the drain of a step, formed by bilinearity from the
     levels' scalars and one cross term, against a direct evaluation of the
     combined field: within 1e-12 relative."""
 
     GRID = GridSpec(16, 12, 2.0, 1.5)
+    EXT, MID = _weights(1.0)[2], _weights(1.0, 0.5)[2]
 
     def state(self, p, case, seed):
         rng = np.random.default_rng(seed)
@@ -295,7 +312,7 @@ class TestBilinearEnergy:
         state = self.state(p, case, seed)
         cur, prev = state.cur, state.prev
         cross = quadratic_energy(cur.phi, prev.phi, p)
-        for a, b in (EXT, MID, (1.0, 0.0)):
+        for a, b in (self.EXT, self.MID, (1.0, 0.0)):
             values = a * cur.phi.values + b * prev.phi.values
             expected = energy_total(RealField(self.GRID, values), p)
             got = _energy((a, b), state, cross, well(values), p)
@@ -308,7 +325,7 @@ class TestBilinearEnergy:
         state = self.state(p, case, 3)
         f_src = smooth_ic(self.GRID, 4, amp=0.5) if with_source else None
         x, y = state.cur, state.prev
-        for a, b in (MID, (0.5, 0.5), (1.0, 0.0)):
+        for a, b in (self.MID, (0.5, 0.5), (1.0, 0.0)):
             mu_d = RealField(self.GRID, coeffs=a * x.mu.coeffs + b * y.mu.coeffs)
             expected = dissipation(mu_d, p) - (0.0 if f_src is None else inner(f_src, mu_d))
             assert _drain((a, b), x.mu, x.dissipation, y, f_src, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -532,24 +549,28 @@ class TestStepOrderingAsymmetry:
         assert new.cur.r == pytest.approx(expected_xi * math.sqrt(e_n), rel=1e-15)
 
     def test_1b_xi_depends_on_new_fields(self):
+        # at each of 20 steps; the next solve reads R^n / sqrt(E^n), which must
+        # be the lagged xi^n also where xi^n is not 1
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 22, amp=0.6), THEORY)
         new = STEPPERS[SchemeKind.PAV_1B](state, 0.2, THEORY)
-        e_new = energy_total(new.cur.phi, THEORY)
-        diss_new = dissipation(new.cur.mu, THEORY)
-        expected_xi = _xi_update(state.cur.r, e_new, e_new, diss_new, 0.2)
-        assert new.xi == pytest.approx(expected_xi, rel=1e-15)
-        # stored for the next lagged solve
-        s = RealField(grid, new.xi**2 * potential_h(new.cur.phi, THEORY).values)
-        manual_phi, _ = solve_linear_step(1.0, new.cur.phi, s, 0.2, THEORY)
-        assert np.max(np.abs(STEPPERS[SchemeKind.PAV_1B](new, 0.2, THEORY).cur.phi.values - manual_phi.values)) < 1e-15
+        for _ in range(20):
+            e_new = energy_total(new.cur.phi, THEORY)
+            diss_new = dissipation(new.cur.mu, THEORY)
+            expected_xi = _xi_update(state.cur.r, e_new, e_new, diss_new, 0.2)
+            assert new.xi == pytest.approx(expected_xi, rel=1e-15) and new.xi != 1.0
+            # stored for the next lagged solve
+            s = RealField(grid, new.xi**2 * potential_h(new.cur.phi, THEORY).values)
+            manual_phi, _ = solve_linear_step(1.0, grid, new.cur.phi.coeffs, s.coeffs, 0.2, THEORY)
+            state, new = new, STEPPERS[SchemeKind.PAV_1B](new, 0.2, THEORY)
+            assert np.max(np.abs(new.cur.phi.values - manual_phi.values)) < 1e-15
 
     def test_1b_first_step_uses_unit_xi(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 23, amp=0.6), THEORY)
         new = STEPPERS[SchemeKind.PAV_1B](state, 0.2, THEORY)
         # manual: BDF1 solve with s = 1^2 h(phi^0)
-        manual_phi, _ = solve_linear_step(1.0, state.cur.phi, potential_h(state.cur.phi, THEORY), 0.2, THEORY)
+        manual_phi, _ = solve_linear_step(1.0, grid, state.cur.phi.coeffs, potential_h(state.cur.phi, THEORY).coeffs, 0.2, THEORY)
         assert np.max(np.abs(new.cur.phi.values - manual_phi.values)) < 1e-15
 
     def test_2b_first_step_extrapolated_xi_is_one(self):
@@ -558,7 +579,7 @@ class TestStepOrderingAsymmetry:
         state = init_state(smooth_ic(grid, 24, amp=0.6), THEORY)
         new = STEPPERS[SchemeKind.PAV_2B](state, 0.2, THEORY)
         g = RealField(grid, 1.5 * state.cur.phi.values)
-        manual_phi, _ = solve_linear_step(1.5, g, potential_h(state.cur.phi, THEORY), 0.2, THEORY)
+        manual_phi, _ = solve_linear_step(1.5, grid, g.coeffs, potential_h(state.cur.phi, THEORY).coeffs, 0.2, THEORY)
         assert np.max(np.abs(new.cur.phi.values - manual_phi.values)) < 1e-15
 
     def test_2a_xi_uses_extrapolated_fields(self):
@@ -767,7 +788,7 @@ class TestDealias:
         s_raw = xi**2 * potential_h(state.cur.phi, THEORY).values
         s_filtered = grid.ifft(grid.fft(s_raw) * grid.dealias_mask)
         manual_phi, _ = solve_linear_step(
-            1.0, state.cur.phi, RealField(grid, s_filtered), dt, THEORY
+            1.0, grid, state.cur.phi.coeffs, RealField(grid, s_filtered).coeffs, dt, THEORY
         )
         new = STEPPERS[SchemeKind.PAV_1A](state, dt, THEORY, dealias=True)
         assert np.max(np.abs(new.cur.phi.values - manual_phi.values)) < 1e-14
