@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -92,6 +94,12 @@ class ProblemSpec:
             return exact_solution(self.t0, self.grid)
         return ic_drop_array(self)
 
+    def source(self) -> Callable[[float], RealField] | None:
+        """The manufactured source as a function of time, its spectra built once; None for drops."""
+        if self.drops is not None:
+            return None
+        return partial(source_term, grid=self.grid, spectra=source_spectra(self.grid, self.params))
+
 
 def exact_solution(t: float, grid: GridSpec) -> RealField:
     """Manufactured solution cos(pi x) cos(pi y) sin(t)."""
@@ -120,18 +128,17 @@ def source_spectra(grid: GridSpec, p: PhysicalParams) -> np.ndarray:
     return np.stack((psi_hat, -p.m0 * a_hat, -p.m0 * b_hat))
 
 
-def source_term(t: float, grid: GridSpec, p: PhysicalParams, spectra=None) -> RealField:
+def source_term(t: float, grid: GridSpec, spectra: np.ndarray) -> RealField:
     """Source f = phi_t - m0 lap(mu(phi)) making the manufactured field a solution.
 
     With phi = sin t psi this is f = cos t psi - m0 (sin t A + sin^3 t B), formed
-    as coefficients by one contraction of ``spectra = source_spectra(grid, p)``
-    (built here when not given), with no transform.  The cubic term is
-    band-limited at mode 3, so the result is exact (no aliasing) on any grid
-    with nx, ny >= 8, which ProblemSpec requires of a manufactured problem.
+    as coefficients by one contraction of ``spectra = source_spectra(grid, p)``,
+    with no transform.  The cubic term is band-limited at mode 3, so the result
+    is exact (no aliasing) on any grid with nx, ny >= 8, which ProblemSpec
+    requires of a manufactured problem.  ProblemSpec.source binds grid and spectra.
     """
-    table = source_spectra(grid, p) if spectra is None else spectra
     s = math.sin(t)
-    return RealField(grid, coeffs=np.einsum("i,ijk->jk", (math.cos(t), s, s**3), table))
+    return RealField(grid, coeffs=np.einsum("i,ijk->jk", (math.cos(t), s, s**3), spectra))
 
 
 def ic_drop_array(spec: ProblemSpec) -> RealField:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 from .diagnostics import HistoryRecord, error_norms
@@ -11,7 +10,7 @@ from .errors import Diverged, SolverError, ValidationError
 from .grid import h2_norm, integrate
 from .model import potential_integral
 from .output import write_snapshot
-from .problems import ProblemSpec, exact_solution, source_spectra, source_term
+from .problems import ProblemSpec, exact_solution
 from .schemes import SCHEMES, STEPPERS, Level, Scheme, SchemeKind, SchemeState, init_state, sav_energy
 
 
@@ -106,11 +105,8 @@ def run_simulation(
     if row.sav:
         sav_energy(potential_integral(state.cur.phi, params), params)  # NonPositiveEnergy: sav cannot start from phi^0
     if seeded is not None:
-        state = replace(state, prev=seeded)
-    source = None
-    if problem.has_exact:
-        spectra = source_spectra(problem.grid, params)
-        source = partial(source_term, grid=problem.grid, p=params, spectra=spectra)
+        state = replace(state, prev=seeded, dt_prev=dt)
+    source = problem.source()
 
     def snapshot(state: SchemeState) -> None:
         write_snapshot(state.cur.phi, state.time(dt), Path(output_dir) / f"snapshot_{state.step:08d}.dat")

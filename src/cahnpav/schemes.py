@@ -15,15 +15,15 @@ one list of schemes: ``STEPPERS`` binds the step to each of its rows):
     semi  2      none        1 (plain explicit nonlinearity)   -
     sav   2      none        xi^2 = r1^{n+1} / sqrt(e1[ext])   -
 
-A step reads its history through one number, the step ratio r = order - 1
-(r = dt_n / dt_{n-1} in variable-step BDF2: 0 is BDF1, 1 fixed-step BDF2).
-_weights turns it into every history weight: sigma = (1 + 2r) / (1 + r),
-g = (1 + r) phi^n - r^2 / (1 + r) phi^{n-1}, and the extrapolation (1 + L r)
-x^n - L r x^{n-1} to t^{n+L}: ext at L = 1, mid (the mean of phi^n and ext) at
-L = 1/2.  They are exact at r = 1, and at r = 0 each is phi^n, so E[ext] =
-E[mid] = E^n.  The field solve uses xi^2 h(ext); a B row's xi there is R
-extrapolated to t^{n+1} over sqrt(E[ext]), at r = 0 R^n / sqrt(E^n) = xi^n
-(a B step sets R^n = xi^n sqrt(E^n)).  The xi update is
+A step reads its history through one number, the variable-step BDF2 step
+ratio r = dt / dt_prev from the state: 0 on the order-1 rows, order - 1 at a
+cold start.  _weights turns it into every history weight: sigma = (1 + 2r) /
+(1 + r), g = (1 + r) phi^n - r^2 / (1 + r) phi^{n-1}, and the extrapolation
+(1 + L r) x^n - L r x^{n-1} to t^{n+L}: ext at L = 1, mid (the mean of phi^n
+and ext) at L = 1/2.  They are exact at r = 1 (fixed steps), and at r = 0 each
+is phi^n, so E[ext] = E[mid] = E^n.  The field solve uses xi^2 h(ext); a B
+row's xi there is R extrapolated to t^{n+1} over sqrt(E[ext]), at r = 0 R^n /
+sqrt(E^n) = xi^n (a B step sets R^n = xi^n sqrt(E^n)).  The xi update is
 
     xi = R^n / (sqrt(E_num) + dt drain / (2 sqrt(E_den))),   R^{n+1} = xi sqrt(E_num)
 
@@ -74,7 +74,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import Diverged, InvalidState, NonPositiveEnergy
+from .errors import Diverged, InvalidState, NonPositiveEnergy, ValidationError
 from .grid import GridSpec, RealField, grad_inner, inner
 from .model import (
     PhysicalParams,
@@ -157,14 +157,16 @@ class Level:
 @dataclass(frozen=True)
 class SchemeState:
     """Two time levels, the step count, the last xi (1 until a PAV step runs;
-    recorded, read by no step) and the time t0 of step 0.  At a cold start
-    ``prev`` is ``cur``: order 2 reads it as phi^{-1} = phi^0, R^{-1} = R^0."""
+    recorded, read by no step), the time t0 of step 0 and dt_prev, the step
+    from ``prev`` to ``cur``.  ``dt_prev is None`` is a cold start: ``prev`` is
+    ``cur``, and order 2 reads it as phi^{-1} = phi^0, R^{-1} = R^0."""
 
     cur: Level
     prev: Level
     step: int = 0
     xi: float = 1.0
     t0: float = 0.0
+    dt_prev: float | None = None
 
     def time(self, dt: float, ahead: float = 0.0) -> float:
         """t0 + (step + ahead) dt: the time of ``cur``, or ``ahead`` steps past it."""
@@ -312,14 +314,17 @@ def _imex_step(
 ) -> SchemeState:
     """Advance one step of a table scheme (see the module docstring).  ``source``
     maps a time to the source field; g reads it at t^{n+1} and the xi update at
-    the drain level.  The ``semi`` and ``sav`` rows raise Diverged when the new
-    field is non-finite or exceeds the overflow guard; ``sav`` raises
-    NonPositiveEnergy when e1[ext] <= 0, at a cold start e1[phi^0]."""
+    the drain level.  A dt that is not positive and finite is a ValidationError.
+    The ``semi`` and ``sav`` rows raise Diverged when the new field is
+    non-finite or exceeds the overflow guard; ``sav`` raises NonPositiveEnergy
+    when e1[ext] <= 0, at a cold start e1[phi^0]."""
+    if not 0.0 < dt < math.inf:
+        raise ValidationError("dt", f"must be positive and finite, got {dt}")
     level = scheme.drain_level  # L: the time of mu_d, E_den and f in the drain
     f_src = f_drain = None if source is None else source(state.time(dt, 1.0))
     if source is not None and level not in (None, 1.0):
         f_drain = source(state.time(dt, level))
-    r = scheme.order - 1.0  # the step ratio dt_n / dt_{n-1}
+    r = (scheme.order - 1) * dt / (state.dt_prev or dt)  # the step ratio; order - 1 at a cold start
     cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
     sigma, g_coef, ext_coef = _weights(r)
     g_hat = _combine(g_coef, cur.phi.coeffs, prev.phi.coeffs)
@@ -368,7 +373,7 @@ def _imex_step(
         xi = _xi_update(cur.r, energy, energy if level == 1.0 else e_den, drain, dt)
         r_new = xi * math.sqrt(energy)
     new = Level(phi_new, mu_new, energy, diss, quad, r_new, r1)
-    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, state.t0)
+    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, state.t0, dt)
 
 
 STEPPERS = {kind: partial(_imex_step, row) for kind, row in SCHEMES.items()}

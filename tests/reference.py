@@ -55,9 +55,12 @@ def reference_step(kind, state, dt, p, source=None, dealias=False):
     phi_n, phi_p, mu_n, mu_p = cur.phi.values, prev.phi.values, cur.mu.values, prev.mu.values
     if order == 1:
         sigma, g, ext, mid, mu_mid = 1.0, phi_n, phi_n, phi_n, mu_n
-    else:
-        sigma, g, ext = 1.5, 2.0 * phi_n - 0.5 * phi_p, 2.0 * phi_n - phi_p
-        mid, mu_mid = 1.5 * phi_n - 0.5 * phi_p, 1.5 * mu_n - 0.5 * mu_p
+    else:  # variable-step BDF2 at the step ratio r = dt / dt_prev, 1 at a cold start
+        r = 1.0 if state.dt_prev is None else dt / state.dt_prev
+        sigma, g_n, g_p = (1.0 + 2.0 * r) / (1.0 + r), 1.0 + r, -r * r / (1.0 + r)
+        g, ext = g_n * phi_n + g_p * phi_p, (1.0 + r) * phi_n - r * phi_p
+        mid, mu_mid = (1.0 + 0.5 * r) * phi_n - 0.5 * r * phi_p, (1.0 + 0.5 * r) * mu_n - 0.5 * r * mu_p
+    history = g  # g without the source: sav's r1 update reads it
     f_drain = None
     if source is not None:
         g = g + dt * source(state.time(dt, 1.0)).values
@@ -78,15 +81,15 @@ def reference_step(kind, state, dt, p, source=None, dealias=False):
             drain -= integral(f_drain * mu_d)
         return cur.r / (math.sqrt(e_num) + dt * drain / (2.0 * math.sqrt(e_den)))
 
-    xi, r, r1 = state.xi, cur.r, cur.sav_r
+    xi, r_new, r1 = state.xi, cur.r, cur.sav_r
     if update == "sav":  # b = h(ext) / sqrt(e1[ext]), e1 = int H + c0; dealias cuts b everywhere
         b = h(ext) / math.sqrt(integral(0.25 * p.well_amp * (ext * ext - 1.0) ** 2) + p.c0)
         if dealias:
             b = np.fft.ifft2(np.fft.fft2(b) * mask).real
         (phi_1, mu_1), (phi_2, mu_2) = solve(g, np.zeros_like(b)), solve(np.zeros_like(b), b)
-        # 3 r1 - 4 r1^n + r1^{n-1} = int b (3 (phi_1 + r1 phi_2) - 4 phi^n + phi^{n-1}) / 2
-        r1 = (4.0 * cur.sav_r - prev.sav_r + integral(b * (1.5 * phi_1 - 2.0 * phi_n + 0.5 * phi_p))) / (
-            3.0 - 1.5 * integral(b * phi_2)
+        # 2 (sigma r1 - g_n r1^n - g_p r1^{n-1}) = int b (sigma (phi_1 + r1 phi_2) - history)
+        r1 = (2.0 * (g_n * cur.sav_r + g_p * prev.sav_r) + integral(b * (sigma * phi_1 - history))) / (
+            2.0 * sigma - sigma * integral(b * phi_2)
         )
         phi, mu = phi_1 + r1 * phi_2, mu_1 + r1 * mu_2
     else:
@@ -94,9 +97,9 @@ def reference_step(kind, state, dt, p, source=None, dealias=False):
         if update == "a":
             e_ext = energy(ext)
             xi = xi_solve = xi_update(e_ext, energy(mid), mu_mid)
-            r = xi * math.sqrt(e_ext)
+            r_new = xi * math.sqrt(e_ext)
         elif update == "b":
-            xi_solve = state.xi if order == 1 else (2.0 * cur.r - prev.r) / math.sqrt(energy(ext))
+            xi_solve = state.xi if order == 1 else ((1.0 + r) * cur.r - r * prev.r) / math.sqrt(energy(ext))
         phi, mu = solve(g, xi_solve**2 * h(ext))
         if update == "b":
             e_new = energy(phi)
@@ -104,6 +107,6 @@ def reference_step(kind, state, dt, p, source=None, dealias=False):
                 xi = xi_update(e_new, e_new, mu)
             else:
                 xi = xi_update(e_new, energy(mid), 0.5 * (mu + mu_n))
-            r = xi * math.sqrt(e_new)
-    new = Level(RealField(grid, phi), RealField(grid, mu), math.nan, math.nan, math.nan, r, r1)
-    return SchemeState(new, cur, state.step + 1, xi, state.t0)
+            r_new = xi * math.sqrt(e_new)
+    new = Level(RealField(grid, phi), RealField(grid, mu), math.nan, math.nan, math.nan, r_new, r1)
+    return SchemeState(new, cur, state.step + 1, xi, state.t0, dt)

@@ -23,7 +23,6 @@ from cahnpav.problems import (
     ProblemSpec,
     exact_solution,
     ic_drop_array,
-    source_term,
 )
 
 from helpers import exact_time_derivative, n_drops
@@ -59,7 +58,7 @@ class TestSourceTerm:
         # substituting the exact solution into phi_t - m0 lap(mu) - f must
         # vanish; the oracle uses raw numpy transforms end to end
         grid, params = MFG.grid, MFG.params
-        f = source_term(t, grid, params)
+        f = MFG.source()(t)
         phi = exact_solution(t, grid).values
         lap = lambda v: np.fft.irfft2(-grid.k2 * np.fft.rfft2(v), s=grid.shape)
         mu = -params.beta * lap(phi) + params.well_amp * (phi**3 - phi)
@@ -68,13 +67,16 @@ class TestSourceTerm:
 
     def test_equals_time_derivative_at_t0(self):
         # phi(0) = 0 kills mu, leaving f = phi_t
-        f = source_term(0.0, MFG.grid, MFG.params)
+        f = MFG.source()(0.0)
         expected = exact_time_derivative(0.0, MFG.grid).values
         assert np.max(np.abs(f.values - expected)) < 1e-13
 
     @pytest.mark.parametrize("t", [0.1, 0.9])
     def test_zero_mean(self, t):
-        assert abs(integrate(source_term(t, MFG.grid, MFG.params))) < 1e-13
+        assert abs(integrate(MFG.source()(t))) < 1e-13
+
+    def test_drops_have_no_source(self):
+        assert desk_scale_drop_spec().source() is None
 
     def test_rejects_coarse_grid(self):
         # refused when the problem is built, not when a step evaluates the source
@@ -86,8 +88,8 @@ class TestSourceTerm:
     def test_band_limited_exactness(self):
         # the cubic tops out at mode 3: the 8^2 and 64^2 sources agree at
         # shared points, so there is no aliasing error at nx >= 8
-        coarse = source_term(0.5, GridSpec(8, 8, 2.0, 2.0), MFG.params)
-        fine = source_term(0.5, GridSpec(64, 64, 2.0, 2.0), MFG.params)
+        coarse = dataclasses.replace(MFG, grid=GridSpec(8, 8, 2.0, 2.0)).source()(0.5)
+        fine = dataclasses.replace(MFG, grid=GridSpec(64, 64, 2.0, 2.0)).source()(0.5)
         assert np.max(np.abs(coarse.values - fine.values[::8, ::8])) < 1e-12
 
 

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from cahnpav import (
 from cahnpav.cli import main
 from cahnpav.model import potential_integral
 from cahnpav.output import read_history_csv, read_snapshot
-from cahnpav.problems import exact_solution, source_spectra, source_term
+from cahnpav.problems import exact_solution
 from cahnpav.runner import seed_exact_history
 from cahnpav.schemes import STEPPERS, Level
 
@@ -61,8 +60,7 @@ class TestRunSimulation:
         problem, k = manufactured_spec(dt=0.05), 7
         full = run_simulation(problem, scheme, exact_history=True).final_state
         state = run_simulation(problem, scheme, n_steps=k, exact_history=True).final_state
-        spectra = source_spectra(problem.grid, problem.params)
-        source = partial(source_term, grid=problem.grid, p=problem.params, spectra=spectra)
+        source = problem.source()
         for _ in range(problem.n_steps - k):
             state = STEPPERS[scheme](state, problem.dt, problem.params, source)
         assert state.step == full.step == problem.n_steps

@@ -1,10 +1,12 @@
 """Tests for the time steppers: fixed points, closed-form oracles, invariants."""
 
 import math
+import operator
 import tracemalloc
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from inspect import Parameter, signature
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -20,15 +22,16 @@ from cahnpav import (
     PhysicalParams,
     RealField,
     SchemeKind,
+    ValidationError,
     desk_scale_drop_spec,
     init_state,
     manufactured_spec,
     run_simulation,
 )
-from cahnpav.diagnostics import MASS_DRIFT_TOL, R_MONOTONE_SLACK
+from cahnpav.diagnostics import MASS_DRIFT_TOL, R_MONOTONE_SLACK, error_norms, fit_convergence_order
 from cahnpav.grid import inner, integrate
 from cahnpav.model import dissipation, energy_total, potential_h, potential_integral, quadratic_energy, well
-from cahnpav.problems import source_spectra, source_term
+from cahnpav.problems import exact_solution
 from cahnpav.schemes import (
     OVERFLOW_GUARD,
     SCHEMES,
@@ -53,6 +56,10 @@ WITH_LAM = PhysicalParams(m0=0.7, beta=0.8, eta=1.0, well_amp=1.3, lam=0.6, c0=1
 
 PAV = [kind for kind in SchemeKind if kind.is_pav]
 SAV, SEMI = SchemeKind.SAV, SchemeKind.SEMI_IMPLICIT
+
+# the ratios of five steps to the one before: fixed steps, or each drawn up to
+# 1 + sqrt 2, the largest ratio the variable-step BDF2 analyses admit
+STEP_RATIOS = st.one_of(st.just([1.0] * 5), st.lists(st.floats(0.2, 1.0 + math.sqrt(2.0)), min_size=5, max_size=5))
 
 
 def step_id(kind):
@@ -506,6 +513,7 @@ class TestRChain:
     @given(
         kind=st.sampled_from(PAV),
         dt=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+        ratios=STEP_RATIOS,
         nx=st.integers(4, 16).map(lambda n: 2 * n),
         ny=st.integers(4, 16).map(lambda n: 2 * n),
         eta=st.floats(0.05, 1.0),
@@ -513,19 +521,21 @@ class TestRChain:
         amp=st.floats(0.05, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_guarantees_for_random_parameters(self, kind, dt, nx, ny, eta, c0, amp, seed):
+    def test_guarantees_for_random_parameters(self, kind, dt, ratios, nx, ny, eta, c0, amp, seed):
         # 0 < R^{n+1} <= R^n, 0 < xi <= R^n / sqrt(E_num) and exact mass at every
-        # step; E_num is the energy in the xi numerator, as in test_acceptance
+        # step of six, fixed or not; E_num is the energy in the xi numerator, as
+        # in test_acceptance, of ext at the step ratio r for 2a
         grid = GridSpec(nx, ny, 2.0, 2.0)
         params = PhysicalParams(m0=0.01, beta=0.01, eta=eta, c0=c0)
         state = init_state(smooth_ic(grid, seed, amp=amp), params)
         mass0 = integrate(state.cur.phi)
-        for _ in range(6):
-            r_n = state.cur.r
+        for dt in accumulate(ratios, operator.mul, initial=dt):
+            r_n, r = state.cur.r, 1.0 if state.dt_prev is None else dt / state.dt_prev
             if kind is SchemeKind.PAV_1A:
                 e_num = state.cur.energy
             elif kind is SchemeKind.PAV_2A:
-                e_num = energy_total(RealField(grid, 2 * state.cur.phi.values - state.prev.phi.values), params)
+                ext = (1.0 + r) * state.cur.phi.values - r * state.prev.phi.values
+                e_num = energy_total(RealField(grid, ext), params)
             state = STEPPERS[kind](state, dt, params)
             if kind in (SchemeKind.PAV_1B, SchemeKind.PAV_2B):
                 e_num = state.cur.energy
@@ -637,27 +647,24 @@ class TestDivergenceGuard:
 
 @cache
 def reference_case(case):
-    """(initial field, params, t0, dt, steps, source) of a reference
+    """(initial field, params, t0, step sizes, source) of a reference
     comparison: 30 desk steps at the preset dt, the manufactured run with its
     source, and 30 steps with lam > 0."""
     if case == "lam":
-        return smooth_ic(GridSpec(32, 32, 2.0, 2.0), 35, amp=0.8), WITH_LAM, 0.0, 0.05, 30, None
+        return smooth_ic(GridSpec(32, 32, 2.0, 2.0), 35, amp=0.8), WITH_LAM, 0.0, (0.05,) * 30, None
     problem = desk_scale_drop_spec() if case == "desk" else manufactured_spec()
-    source = None
-    if case == "manufactured":
-        spectra = source_spectra(problem.grid, problem.params)
-        source = partial(source_term, grid=problem.grid, p=problem.params, spectra=spectra)
+    source = problem.source() if case == "manufactured" else None
     n_steps = 30 if case == "desk" else problem.n_steps
-    return problem.initial_condition(), problem.params, problem.t0, problem.dt, n_steps, source
+    return problem.initial_condition(), problem.params, problem.t0, (problem.dt,) * n_steps, source
 
 
-def assert_matches_reference(kind, dealias, phi0, p, t0, dt, n_steps, source):
-    """Every step of a run from init_state, against the reference step from
-    the same state: phi, mu, R and xi (PAV) and r1 (sav) agree to 1e-12
-    relative.  The reference reads no scalar a Level keeps, so a wrong one
-    shows at the next step."""
+def assert_matches_reference(kind, dealias, phi0, p, t0, dts, source):
+    """Every step of a run from init_state, one of each size in ``dts``,
+    against the reference step from the same state: phi, mu, R and xi (PAV)
+    and r1 (sav) agree to 1e-12 relative.  The reference reads no scalar a
+    Level keeps, so a wrong one shows at the next step."""
     state = init_state(phi0, p, t0)
-    for _ in range(n_steps):
+    for dt in dts:
         ref = reference_step(kind, state, dt, p, source, dealias)
         state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
         for got, want in ((state.cur.phi.values, ref.cur.phi.values), (state.cur.mu.values, ref.cur.mu.values)):
@@ -667,6 +674,7 @@ def assert_matches_reference(kind, dealias, phi0, p, t0, dt, n_steps, source):
             assert state.xi == pytest.approx(ref.xi, rel=1e-12, abs=0.0)
         if kind is SAV:
             assert state.cur.sav_r == pytest.approx(ref.cur.sav_r, rel=1e-12, abs=0.0)
+        assert state.dt_prev == ref.dt_prev == dt
 
 
 class TestReferenceStep:
@@ -679,10 +687,11 @@ class TestReferenceStep:
     def test_matches_reference(self, kind, case, dealias):
         assert_matches_reference(kind, dealias, *reference_case(case))
 
-    @settings(deadline=None, max_examples=30)
+    @settings(deadline=None, max_examples=60)
     @given(
         kind=st.sampled_from(list(SchemeKind)),
         dt=st.floats(-4.0, 0.0).map(lambda e: 10.0**e),
+        ratios=STEP_RATIOS,
         nx=st.integers(4, 16).map(lambda n: 2 * n),
         ny=st.integers(4, 16).map(lambda n: 2 * n),
         eta=st.floats(0.05, 1.0),
@@ -694,19 +703,86 @@ class TestReferenceStep:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_reference_for_random_parameters(
-        self, kind, dt, nx, ny, eta, c0, lam, amp, with_source, dealias, seed
+        self, kind, dt, ratios, nx, ny, eta, c0, lam, amp, with_source, dealias, seed
     ):
-        # six steps; the source grows in time, so each drain level reads its own value
+        # six steps, fixed or not; the source grows in time, so each drain level reads its own value
         grid = GridSpec(nx, ny, 2.0, 2.0)
         params = PhysicalParams(m0=0.01, beta=0.01, eta=eta, lam=lam, c0=c0)
         f = smooth_ic(grid, seed + 1, amp=0.5).values
         source = (lambda t: RealField(grid, (1.0 + t) * f)) if with_source else None
+        dts = accumulate(ratios, operator.mul, initial=dt)
         try:
-            assert_matches_reference(kind, dealias, smooth_ic(grid, seed, amp=amp), params, 0.0, dt, 6, source)
+            assert_matches_reference(kind, dealias, smooth_ic(grid, seed, amp=amp), params, 0.0, dts, source)
         except Diverged:
             assert kind is SEMI  # only the conditionally stable baseline may blow up
         except InvalidState:
             assert kind.is_pav and with_source  # source work can make the drain negative
+
+
+class TestVariableStep:
+    """A step reads the step ratio r = dt / dt_prev from the state, so one
+    rule serves every sequence of step sizes: the weights follow each dt."""
+
+    @pytest.mark.parametrize("dt", [-1e-3, 0.0, math.inf, math.nan], ids=["negative", "zero", "inf", "nan"])
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_refuses_bad_dt(self, kind, dt):
+        # before any work, from a cold start and after a step of 1e-3 (where
+        # -1e-3 is -dt_prev): no source is read, no state comes back
+        grid = GridSpec(16, 16, 2.0, 2.0)
+        cold = init_state(smooth_ic(grid, 70), THEORY)
+        times = []
+        for state in (cold, STEPPERS[kind](cold, 1e-3, THEORY)):
+            with pytest.raises(ValidationError) as excinfo:
+                STEPPERS[kind](state, dt, THEORY, times.append)
+            assert excinfo.value.field == "dt"
+        assert times == []
+
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_state_carries_the_last_step_size(self, kind, monkeypatch):
+        # None at a cold start, each step's dt after it, and problem.dt on
+        # the exact history that run_simulation seeds
+        grid = GridSpec(16, 16, 2.0, 2.0)
+        state = init_state(smooth_ic(grid, 71), THEORY)
+        assert state.dt_prev is None
+        for dt in (0.02, 0.05, 0.01):
+            state = STEPPERS[kind](state, dt, THEORY)
+            assert state.dt_prev == dt
+        step, seen = STEPPERS[kind], []
+
+        def spy(state, *args, **kwargs):
+            seen.append(state.dt_prev)
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setitem(STEPPERS, kind, spy)
+        problem = manufactured_spec(dt=0.05)
+        for exact_history, first in ((True, problem.dt), (False, None)):
+            seen.clear()
+            run_simulation(problem, kind, n_steps=2, exact_history=exact_history)
+            assert seen == [first, problem.dt]
+
+    @staticmethod
+    def alternating_error(kind, h):
+        """The L2 error at tf of the manufactured run in steps h, 2h, h, ...
+        from the exact history at t0 - 2h.  t0 is re-anchored before each step,
+        as the state's clock t0 + step dt assumes one step size."""
+        problem = manufactured_spec()
+        grid, p, t = problem.grid, problem.params, problem.t0
+        seeded = Level.from_field(exact_solution(t - 2.0 * h, grid), p)
+        state = replace(init_state(problem.initial_condition(), p, t), prev=seeded, dt_prev=2.0 * h)
+        source = problem.source()
+        for k in range(round((problem.tf - problem.t0) / (1.5 * h))):
+            dt = 2.0 * h if k % 2 else h
+            state = STEPPERS[kind](replace(state, t0=t - state.step * dt), dt, p, source)
+            t += dt
+        assert t == pytest.approx(problem.tf, rel=1e-14)
+        return error_norms(state.cur.phi, exact_solution(t, grid))[1]
+
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_alternating_steps_keep_the_order(self, kind):
+        # fixed-step weights on these steps fit order 0.95-0.96 for the order-2 rows
+        hs = [0.1 / 3.0 * 2.0**-j for j in range(5)]
+        order = fit_convergence_order(hs, [self.alternating_error(kind, h) for h in hs])
+        assert order >= (0.9 if SCHEMES[kind].order == 1 else 1.9)
 
 
 class TestSav:
