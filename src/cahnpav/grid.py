@@ -15,6 +15,14 @@ A column 0 < q < ny/2 also stands for its conjugate column -q, so Parseval
 reads ``integral(f g) = lx ly sum(w Re(f_hat conj(g_hat)))`` over the
 half-spectrum, with weight w = 2 on those columns and 1 on the zero and
 Nyquist columns (``GridSpec.parseval`` is w lx ly).
+
+Dtypes: every multiplier kept for the half-spectra (``parseval``,
+``grad_weight``, ``h2_weight`` and the solve's operator) is complex128, its
+float64 formula plus 0j.  numpy has no real-by-complex loop: it would cast a
+real operand to ``x + 0j`` through a buffer on every product and then run the
+complex loop, so holding ``x + 0j`` gives the same bytes and skips the cast.
+``k2`` stays real (the formulas are written in it), and ``dealias_mask``
+boolean: dealiasing is off unless a run asks for it.
 """
 
 from __future__ import annotations
@@ -102,17 +110,17 @@ class GridSpec:
     def parseval(self) -> np.ndarray:
         """Parseval weight of each half-spectrum column, times lx ly: 1 on the
         zero and Nyquist columns, 2 on the others (they stand for -ky too)."""
-        return np.where((self.ky == 0) | (self.ky == self.ky.max()), 1.0, 2.0) * self.area
+        return np.where((self.ky == 0) | (self.ky == self.ky.max()), 1.0, 2.0) * self.area + 0j
 
     @cached_property
     def grad_weight(self) -> np.ndarray:
         """parseval k2: the Parseval weight of the gradient inner product."""
-        return self.parseval * self.k2
+        return self.parseval.real * self.k2 + 0j
 
     @cached_property
     def h2_weight(self) -> np.ndarray:
         """parseval (1 + k2)^2: the Parseval weight of the squared H2 norm."""
-        return self.parseval * (1.0 + self.k2) ** 2
+        return self.parseval.real * (1.0 + self.k2) ** 2 + 0j
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -149,29 +157,34 @@ class RealField:
     arrays are shared, not copied: do not write to them.
     """
 
+    __slots__ = ("grid", "_values", "_coeffs")
+
     def __init__(
         self, grid: GridSpec, values: np.ndarray | None = None, *, coeffs: np.ndarray | None = None
     ) -> None:
-        self.grid = grid
         if values is not None:
-            self.values = np.asarray(values, dtype=np.float64)
-            if self.values.shape != grid.shape:
-                raise ValueError(f"field shape {self.values.shape} does not match grid {grid.shape}")
+            values = np.asarray(values, dtype=np.float64)
+            if values.shape != grid.shape:
+                raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
         elif coeffs is None:
             raise ValueError("a field needs its values or its coefficients")
         if coeffs is not None:
             half = (grid.nx, grid.ny // 2 + 1)
             if coeffs.shape != half:
                 raise ValueError(f"coefficient shape {coeffs.shape} does not match half-spectrum {half}")
-            self.coeffs = coeffs
+        self.grid, self._values, self._coeffs = grid, values, coeffs
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        return self.grid.ifft(self.coeffs)
+        if self._values is None:
+            self._values = self.grid.ifft(self._coeffs)
+        return self._values
 
-    @cached_property
+    @property
     def coeffs(self) -> np.ndarray:
-        return self.grid.fft(self.values)
+        if self._coeffs is None:
+            self._coeffs = self.grid.fft(self._values)
+        return self._coeffs
 
 
 def integrate(f: RealField) -> float:

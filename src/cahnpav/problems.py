@@ -108,9 +108,10 @@ def exact_solution(t: float, grid: GridSpec) -> RealField:
 
 
 def source_spectra(grid: GridSpec, p: PhysicalParams) -> np.ndarray:
-    """The table [psi_hat, -m0 A_hat, -m0 B_hat], of shape (3, nx, ny//2 + 1), of
-    the manufactured source: coefficients of psi = cos(pi x) cos(pi y), and of A
-    = lap(-beta lap psi + lam psi - a psi) and B = a lap(psi^3) scaled by -m0.
+    """The table [psi_hat, -m0 A_hat, -m0 B_hat], each row a half-spectrum
+    flattened, of shape (3, nx (ny//2 + 1)), of the manufactured source:
+    coefficients of psi = cos(pi x) cos(pi y), and of A = lap(-beta lap psi +
+    lam psi - a psi) and B = a lap(psi^3) scaled by -m0.
 
     Set from the closed form on [0,2]^2, where cos(m pi x) is mode m and
     cos^3 = (3 cos + cos 3) / 4, so no mode carries transform round-off.
@@ -125,20 +126,20 @@ def source_spectra(grid: GridSpec, p: PhysicalParams) -> np.ndarray:
     psi_hat, k2 = separable({1: 0.5}), grid.k2
     a_hat = -k2 * (p.beta * k2 + p.lam - p.well_amp) * psi_hat
     b_hat = -p.well_amp * k2 * separable({1: 0.375, 3: 0.125})
-    return np.stack((psi_hat, -p.m0 * a_hat, -p.m0 * b_hat))
+    return np.stack((psi_hat, -p.m0 * a_hat, -p.m0 * b_hat)).reshape(3, -1)
 
 
 def source_term(t: float, grid: GridSpec, spectra: np.ndarray) -> RealField:
     """Source f = phi_t - m0 lap(mu(phi)) making the manufactured field a solution.
 
     With phi = sin t psi this is f = cos t psi - m0 (sin t A + sin^3 t B), formed
-    as coefficients by one contraction of ``spectra = source_spectra(grid, p)``,
+    as coefficients by one product with ``spectra = source_spectra(grid, p)``,
     with no transform.  The cubic term is band-limited at mode 3, so the result
     is exact (no aliasing) on any grid with nx, ny >= 8, which ProblemSpec
     requires of a manufactured problem.  ProblemSpec.source binds grid and spectra.
     """
     s = math.sin(t)
-    return RealField(grid, coeffs=np.einsum("i,ijk->jk", (math.cos(t), s, s**3), spectra))
+    return RealField(grid, coeffs=((math.cos(t), s, s**3) @ spectra).reshape(grid.nx, -1))
 
 
 def ic_drop_array(spec: ProblemSpec) -> RealField:

@@ -75,7 +75,7 @@ from functools import partial
 import numpy as np
 
 from .errors import Diverged, InvalidState, NonPositiveEnergy, ValidationError
-from .grid import GridSpec, RealField, grad_inner, inner
+from .grid import GridSpec, RealField, grad_inner
 from .model import (
     PhysicalParams,
     chemical_potential_exact,
@@ -191,10 +191,17 @@ def init_state(phi0: RealField, p: PhysicalParams, t0: float = 0.0) -> SchemeSta
 def _symbols(sigma: float, grid: GridSpec, dt: float, p: PhysicalParams):
     """The solve's operator lin = beta k2 + lam, m0k2 = dt m0 k2 and inv = 1 / (sigma
     + m0k2 lin), kept by the grid as one entry keyed on (sigma, dt, m0, beta, lam):
-    a call with the kept key makes no array.  Callers must not write to them."""
+    a call with the kept key makes no array.  Callers must not write to them.
+
+    Each is its float formula + 0j (see the grid module), written into a row of one
+    complex block: on the paper preset, three separate complex arrays made from
+    float copies left the peak RSS 5 MB higher."""
     def make():
-        lin, m0k2 = p.beta * grid.k2 + p.lam, dt * p.m0 * grid.k2
-        return lin, m0k2, 1.0 / (sigma + m0k2 * lin)
+        lin, m0k2, inv = np.zeros((3, *grid.k2.shape), complex)
+        lin.real = p.beta * grid.k2 + p.lam
+        m0k2.real = dt * p.m0 * grid.k2
+        inv.real = 1.0 / (sigma + m0k2.real * lin.real)
+        return lin, m0k2, inv
     return grid.kept((sigma, dt, p.m0, p.beta, p.lam), make)
 
 
@@ -271,11 +278,14 @@ def _energy(coef: Coef, state: SchemeState, cross: float, w: np.ndarray, p: Phys
 
 def _drain(coef: Coef, mu: RealField, diss: float, y: Level, f_src: RealField | None, p: PhysicalParams) -> float:
     """m0 ||grad mu_d||^2 - int(f mu_d) of mu_d = a mu + b y.mu, (a, b) = coef,
-    by bilinearity from mu's dissipation ``diss``, y's and one cross term."""
+    by bilinearity from mu's dissipation ``diss``, y's and one cross term.  The
+    two Parseval sums of f share f's weighted coefficients: the same bits as
+    ``inner`` where the weights are powers of two, as on the source's [0,2]^2."""
     a, b = coef
     drain = _bilinear(coef, diss, p.m0 * grad_inner(mu, y.mu) if b else 0.0, y.dissipation)
     if f_src is not None:
-        drain -= a * inner(f_src, mu) + (b * inner(f_src, y.mu) if b else 0.0)
+        wf = mu.grid.parseval * f_src.coeffs
+        drain -= a * float(np.vdot(wf, mu.coeffs).real) + (b * float(np.vdot(wf, y.mu.coeffs).real) if b else 0.0)
     return drain
 
 
@@ -328,8 +338,9 @@ def _imex_step(
     cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
     sigma, g_coef, ext_coef = _weights(r)
     g_hat = _combine(g_coef, cur.phi.coeffs, prev.phi.coeffs)
-    if f_src is not None:  # a new array: g_hat may be phi^n's own
-        g_hat = g_hat + dt * f_src.coeffs
+    if f_src is not None:  # in place, unless g_hat is phi^n's own coefficients
+        f_step = dt * f_src.coeffs
+        g_hat = g_hat + f_step if g_hat is cur.phi.coeffs else np.add(g_hat, f_step, out=g_hat)
     ext = _combine(ext_coef, cur.phi.values, prev.phi.values)
     w = well(ext)
     e_ext = e_mid = cur.energy  # r = 0: ext = mid = phi^n

@@ -9,6 +9,18 @@ from cahnpav import GridSpec, InvalidState, RealField
 from cahnpav.grid import grad_sq_integral, integrate
 
 
+def count_transforms(monkeypatch) -> dict[str, int]:
+    """Count the GridSpec.fft and GridSpec.ifft calls made from now on, by name."""
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counted(self, array, _name=name, _original=getattr(GridSpec, name)):
+            calls[_name] += 1
+            return _original(self, array)
+
+        monkeypatch.setattr(GridSpec, name, counted)
+    return calls
+
+
 def constant(grid: GridSpec, value: float) -> RealField:
     return RealField(grid, np.full(grid.shape, float(value)))
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cahnpav import GridSpec, RealField, ValidationError
+from cahnpav import GridSpec, PhysicalParams, RealField, ValidationError
 from cahnpav.grid import grad_sq_integral, h2_norm, inner, integrate, l2_norm
+from cahnpav.schemes import _symbols
 
-from helpers import constant, from_function, mean
+from helpers import constant, count_transforms, from_function, mean
 
 
 def random_field(grid: GridSpec, seed: int, smooth: bool = False) -> RealField:
@@ -85,11 +86,72 @@ class TestGridSpec:
         assert not grid.dealias_mask[6, 0]  # Nyquist column
 
 
+class TestKeptMultipliers:
+    """Every multiplier kept for the half-spectra is complex128, its float64
+    formula plus 0j, so no product in a step casts a real operand."""
+
+    @staticmethod
+    def assert_complex_of(kept, formula):
+        assert kept.dtype == np.complex128
+        assert not np.any(kept.imag)
+        assert kept.real.tobytes() == np.asarray(formula, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("nx,ny,lx,ly", [(8, 8, 2.0, 2.0), (12, 16, 2.0, 3.0), (16, 10, 4.0, 1.5)])
+    def test_weights(self, nx, ny, lx, ly):
+        grid = GridSpec(nx, ny, lx, ly)
+        ky = grid.ky
+        weight = np.where((ky == 0) | (ky == ky.max()), 1.0, 2.0) * (lx * ly)
+        self.assert_complex_of(grid.parseval, weight)
+        self.assert_complex_of(grid.grad_weight, weight * grid.k2)
+        self.assert_complex_of(grid.h2_weight, weight * (1.0 + grid.k2) ** 2)
+        assert grid.k2.dtype == np.float64 and grid.dealias_mask.dtype == bool
+
+    @pytest.mark.parametrize("lam", [0.0, 0.6])
+    @pytest.mark.parametrize("sigma,dt", [(1.0, 1e-3), (1.5, 0.07)])
+    def test_solve_operator(self, sigma, dt, lam):
+        grid = GridSpec(12, 16, 2.0, 3.0)
+        p = PhysicalParams(m0=0.7, beta=0.3, eta=1.0, well_amp=1.0, lam=lam)
+        lin, m0k2 = p.beta * grid.k2 + p.lam, dt * p.m0 * grid.k2
+        for kept, formula in zip(_symbols(sigma, grid, dt, p), (lin, m0k2, 1.0 / (sigma + m0k2 * lin))):
+            self.assert_complex_of(kept, formula)
+
+
 class TestRealField:
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        return count_transforms(monkeypatch)
+
+    def test_each_form_is_transformed_at_most_once(self, transforms):
+        grid = GridSpec(8, 12, 2.0, 3.0)
+        values = np.random.default_rng(3).standard_normal(grid.shape)
+        f = RealField(grid, values)
+        coeffs = [f.coeffs for _ in range(3)]
+        assert all(f.values is values for _ in range(3))
+        g = RealField(grid, coeffs=coeffs[0])
+        back = [g.values for _ in range(3)]
+        assert all(g.coeffs is coeffs[0] for _ in range(3))
+        assert transforms == {"fft": 1, "ifft": 1}
+        assert all(c is coeffs[0] for c in coeffs) and all(v is back[0] for v in back)
+        assert np.allclose(back[0], values, rtol=0.0, atol=1e-13)
+
+    def test_field_with_both_forms_never_transforms(self, transforms):
+        grid = GridSpec(8, 8, 2.0, 2.0)
+        values, coeffs = np.ones(grid.shape), np.zeros((8, 5), complex)
+        f = RealField(grid, values, coeffs=coeffs)
+        for _ in range(3):
+            assert f.values is values and f.coeffs is coeffs
+        assert transforms == {"fft": 0, "ifft": 0}
+
+    def test_needs_a_form(self):
+        with pytest.raises(ValueError, match="needs its values or its coefficients"):
+            RealField(GridSpec(8, 8, 1.0, 1.0))
+
     def test_shape_mismatch_rejected(self):
         grid = GridSpec(8, 8, 1.0, 1.0)
         with pytest.raises(ValueError):
             RealField(grid, np.zeros((8, 4)))
+        with pytest.raises(ValueError, match=r"field shape \(8, 4\)"):
+            RealField(grid, np.zeros((8, 4)), coeffs=np.zeros((8, 5), complex))
 
     @pytest.mark.parametrize("shape", [(8, 8), (4, 5)], ids=["full-spectrum", "wrong-size"])
     def test_coefficient_shape_mismatch_rejected(self, shape):
