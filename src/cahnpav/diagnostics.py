@@ -87,53 +87,37 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-def _check_mass(history: list[HistoryRecord]) -> InvariantCheck:
-    mass0 = history[0].mass
-    scale = max(abs(mass0), 1.0)
-    for rec in history[1:]:
-        budget = MASS_DRIFT_TOL * scale * max(1.0, rec.step / 1000.0)
-        drift = abs(rec.mass - mass0)
-        if drift > budget:
-            return InvariantCheck(
-                "mass conservation", False, rec.step, f"drift {drift:.3e} > {budget:.3e}"
-            )
-    return InvariantCheck("mass conservation", True)
+def _first_violation(name: str, history: list[HistoryRecord], violation) -> InvariantCheck:
+    """The check ``name``: failed at the first record for which ``violation(prev,
+    rec)`` returns a detail string, ``prev`` being the record before it (None for
+    the first); passed when no record does."""
+    for prev, rec in zip([None, *history], history):
+        detail = violation(prev, rec)
+        if detail:
+            return InvariantCheck(name, False, rec.step, detail)
+    return InvariantCheck(name, True)
 
 
-def _check_r_chain(history: list[HistoryRecord]) -> list[InvariantCheck]:
-    checks = []
-    bad = next((rec for rec in history if rec.r is None or not rec.r > 0), None)
-    if bad is not None:
-        checks.append(InvariantCheck("r positivity", False, bad.step, f"r = {bad.r}"))
-    else:
-        checks.append(InvariantCheck("r positivity", True))
-    for prev, cur in zip(history, history[1:]):
-        if prev.r is None or cur.r is None:
-            continue
-        if cur.r > prev.r * (1.0 + R_MONOTONE_SLACK):
-            checks.append(
-                InvariantCheck("r monotone", False, cur.step, f"{prev.r} -> {cur.r}")
-            )
-            break
-    else:
-        checks.append(InvariantCheck("r monotone", True))
-    return checks
+def _mass_drift(mass0: float, rec: HistoryRecord) -> str | None:
+    budget = MASS_DRIFT_TOL * max(abs(mass0), 1.0) * max(1.0, rec.step / 1000.0)
+    drift = abs(rec.mass - mass0)
+    return f"drift {drift:.3e} > {budget:.3e}" if drift > budget else None
 
 
-def _check_xi(history: list[HistoryRecord]) -> InvariantCheck:
-    bad = next((rec for rec in history if rec.xi is None or not rec.xi > 0), None)
-    if bad is not None:
-        return InvariantCheck("xi positivity", False, bad.step, f"xi = {bad.xi}")
-    return InvariantCheck("xi positivity", True)
+def _non_finite(rec: HistoryRecord) -> str | None:
+    present = [rec.mass, rec.energy, rec.h2, rec.dissipation]
+    present += [v for v in (rec.r, rec.xi, rec.sav_r, rec.linf_err, rec.l2_err) if v is not None]
+    return None if all(np.isfinite(v) for v in present) else "non-finite record value"
 
 
-def _check_finite(history: list[HistoryRecord]) -> InvariantCheck:
-    for rec in history:
-        present = [rec.mass, rec.energy, rec.h2, rec.dissipation]
-        present += [v for v in (rec.r, rec.xi, rec.sav_r, rec.linf_err, rec.l2_err) if v is not None]
-        if not all(np.isfinite(v) for v in present):
-            return InvariantCheck("finiteness", False, rec.step, "non-finite record value")
-    return InvariantCheck("finiteness", True)
+def _not_positive(name: str, value: float | None) -> str | None:
+    return None if value is not None and value > 0 else f"{name} = {value}"
+
+
+def _r_rise(prev: HistoryRecord | None, rec: HistoryRecord) -> str | None:
+    if prev is None or prev.r is None or rec.r is None:
+        return None
+    return f"{prev.r} -> {rec.r}" if rec.r > prev.r * (1.0 + R_MONOTONE_SLACK) else None
 
 
 def assert_invariants(history: list[HistoryRecord], scheme: SchemeKind) -> InvariantReport:
@@ -145,8 +129,13 @@ def assert_invariants(history: list[HistoryRecord], scheme: SchemeKind) -> Invar
     """
     if not history:
         raise ValueError("history is empty")
-    checks = [_check_mass(history), _check_finite(history)]
+    mass0 = history[0].mass
+    checks = {
+        "mass conservation": lambda prev, rec: _mass_drift(mass0, rec),
+        "finiteness": lambda prev, rec: _non_finite(rec),
+    }
     if scheme.is_pav:
-        checks.extend(_check_r_chain(history))
-        checks.append(_check_xi(history))
-    return InvariantReport(tuple(checks))
+        checks["r positivity"] = lambda prev, rec: _not_positive("r", rec.r)
+        checks["r monotone"] = _r_rise
+        checks["xi positivity"] = lambda prev, rec: _not_positive("xi", rec.xi)
+    return InvariantReport(tuple(_first_violation(name, history, check) for name, check in checks.items()))

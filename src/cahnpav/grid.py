@@ -18,7 +18,8 @@ Nyquist columns (``GridSpec.parseval`` is w lx ly).
 
 Dtypes: every multiplier kept for the half-spectra (``parseval``,
 ``grad_weight``, ``h2_weight`` and the solve's operator) is complex128, its
-float64 formula plus 0j.  numpy has no real-by-complex loop: it would cast a
+float64 formula plus 0j, and so is the manufactured source a step reads
+(``problems.source_term``).  numpy has no real-by-complex loop: it would cast a
 real operand to ``x + 0j`` through a buffer on every product and then run the
 complex loop, so holding ``x + 0j`` gives the same bytes and skips the cast.
 ``k2`` stays real (the formulas are written in it), and ``dealias_mask``

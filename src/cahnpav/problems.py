@@ -94,8 +94,8 @@ class ProblemSpec:
             return exact_solution(self.t0, self.grid)
         return ic_drop_array(self)
 
-    def source(self) -> Callable[[float], RealField] | None:
-        """The manufactured source as a function of time, its spectra built once; None for drops."""
+    def source(self) -> Callable[[float], np.ndarray] | None:
+        """The manufactured source's half-spectrum as a function of time, spectra built once; None for drops."""
         if self.drops is not None:
             return None
         return partial(source_term, grid=self.grid, spectra=source_spectra(self.grid, self.params))
@@ -129,17 +129,21 @@ def source_spectra(grid: GridSpec, p: PhysicalParams) -> np.ndarray:
     return np.stack((psi_hat, -p.m0 * a_hat, -p.m0 * b_hat)).reshape(3, -1)
 
 
-def source_term(t: float, grid: GridSpec, spectra: np.ndarray) -> RealField:
-    """Source f = phi_t - m0 lap(mu(phi)) making the manufactured field a solution.
+def source_term(t: float, grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
+    """Source f = phi_t - m0 lap(mu(phi)) making the manufactured field a
+    solution, as its mean-normalized half-spectrum.
 
-    With phi = sin t psi this is f = cos t psi - m0 (sin t A + sin^3 t B), formed
-    as coefficients by one product with ``spectra = source_spectra(grid, p)``,
-    with no transform.  The cubic term is band-limited at mode 3, so the result
-    is exact (no aliasing) on any grid with nx, ny >= 8, which ProblemSpec
-    requires of a manufactured problem.  ProblemSpec.source binds grid and spectra.
+    With phi = sin t psi this is f = cos t psi - m0 (sin t A + sin^3 t B): the
+    float contraction of ``spectra = source_spectra(grid, p)``, no transform,
+    written into the real part of a complex128 array (a complex table rounds
+    differently).  The cubic term is band-limited at mode 3, so the result is
+    exact (no aliasing) on any grid with nx, ny >= 8, which ProblemSpec requires
+    of a manufactured problem.  ProblemSpec.source binds grid and spectra.
     """
     s = math.sin(t)
-    return RealField(grid, coeffs=((math.cos(t), s, s**3) @ spectra).reshape(grid.nx, -1))
+    f_hat = np.zeros((grid.nx, grid.ny // 2 + 1), complex)
+    np.matmul((math.cos(t), s, s**3), spectra, out=f_hat.reshape(-1).real)
+    return f_hat
 
 
 def ic_drop_array(spec: ProblemSpec) -> RealField:

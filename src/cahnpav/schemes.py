@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
@@ -88,7 +88,7 @@ from .model import (
 )
 
 OVERFLOW_GUARD = 1e6
-Source = Callable[[float], RealField]  # the source field at a given time
+Source = Callable[[float], np.ndarray]  # the source's half-spectrum at a given time
 
 
 class SchemeKind(str, Enum):
@@ -159,7 +159,10 @@ class SchemeState:
     """Two time levels, the step count, the last xi (1 until a PAV step runs;
     recorded, read by no step), the time t0 of step 0 and dt_prev, the step
     from ``prev`` to ``cur``.  ``dt_prev is None`` is a cold start: ``prev`` is
-    ``cur``, and order 2 reads it as phi^{-1} = phi^0, R^{-1} = R^0."""
+    ``cur``, and order 2 reads it as phi^{-1} = phi^0, R^{-1} = R^0.
+
+    The clock: ``cur`` is at t0 + step dt_prev (t0 at a cold start); a step of
+    another size first moves t0 so that ``cur`` keeps that time, fixed steps never."""
 
     cur: Level
     prev: Level
@@ -169,7 +172,7 @@ class SchemeState:
     dt_prev: float | None = None
 
     def time(self, dt: float, ahead: float = 0.0) -> float:
-        """t0 + (step + ahead) dt: the time of ``cur``, or ``ahead`` steps past it."""
+        """t0 + (step + ahead) dt: at dt = dt_prev the time of ``cur``, or ``ahead`` steps past it."""
         return self.t0 + (self.step + ahead) * dt
 
 
@@ -276,15 +279,15 @@ def _energy(coef: Coef, state: SchemeState, cross: float, w: np.ndarray, p: Phys
     return energy_from_parts(quad, well_integral(w, cur.phi.grid, p), p)
 
 
-def _drain(coef: Coef, mu: RealField, diss: float, y: Level, f_src: RealField | None, p: PhysicalParams) -> float:
+def _drain(coef: Coef, mu: RealField, diss: float, y: Level, f_hat: np.ndarray | None, p: PhysicalParams) -> float:
     """m0 ||grad mu_d||^2 - int(f mu_d) of mu_d = a mu + b y.mu, (a, b) = coef,
     by bilinearity from mu's dissipation ``diss``, y's and one cross term.  The
-    two Parseval sums of f share f's weighted coefficients: the same bits as
-    ``inner`` where the weights are powers of two, as on the source's [0,2]^2."""
+    two Parseval sums of f, of half-spectrum f_hat, share its weighted form: the
+    same bits as ``inner`` where the weights are powers of two, as on [0,2]^2."""
     a, b = coef
     drain = _bilinear(coef, diss, p.m0 * grad_inner(mu, y.mu) if b else 0.0, y.dissipation)
-    if f_src is not None:
-        wf = mu.grid.parseval * f_src.coeffs
+    if f_hat is not None:
+        wf = mu.grid.parseval * f_hat
         drain -= a * float(np.vdot(wf, mu.coeffs).real) + (b * float(np.vdot(wf, y.mu.coeffs).real) if b else 0.0)
     return drain
 
@@ -323,13 +326,16 @@ def _imex_step(
     source: Source | None = None, *, dealias: bool = False,
 ) -> SchemeState:
     """Advance one step of a table scheme (see the module docstring).  ``source``
-    maps a time to the source field; g reads it at t^{n+1} and the xi update at
-    the drain level.  A dt that is not positive and finite is a ValidationError.
-    The ``semi`` and ``sav`` rows raise Diverged when the new field is
-    non-finite or exceeds the overflow guard; ``sav`` raises NonPositiveEnergy
-    when e1[ext] <= 0, at a cold start e1[phi^0]."""
+    maps a time to the source's half-spectrum; g reads it at t^{n+1} and the xi
+    update at the drain level, both timed by the state's clock (see SchemeState).
+    A dt that is not positive and finite is a ValidationError.  The ``semi`` and
+    ``sav`` rows raise Diverged when the new field is non-finite or exceeds the
+    overflow guard; ``sav`` raises NonPositiveEnergy when e1[ext] <= 0, at a
+    cold start e1[phi^0]."""
     if not 0.0 < dt < math.inf:
         raise ValidationError("dt", f"must be positive and finite, got {dt}")
+    if state.dt_prev not in (None, dt):  # a new step size: cur keeps its time t0 + step dt_prev
+        state = replace(state, t0=state.time(state.dt_prev) - state.step * dt)
     level = scheme.drain_level  # L: the time of mu_d, E_den and f in the drain
     f_src = f_drain = None if source is None else source(state.time(dt, 1.0))
     if source is not None and level not in (None, 1.0):
@@ -338,9 +344,8 @@ def _imex_step(
     cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
     sigma, g_coef, ext_coef = _weights(r)
     g_hat = _combine(g_coef, cur.phi.coeffs, prev.phi.coeffs)
-    if f_src is not None:  # in place, unless g_hat is phi^n's own coefficients
-        f_step = dt * f_src.coeffs
-        g_hat = g_hat + f_step if g_hat is cur.phi.coeffs else np.add(g_hat, f_step, out=g_hat)
+    if f_src is not None:
+        g_hat = g_hat + dt * f_src
     ext = _combine(ext_coef, cur.phi.values, prev.phi.values)
     w = well(ext)
     e_ext = e_mid = cur.energy  # r = 0: ext = mid = phi^n

@@ -8,7 +8,8 @@ dissipation and integral evaluated from fields (gradients by Parseval on the
 full spectrum, the rest by the rectangle rule).  No kept reciprocal, no
 bilinear forms and none of the scalars a ``Level`` keeps (the levels it
 returns hold NaN there).  ``sav`` is the two-solve superposition
-phi^{n+1} = phi_1 + r1^{n+1} phi_2.
+phi^{n+1} = phi_1 + r1^{n+1} phi_2.  The clock is its own: the time of
+``state.cur`` is t0 + step dt_prev, t0 at a cold start.
 """
 
 import math
@@ -62,10 +63,11 @@ def reference_step(kind, state, dt, p, source=None, dealias=False):
         mid, mu_mid = (1.0 + 0.5 * r) * phi_n - 0.5 * r * phi_p, (1.0 + 0.5 * r) * mu_n - 0.5 * r * mu_p
     history = g  # g without the source: sav's r1 update reads it
     f_drain = None
-    if source is not None:
-        g = g + dt * source(state.time(dt, 1.0)).values
+    t = state.t0 if state.dt_prev is None else state.t0 + state.step * state.dt_prev  # cur's time
+    if source is not None:  # a mean-normalized half-spectrum, read at t + dt and t + L dt
+        g = g + dt * np.fft.irfft2(source(t + dt), s=grid.shape, norm="forward")
         if drain_level is not None:
-            f_drain = source(state.time(dt, drain_level)).values
+            f_drain = np.fft.irfft2(source(t + drain_level * dt), s=grid.shape, norm="forward")
 
     def solve(g, s):
         """(phi, mu) of (sigma/dt) phi = m0 lap mu + g/dt, mu = -beta lap phi + lam phi + s;
@@ -109,4 +111,4 @@ def reference_step(kind, state, dt, p, source=None, dealias=False):
                 xi = xi_update(e_new, energy(mid), 0.5 * (mu + mu_n))
             r_new = xi * math.sqrt(e_new)
     new = Level(RealField(grid, phi), RealField(grid, mu), math.nan, math.nan, math.nan, r_new, r1)
-    return SchemeState(new, cur, state.step + 1, xi, state.t0, dt)
+    return SchemeState(new, cur, state.step + 1, xi, t + dt - (state.step + 1) * dt, dt)  # new's time t + dt

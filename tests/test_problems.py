@@ -23,11 +23,17 @@ from cahnpav.problems import (
     ProblemSpec,
     exact_solution,
     ic_drop_array,
+    source_spectra,
 )
 
 from helpers import exact_time_derivative, n_drops
 
 MFG = manufactured_spec()
+
+
+def source_field(spec, t):
+    """The spec's source at time t as a field, from the half-spectrum it hands a step."""
+    return RealField(spec.grid, coeffs=spec.source()(t))
 
 
 class TestExactSolution:
@@ -58,7 +64,7 @@ class TestSourceTerm:
         # substituting the exact solution into phi_t - m0 lap(mu) - f must
         # vanish; the oracle uses raw numpy transforms end to end
         grid, params = MFG.grid, MFG.params
-        f = MFG.source()(t)
+        f = source_field(MFG, t)
         phi = exact_solution(t, grid).values
         lap = lambda v: np.fft.irfft2(-grid.k2 * np.fft.rfft2(v), s=grid.shape)
         mu = -params.beta * lap(phi) + params.well_amp * (phi**3 - phi)
@@ -67,13 +73,27 @@ class TestSourceTerm:
 
     def test_equals_time_derivative_at_t0(self):
         # phi(0) = 0 kills mu, leaving f = phi_t
-        f = MFG.source()(0.0)
+        f = source_field(MFG, 0.0)
         expected = exact_time_derivative(0.0, MFG.grid).values
         assert np.max(np.abs(f.values - expected)) < 1e-13
 
     @pytest.mark.parametrize("t", [0.1, 0.9])
     def test_zero_mean(self, t):
-        assert abs(integrate(MFG.source()(t))) < 1e-13
+        assert abs(integrate(source_field(MFG, t))) < 1e-13
+
+    @pytest.mark.parametrize("lam", [0.0, 0.6])
+    @pytest.mark.parametrize("n", [8, 16, 20, 32, 64, 128])
+    def test_half_spectrum_is_the_float_contraction(self, n, lam):
+        # complex128 with a zero imaginary part, and the real part is the
+        # float contraction with the spectra table, byte for byte
+        spec = manufactured_spec(nx=n, ny=n, lam=lam)
+        source, table = spec.source(), source_spectra(spec.grid, spec.params)
+        for t in np.linspace(0.0, 3.0, 301):
+            f_hat = source(t)
+            assert f_hat.dtype == np.complex128 and f_hat.shape == (n, n // 2 + 1)
+            assert not np.any(f_hat.imag)
+            s = math.sin(t)
+            assert f_hat.real.tobytes() == ((math.cos(t), s, s**3) @ table).tobytes()
 
     def test_drops_have_no_source(self):
         assert desk_scale_drop_spec().source() is None
@@ -88,8 +108,8 @@ class TestSourceTerm:
     def test_band_limited_exactness(self):
         # the cubic tops out at mode 3: the 8^2 and 64^2 sources agree at
         # shared points, so there is no aliasing error at nx >= 8
-        coarse = dataclasses.replace(MFG, grid=GridSpec(8, 8, 2.0, 2.0)).source()(0.5)
-        fine = dataclasses.replace(MFG, grid=GridSpec(64, 64, 2.0, 2.0)).source()(0.5)
+        coarse = source_field(dataclasses.replace(MFG, grid=GridSpec(8, 8, 2.0, 2.0)), 0.5)
+        fine = source_field(dataclasses.replace(MFG, grid=GridSpec(64, 64, 2.0, 2.0)), 0.5)
         assert np.max(np.abs(coarse.values - fine.values[::8, ::8])) < 1e-12
 
 

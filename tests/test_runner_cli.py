@@ -276,6 +276,11 @@ REFUSALS = {
     "convergence-dt-not-dividing-window": (  # 0.3 does not divide [0.1, 1.1]
         ["convergence", "--scheme", "1a", "--dts", "0.3,0.1,0.05"], "dts", "0.3 does not divide"
     ),
+    "convergence-unknown-scheme": (
+        ["convergence", "--scheme", "xyz", "--dts", "0.1,0.05,0.025"],
+        "scheme",
+        "unknown scheme 'xyz'; expected one of 1a, 1b, 2a, 2b, semi, sav",
+    ),
     "compare-unknown-scheme": (
         ["compare", "--schemes", "2a,bogus", "--dt", "0.001", "--steps", "2"],
         "schemes",
@@ -437,9 +442,12 @@ class TestCliRun:
 
 class TestCliConvergence:
     def test_sweep_writes_csv_and_slope(self, tmp_path, capsys):
-        # 2a, and 1a over the sweep that CI's console-script step runs: the
-        # printed slopes, linf and l2, reach each scheme's order
-        for scheme, dts, floor in (("2a", "0.1,0.05,0.025,0.0125", 1.9), ("1a", "0.1,0.05,0.025", 0.9)):
+        # 2a, and 1a, semi and sav over the sweep that CI's console-script step
+        # runs: the printed slopes, linf and l2, reach each scheme's order
+        sweeps = [("2a", "0.1,0.05,0.025,0.0125", 1.9)] + [
+            (scheme, "0.1,0.05,0.025", floor) for scheme, floor in (("1a", 0.9), ("semi", 1.9), ("sav", 1.9))
+        ]
+        for scheme, dts, floor in sweeps:
             code = main(["convergence", "--scheme", scheme, "--dts", dts, "--output-dir", str(tmp_path)])
             assert code == 0
             (line,) = [line for line in capsys.readouterr().out.splitlines() if "fitted slope" in line]

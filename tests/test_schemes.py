@@ -260,7 +260,7 @@ class TestStepperTable:
         # after every step, each scalar a level keeps is the same function of
         # the same arrays as a fresh recomputation from its fields, so equal exactly
         grid = GridSpec(16, 16, 2.0, 2.0)
-        f = smooth_ic(grid, 51, amp=0.1)
+        f = smooth_ic(grid, 51, amp=0.1).coeffs
         for p in (THEORY, WITH_LAM):
             state = init_state(smooth_ic(grid, 50, amp=0.8), p)
             for _ in range(4):
@@ -335,7 +335,8 @@ class TestBilinearEnergy:
         for a, b in (self.MID, (0.5, 0.5), (1.0, 0.0)):
             mu_d = RealField(self.GRID, coeffs=a * x.mu.coeffs + b * y.mu.coeffs)
             expected = dissipation(mu_d, p) - (0.0 if f_src is None else inner(f_src, mu_d))
-            assert _drain((a, b), x.mu, x.dissipation, y, f_src, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            f_hat = None if f_src is None else f_src.coeffs
+            assert _drain((a, b), x.mu, x.dissipation, y, f_hat, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", list(SchemeKind), ids=step_id)
@@ -434,7 +435,7 @@ class TestSourceTimes:
     def test_requested_times(self, kind):
         grid, t0, dt = GridSpec(16, 16, 2.0, 2.0), 0.1, 0.02
         state = replace(init_state(smooth_ic(grid, 60), THEORY, t0), step=3)
-        f, times = smooth_ic(grid, 61, amp=0.1), []
+        f, times = smooth_ic(grid, 61, amp=0.1).coeffs, []
 
         def source(t):
             times.append(t)
@@ -448,6 +449,32 @@ class TestSourceTimes:
         }.get(kind, [t0 + 4 * dt])
         assert sorted(times) == expected
         assert (new.step, new.t0, new.time(dt)) == (4, t0, t0 + 4 * dt)
+
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_requested_times_after_a_step_of_another_size(self, kind):
+        # cur keeps its time t0 + step dt_prev when dt changes: the source is
+        # read at that time + dt and + L dt, and the new state is at + dt
+        grid, t0, dt = GridSpec(16, 16, 2.0, 2.0), 0.1, 0.02
+        f, times = smooth_ic(grid, 61, amp=0.1).coeffs, []
+
+        def source(t):
+            times.append(t)
+            return f
+
+        state = init_state(smooth_ic(grid, 60), THEORY, t0)
+        for _ in range(3):
+            state = STEPPERS[kind](state, 0.05, THEORY, source)
+        t_cur, times[:] = t0 + 3 * 0.05, []
+        assert state.time(state.dt_prev) == t_cur
+        new = STEPPERS[kind](state, dt, THEORY, source)
+        expected = {
+            SchemeKind.PAV_1A: [t_cur, t_cur + dt],
+            SchemeKind.PAV_2A: [t_cur + 0.5 * dt, t_cur + dt],
+            SchemeKind.PAV_2B: [t_cur + 0.5 * dt, t_cur + dt],
+        }.get(kind, [t_cur + dt])
+        assert sorted(times) == pytest.approx(expected, rel=1e-15)
+        assert (new.step, new.dt_prev) == (4, dt)
+        assert new.time(dt) == pytest.approx(t_cur + dt, rel=1e-15)
 
 
 class TestMassConservation:
@@ -468,7 +495,7 @@ class TestMassConservation:
         state = init_state(smooth_ic(grid, 2), THEORY)
         f_src = smooth_ic(grid, 3)
         dt = 0.13
-        new = STEPPERS[SchemeKind.PAV_1A](state, dt, THEORY, lambda t: f_src)
+        new = STEPPERS[SchemeKind.PAV_1A](state, dt, THEORY, lambda t: f_src.coeffs)
         expected = integrate(state.cur.phi) + dt * integrate(f_src)
         assert integrate(new.cur.phi) == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
@@ -480,7 +507,7 @@ class TestMassConservation:
         dt = 0.07
         m_prev = mean(state.prev.phi)
         m_cur = mean(state.cur.phi)
-        new = STEPPERS[SchemeKind.PAV_2A](state, dt, THEORY, lambda t: f_src)
+        new = STEPPERS[SchemeKind.PAV_2A](state, dt, THEORY, lambda t: f_src.coeffs)
         lhs = (3 * mean(new.cur.phi) - 4 * m_cur + m_prev) / (2 * dt)
         assert lhs == pytest.approx(mean(f_src), rel=1e-12, abs=1e-14)
 
@@ -675,6 +702,7 @@ def assert_matches_reference(kind, dealias, phi0, p, t0, dts, source):
         if kind is SAV:
             assert state.cur.sav_r == pytest.approx(ref.cur.sav_r, rel=1e-12, abs=0.0)
         assert state.dt_prev == ref.dt_prev == dt
+        assert state.time(dt) == pytest.approx(ref.time(dt), rel=1e-14, abs=1e-14)
 
 
 class TestReferenceStep:
@@ -708,8 +736,8 @@ class TestReferenceStep:
         # six steps, fixed or not; the source grows in time, so each drain level reads its own value
         grid = GridSpec(nx, ny, 2.0, 2.0)
         params = PhysicalParams(m0=0.01, beta=0.01, eta=eta, lam=lam, c0=c0)
-        f = smooth_ic(grid, seed + 1, amp=0.5).values
-        source = (lambda t: RealField(grid, (1.0 + t) * f)) if with_source else None
+        f_hat = smooth_ic(grid, seed + 1, amp=0.5).coeffs
+        source = (lambda t: (1.0 + t) * f_hat) if with_source else None
         dts = accumulate(ratios, operator.mul, initial=dt)
         try:
             assert_matches_reference(kind, dealias, smooth_ic(grid, seed, amp=amp), params, 0.0, dts, source)
@@ -763,8 +791,7 @@ class TestVariableStep:
     @staticmethod
     def alternating_error(kind, h):
         """The L2 error at tf of the manufactured run in steps h, 2h, h, ...
-        from the exact history at t0 - 2h.  t0 is re-anchored before each step,
-        as the state's clock t0 + step dt assumes one step size."""
+        from the exact history at t0 - 2h."""
         problem = manufactured_spec()
         grid, p, t = problem.grid, problem.params, problem.t0
         seeded = Level.from_field(exact_solution(t - 2.0 * h, grid), p)
@@ -772,9 +799,10 @@ class TestVariableStep:
         source = problem.source()
         for k in range(round((problem.tf - problem.t0) / (1.5 * h))):
             dt = 2.0 * h if k % 2 else h
-            state = STEPPERS[kind](replace(state, t0=t - state.step * dt), dt, p, source)
+            state = STEPPERS[kind](state, dt, p, source)
             t += dt
         assert t == pytest.approx(problem.tf, rel=1e-14)
+        assert state.time(state.dt_prev) == pytest.approx(t, rel=1e-14)  # the state's clock kept up
         return error_norms(state.cur.phi, exact_solution(t, grid))[1]
 
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
@@ -803,7 +831,7 @@ class TestSav:
 
         monkeypatch.setattr(cahnpav.schemes, "solve_linear_step", counted)
         grid = GridSpec(16, 16, 2.0, 2.0)
-        f = smooth_ic(grid, 33, amp=0.1)
+        f = smooth_ic(grid, 33, amp=0.1).coeffs
         state = init_state(smooth_ic(grid, 34), THEORY)
         for step in range(1, 4):  # the cold-start step 1 (prev is cur) through step 3
             state = STEPPERS[SAV](state, 0.05, THEORY, (lambda t: f) if with_source else None, dealias=dealias)
