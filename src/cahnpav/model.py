@@ -75,12 +75,6 @@ class PhysicalParams:
             if not value >= 0:
                 raise ValidationError(name, f"must be nonnegative, got {value}")
 
-    @classmethod
-    def from_surface_tension(
-        cls, m0: float, sigma: float, eta: float, lam: float = 0.0, c0: float = 1.0
-    ) -> "PhysicalParams":
-        return cls(m0=m0, beta=sigma_to_beta(sigma, eta), eta=eta, lam=lam, c0=c0)
-
 
 def well(v: np.ndarray) -> np.ndarray:
     """w = v^2 - 1 of the values v of phi: h(phi) = a phi w and H(phi) = a/4 w^2."""

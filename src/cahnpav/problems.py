@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import GridSpec, RealField
-from .model import PhysicalParams
+from .model import PhysicalParams, sigma_to_beta
 
 DROP_SIGMA = 151.15  # surface tension of both drop presets
 
@@ -194,7 +194,7 @@ def desk_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
     19x19 configuration, and the physical constants carry over unchanged.
     """
     grid = GridSpec(nx=128, ny=128, lx=4.0, ly=4.0)
-    params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=DROP_SIGMA, eta=0.02, c0=1.0)
+    params = PhysicalParams(m0=1e-6, beta=sigma_to_beta(DROP_SIGMA, 0.02), eta=0.02, c0=1.0)
     drops = DropLayout(count_x=5, count_y=5, spacing=0.4, radius=0.17)
     return ProblemSpec(grid=grid, params=params, t0=0.0, tf=1.0, dt=dt, drops=drops)
 
@@ -202,7 +202,7 @@ def desk_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
 def full_scale_drop_spec(dt: float = 1e-3) -> ProblemSpec:
     """Full-size drop benchmark: 361 drops on a 512^2 grid (slow)."""
     grid = GridSpec(nx=512, ny=512, lx=4.0, ly=4.0)
-    params = PhysicalParams.from_surface_tension(m0=1e-6, sigma=DROP_SIGMA, eta=0.01, c0=1.0)
+    params = PhysicalParams(m0=1e-6, beta=sigma_to_beta(DROP_SIGMA, 0.01), eta=0.01, c0=1.0)
     drops = DropLayout(count_x=19, count_y=19, spacing=0.2, radius=0.085)
     return ProblemSpec(grid=grid, params=params, t0=0.0, tf=100.0, dt=dt, drops=drops)
 

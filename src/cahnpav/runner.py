@@ -30,7 +30,7 @@ class RunResult:
 
 
 def _record(problem: ProblemSpec, row: Scheme, state: SchemeState) -> HistoryRecord:
-    t = state.time(problem.dt)
+    t = state.time()
     cur = state.cur
     phi = cur.phi
     linf = l2 = None
@@ -109,7 +109,7 @@ def run_simulation(
     source = problem.source()
 
     def snapshot(state: SchemeState) -> None:
-        write_snapshot(state.cur.phi, state.time(dt), Path(output_dir) / f"snapshot_{state.step:08d}.dat")
+        write_snapshot(state.cur.phi, state.time(), Path(output_dir) / f"snapshot_{state.step:08d}.dat")
 
     history = [_record(problem, row, state)]
     if snapshot_every:

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -161,8 +161,8 @@ class SchemeState:
     from ``prev`` to ``cur``.  ``dt_prev is None`` is a cold start: ``prev`` is
     ``cur``, and order 2 reads it as phi^{-1} = phi^0, R^{-1} = R^0.
 
-    The clock: ``cur`` is at t0 + step dt_prev (t0 at a cold start); a step of
-    another size first moves t0 so that ``cur`` keeps that time, fixed steps never."""
+    The clock: ``time()`` is the time of ``cur``; a step forms later times from its
+    own dt, first moving t0 so that ``cur`` keeps its time (fixed steps never do)."""
 
     cur: Level
     prev: Level
@@ -171,9 +171,9 @@ class SchemeState:
     t0: float = 0.0
     dt_prev: float | None = None
 
-    def time(self, dt: float, ahead: float = 0.0) -> float:
-        """t0 + (step + ahead) dt: at dt = dt_prev the time of ``cur``, or ``ahead`` steps past it."""
-        return self.t0 + (self.step + ahead) * dt
+    def time(self) -> float:
+        """The time of ``cur``: t0 + step dt_prev, formed afresh, or t0 at a cold start."""
+        return self.t0 if self.dt_prev is None else self.t0 + self.step * self.dt_prev
 
 
 def sav_energy(potential: float, p: PhysicalParams) -> float:
@@ -327,19 +327,18 @@ def _imex_step(
 ) -> SchemeState:
     """Advance one step of a table scheme (see the module docstring).  ``source``
     maps a time to the source's half-spectrum; g reads it at t^{n+1} and the xi
-    update at the drain level, both timed by the state's clock (see SchemeState).
-    A dt that is not positive and finite is a ValidationError.  The ``semi`` and
-    ``sav`` rows raise Diverged when the new field is non-finite or exceeds the
-    overflow guard; ``sav`` raises NonPositiveEnergy when e1[ext] <= 0, at a
-    cold start e1[phi^0]."""
+    update at the drain level, times the step forms from its own dt.  A dt that
+    is not positive and finite is a ValidationError.  The ``semi`` and ``sav``
+    rows raise Diverged when the new field is non-finite or exceeds the overflow
+    guard; ``sav`` raises NonPositiveEnergy when e1[ext] <= 0, at a cold start
+    e1[phi^0]."""
     if not 0.0 < dt < math.inf:
         raise ValidationError("dt", f"must be positive and finite, got {dt}")
-    if state.dt_prev not in (None, dt):  # a new step size: cur keeps its time t0 + step dt_prev
-        state = replace(state, t0=state.time(state.dt_prev) - state.step * dt)
+    t0 = state.t0 if state.dt_prev in (None, dt) else state.time() - state.step * dt  # cur keeps its time
     level = scheme.drain_level  # L: the time of mu_d, E_den and f in the drain
-    f_src = f_drain = None if source is None else source(state.time(dt, 1.0))
+    f_src = f_drain = None if source is None else source(t0 + (state.step + 1) * dt)
     if source is not None and level not in (None, 1.0):
-        f_drain = source(state.time(dt, level))
+        f_drain = source(t0 + (state.step + level) * dt)
     r = (scheme.order - 1) * dt / (state.dt_prev or dt)  # the step ratio; order - 1 at a cold start
     cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
     sigma, g_coef, ext_coef = _weights(r)
@@ -389,7 +388,7 @@ def _imex_step(
         xi = _xi_update(cur.r, energy, energy if level == 1.0 else e_den, drain, dt)
         r_new = xi * math.sqrt(energy)
     new = Level(phi_new, mu_new, energy, diss, quad, r_new, r1)
-    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, state.t0, dt)
+    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, t0, dt)
 
 
 STEPPERS = {kind: partial(_imex_step, row) for kind, row in SCHEMES.items()}

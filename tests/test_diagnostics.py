@@ -104,6 +104,10 @@ class TestFitConvergenceOrder:
         with pytest.raises(ValueError):
             fit_convergence_order([0.05, 0.1, 0.2], [1.0, 0.9, 0.5])
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            fit_convergence_order([0.1, 0.05, 0.025], [1.0, 0.5])
+
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             fit_convergence_order([0.1, 0.05, 0.025], [1.0, 0.0, 0.5])

@@ -42,11 +42,6 @@ class TestPhysicalParams:
     def test_sigma_to_beta(self):
         assert sigma_to_beta(151.15, 0.01) == pytest.approx(3 / (2 * np.sqrt(2)) * 1.5115)
 
-    def test_from_surface_tension(self):
-        p = PhysicalParams.from_surface_tension(m0=1e-6, sigma=151.15, eta=0.01)
-        assert p.beta == pytest.approx(sigma_to_beta(151.15, 0.01))
-        assert p.well_amp == pytest.approx(p.beta / 1e-4)
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -64,7 +64,7 @@ class TestRunSimulation:
         for _ in range(problem.n_steps - k):
             state = STEPPERS[scheme](state, problem.dt, problem.params, source)
         assert state.step == full.step == problem.n_steps
-        assert state.time(problem.dt) == full.time(problem.dt) == problem.tf
+        assert state.time() == full.time() == problem.tf
         assert state.xi == full.xi
         for mine, theirs in ((state.cur, full.cur), (state.prev, full.prev)):
             assert np.array_equal(mine.phi.values, theirs.phi.values)
@@ -238,6 +238,11 @@ class TestRunSimulation:
         assert excinfo.value.field == "snapshot_every"
         assert not written(tmp_path)
 
+    def test_zero_history_every_refused(self):
+        with pytest.raises(ValidationError, match="must be >= 1, got 0") as excinfo:
+            run_simulation(manufactured_spec(), SchemeKind.PAV_1A, n_steps=5, history_every=0)
+        assert excinfo.value.field == "history_every"
+
     def test_snapshot_every_without_output_dir_refused(self):
         # a snapshot request with nowhere to write is refused, not ignored
         with pytest.raises(ValidationError) as excinfo:
@@ -302,6 +307,17 @@ REFUSALS = {
         ["compare", "--schemes", "2a,1b,2a", "--dt", "0.001", "--steps", "2"], "schemes", "repeated scheme '2a'"
     ),
     "run-invalid-json": (["run", "--config", "../bad.json"], "config", "invalid JSON: Expecting property name"),
+    "run-config-not-an-object": (["run", "--config", "../list.json"], "<document>", "top level must be an object"),
+    "run-unknown-preset": (["run", "--config", "../huge.json"], "problem.preset", "unknown preset 'huge'"),
+    "run-negative-snapshot-every": (["run", "--config", "../snap.json"], "output.snapshot_every", "must be >= 0"),
+}
+
+# the config files that REFUSALS names, beside the working directory
+REFUSED_CONFIGS = {
+    "bad.json": "{oops",
+    "list.json": "[]",
+    "huge.json": json.dumps({"problem": {"kind": "drop_array", "preset": "huge"}, "scheme": "2a"}),
+    "snap.json": json.dumps({"problem": {"kind": "manufactured"}, "scheme": "2a", "output": {"snapshot_every": -1}}),
 }
 
 
@@ -309,7 +325,8 @@ class TestCliRefusals:
     @pytest.mark.parametrize("argv,field,reason", REFUSALS.values(), ids=REFUSALS.keys())
     def test_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys, argv, field, reason):
         # exit 2, one stderr line naming the field, and no file or directory, not even out/
-        (tmp_path / "bad.json").write_text("{oops")
+        for name, text in REFUSED_CONFIGS.items():
+            (tmp_path / name).write_text(text)
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
@@ -456,6 +473,24 @@ class TestCliConvergence:
             csv = (tmp_path / f"convergence_{scheme}.csv").read_text().splitlines()
             assert csv[0] == "dt,linf_err,l2_err"
             assert len(csv) == len(dts.split(",")) + 1
+
+    def test_failed_run_exits_4_writing_no_csv(self, tmp_path, monkeypatch, capsys):
+        # the first run, at the largest dt, fails at its third step
+        step, calls = STEPPERS[SchemeKind.PAV_2A], []
+
+        def failing(state, *args, **kwargs):
+            calls.append(state.step)
+            if len(calls) == 3:
+                raise NonPositiveEnergy("energy went negative")
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setitem(STEPPERS, SchemeKind.PAV_2A, failing)
+        out = tmp_path / "out"
+        assert main(["convergence", "--scheme", "2a", "--dts", "0.025,0.1,0.05", "--output-dir", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: dt=0.1: 2a failed at step 3: energy went negative\n"
+        assert "fitted slope" not in captured.out
+        assert calls == [0, 1, 2] and not out.exists()
 
 
 class TestCliCompare:

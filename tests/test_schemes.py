@@ -32,6 +32,7 @@ from cahnpav.diagnostics import MASS_DRIFT_TOL, R_MONOTONE_SLACK, error_norms, f
 from cahnpav.grid import inner, integrate
 from cahnpav.model import dissipation, energy_total, potential_h, potential_integral, quadratic_energy, well
 from cahnpav.problems import exact_solution
+from cahnpav.runner import seed_exact_history
 from cahnpav.schemes import (
     OVERFLOW_GUARD,
     SCHEMES,
@@ -448,7 +449,7 @@ class TestSourceTimes:
             SchemeKind.PAV_2B: [t0 + 3.5 * dt, t0 + 4 * dt],
         }.get(kind, [t0 + 4 * dt])
         assert sorted(times) == expected
-        assert (new.step, new.t0, new.time(dt)) == (4, t0, t0 + 4 * dt)
+        assert (new.step, new.t0, new.time()) == (4, t0, t0 + 4 * dt)
 
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
     def test_requested_times_after_a_step_of_another_size(self, kind):
@@ -465,7 +466,7 @@ class TestSourceTimes:
         for _ in range(3):
             state = STEPPERS[kind](state, 0.05, THEORY, source)
         t_cur, times[:] = t0 + 3 * 0.05, []
-        assert state.time(state.dt_prev) == t_cur
+        assert state.time() == t_cur
         new = STEPPERS[kind](state, dt, THEORY, source)
         expected = {
             SchemeKind.PAV_1A: [t_cur, t_cur + dt],
@@ -474,7 +475,24 @@ class TestSourceTimes:
         }.get(kind, [t_cur + dt])
         assert sorted(times) == pytest.approx(expected, rel=1e-15)
         assert (new.step, new.dt_prev) == (4, dt)
-        assert new.time(dt) == pytest.approx(t_cur + dt, rel=1e-15)
+        assert new.time() == pytest.approx(t_cur + dt, rel=1e-15)
+
+    def test_a_fresh_state_is_at_t0(self):
+        # cold, and seeded with the exact history as run_simulation seeds it
+        problem = manufactured_spec()
+        state = init_state(problem.initial_condition(), problem.params, problem.t0)
+        seeded = replace(state, prev=seed_exact_history(problem), dt_prev=problem.dt)
+        assert state.time() == seeded.time() == problem.t0 != 0.0
+
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_time_after_a_step_of_another_size(self, kind):
+        # cur's time is the sum of the steps taken, whatever the last one's size
+        state = init_state(smooth_ic(GridSpec(16, 16, 2.0, 2.0), 60), THEORY)
+        for dt in (0.1, 0.1, 0.1):
+            state = STEPPERS[kind](state, dt, THEORY)
+        assert state.time() == pytest.approx(0.3, rel=1e-15)
+        state = STEPPERS[kind](state, 0.05, THEORY)
+        assert state.time() == pytest.approx(0.35, rel=1e-15)
 
 
 class TestMassConservation:
@@ -702,7 +720,7 @@ def assert_matches_reference(kind, dealias, phi0, p, t0, dts, source):
         if kind is SAV:
             assert state.cur.sav_r == pytest.approx(ref.cur.sav_r, rel=1e-12, abs=0.0)
         assert state.dt_prev == ref.dt_prev == dt
-        assert state.time(dt) == pytest.approx(ref.time(dt), rel=1e-14, abs=1e-14)
+        assert state.time() == pytest.approx(ref.time(), rel=1e-14, abs=1e-14)
 
 
 class TestReferenceStep:
@@ -802,7 +820,7 @@ class TestVariableStep:
             state = STEPPERS[kind](state, dt, p, source)
             t += dt
         assert t == pytest.approx(problem.tf, rel=1e-14)
-        assert state.time(state.dt_prev) == pytest.approx(t, rel=1e-14)  # the state's clock kept up
+        assert state.time() == pytest.approx(t, rel=1e-14)  # the state's clock kept up
         return error_norms(state.cur.phi, exact_solution(t, grid))[1]
 
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
