@@ -1,28 +1,19 @@
 """JSON run-configuration parsing.
 
-Schema (all keys except ``problem`` and ``scheme`` optional)::
-
-    {
-      "problem": {
-        "kind": "manufactured" | "drop_array",
-        // manufactured: nx, ny, m0, beta, eta, lambda, c0
-        // drop_array:   preset ("desk" | "paper"), nx, ny, lx, ly, m0,
-        //               sigma or beta (not both), eta, lambda, c0,
-        //               count_x, count_y, spacing, radius
-      },
-      "scheme": "1a" | "1b" | "2a" | "2b" | "semi" | "sav",
-      "time":   {"t0": ..., "tf": ..., "dt": ...},
-      "output": {"dir": "out", "history_every": 1, "snapshot_every": 0},
-      "dealias": false
-    }
+The schema is the tables below, one per section, each mapping a key to its
+JSON type: ``TOP`` for the document, ``TIME`` and ``OUTPUT`` for those
+sections, and ``PROBLEMS[kind]`` for a problem of that ``kind``.  Only
+``problem``, its ``kind``, and ``scheme`` are required; README's "Config
+schema" section has an example.
 
 Defaults: c0 = 1, lambda = 0, dealias = false; the manufactured problem
-defaults to the 20x20 convergence-test setup, drop_array to the desk-scale
-benchmark.  A key not in the schema, at any level, is rejected, as is a
-null or non-finite value.  Bounds are checked by the constructors of the
-types that hold the values (GridSpec, PhysicalParams, DropLayout,
-ProblemSpec, whose ``n_steps`` refuses a dt that does not divide tf - t0
-into whole steps); every error is reported under its dotted key.
+defaults to the 20x20 convergence-test setup, drop_array to its ``preset``
+(desk-scale unless it names "paper").  Under its dotted key, ``_read``
+refuses a key not in its section's table, a null, a value of another type (a
+bool is no number) and a non-finite number.  Bounds are checked by the
+constructors of the types that hold the values (GridSpec, PhysicalParams,
+DropLayout, ProblemSpec, whose ``n_steps`` refuses a dt that does not divide
+tf - t0 into whole steps); every error is reported under its dotted key.
 """
 
 from __future__ import annotations
@@ -56,47 +47,49 @@ class RunConfig:
             raise ValidationError("output.snapshot_every", "must be >= 0")
 
 
-def _get(mapping: dict, key: str, kind, field: str, default=None):
-    """Typed lookup, ``default`` when the key is absent; raises ValidationError
-    on a type mismatch, including a JSON null."""
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if value is None:
-        raise ValidationError(field, "must not be null; omit the key for the default")
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValidationError(field, f"must be a finite number, got {value}")
-        return value
-    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
-        return value
-    raise ValidationError(field, f"expected {kind.__name__}, got {type(value).__name__}")
+#: The schema (a float may be given as a JSON integer); ``_SHARED`` holds the keys of every problem kind.
+TOP = {"problem": dict, "scheme": str, "time": dict, "output": dict, "dealias": bool}
+TIME = {"t0": float, "tf": float, "dt": float}
+OUTPUT = {"dir": str, "history_every": int, "snapshot_every": int}
+_SHARED = {"kind": str, "nx": int, "ny": int, "m0": float, "beta": float, "eta": float, "lambda": float, "c0": float}
+PROBLEMS = {
+    "manufactured": _SHARED,
+    "drop_array": _SHARED | {"preset": str, "lx": float, "ly": float, "sigma": float,
+                             "count_x": int, "count_y": int, "spacing": float, "radius": float},
+}
 
 
-def _check_keys(mapping: dict, allowed: tuple[str, ...], prefix: str) -> None:
-    """Reject keys outside the schema, naming the first one by its dotted path."""
-    for key in mapping:
-        if key not in allowed:
-            expected = ", ".join(allowed)
-            raise ValidationError(f"{prefix}{key}", f"unknown key; expected one of {expected}")
+def _read(doc: dict, schema: dict, prefix: str) -> dict:
+    """``doc``'s values, a number as a float where ``schema`` says float.  A
+    ValidationError names, by its dotted path, the first key not in ``schema``,
+    or whose value is null, of another type (a bool is no number) or not finite."""
+    values = {}
+    for key, value in doc.items():
+        field, kind = prefix + key, schema.get(key)
+        if kind is None:
+            raise ValidationError(field, f"unknown key; expected one of {', '.join(schema)}")
+        if value is None:
+            raise ValidationError(field, "must not be null; omit the key for the default")
+        if isinstance(value, bool) and kind is not bool or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValidationError(field, f"expected {kind.__name__}, got {type(value).__name__}")
+        if kind is float:
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValidationError(field, f"must be a finite number, got {value}")
+        values[key] = value
+    return values
 
 
-TOP_KEYS = ("problem", "scheme", "time", "output", "dealias")
-TIME_KEYS = ("t0", "tf", "dt")
-OUTPUT_KEYS = ("dir", "history_every", "snapshot_every")
-MANUFACTURED, DROP_ARRAY = "manufactured", "drop_array"  # the values of problem.kind
-MANUFACTURED_KEYS = ("kind", "nx", "ny", "m0", "beta", "eta", "lambda", "c0")
-DROP_KEYS = MANUFACTURED_KEYS + ("preset", "lx", "ly", "sigma", "count_x", "count_y", "spacing", "radius")
-PROBLEM_KEYS = {MANUFACTURED: MANUFACTURED_KEYS, DROP_ARRAY: DROP_KEYS}
-INT_KEYS = ("nx", "ny", "count_x", "count_y")
+def _replace(obj, values: dict):
+    """``obj``, a dataclass, with each field that ``values`` holds set to its value there."""
+    return dataclasses.replace(obj, **{f.name: values[f.name] for f in dataclasses.fields(obj) if f.name in values})
 
 
 @contextmanager
-def _section(name: str, keys: tuple[str, ...], rename: dict[str, str]):
+def _section(name: str, keys: tuple[str, ...] | dict[str, type], rename: dict[str, str]):
     """Re-raise a constructor's ValidationError under its config key: the field,
     or what ``rename`` maps it to, as ``name.key`` if it is in ``keys``, else ``name``."""
     try:
@@ -104,10 +97,6 @@ def _section(name: str, keys: tuple[str, ...], rename: dict[str, str]):
     except ValidationError as exc:
         key = rename.get(exc.field, exc.field)
         raise ValidationError(f"{name}.{key}" if key in keys else name, exc.reason) from exc
-
-
-def _pick(values: dict, names: tuple[str, ...]) -> dict:
-    return {name: values[name] for name in names if name in values}
 
 
 def parse_scheme(name: str, field: str) -> SchemeKind:
@@ -131,53 +120,37 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError(f"config: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("<document>", "top level must be an object")
-    _check_keys(doc, TOP_KEYS, "")
-
-    problem_doc = _get(doc, "problem", dict, "problem")
-    if problem_doc is None:
+    top = _read(doc, TOP, "")
+    if "problem" not in top:
         raise ValidationError("problem", "missing required section")
-    scheme_name = _get(doc, "scheme", str, "scheme")
-    if scheme_name is None:
+    if "scheme" not in top:
         raise ValidationError("scheme", "missing required key")
-    scheme = parse_scheme(scheme_name, "scheme")
+    scheme = parse_scheme(top["scheme"], "scheme")
 
-    problem = _parse_problem(problem_doc)
-    time_doc = _get(doc, "time", dict, "time", {})
-    _check_keys(time_doc, TIME_KEYS, "time.")
-    times = {key: _get(time_doc, key, float, f"time.{key}") for key in TIME_KEYS if key in time_doc}
+    problem = _parse_problem(top["problem"])
+    times = _read(top.get("time", {}), TIME, "time.")
     with _section("time", ("dt",), {}):
         problem = dataclasses.replace(problem, **times)
         problem.n_steps  # refuse a dt that would stop the run short of tf
 
-    output_doc = _get(doc, "output", dict, "output", {})
-    _check_keys(output_doc, OUTPUT_KEYS, "output.")
-    return RunConfig(
-        problem=problem,
-        scheme=scheme,
-        output_dir=Path(_get(output_doc, "dir", str, "output.dir", "out")),
-        history_every=_get(output_doc, "history_every", int, "output.history_every", 1),
-        snapshot_every=_get(output_doc, "snapshot_every", int, "output.snapshot_every", 0),
-        dealias=_get(doc, "dealias", bool, "dealias", False),
-    )
+    output = _read(top.get("output", {}), OUTPUT, "output.")
+    output_dir = Path(output.pop("dir", "out"))  # the counts default in RunConfig
+    return RunConfig(problem=problem, scheme=scheme, output_dir=output_dir, dealias=top.get("dealias", False), **output)
 
 
 def _parse_problem(doc: dict) -> ProblemSpec:
-    kind = _get(doc, "kind", str, "problem.kind")
-    if kind not in PROBLEM_KEYS:
-        raise ValidationError("problem.kind", "missing required key" if kind is None else f"unknown kind {kind!r}")
-    drop = kind == DROP_ARRAY
-    keys = PROBLEM_KEYS[kind]
-    _check_keys(doc, keys, "problem.")
-    preset = _get(doc, "preset", str, "problem.preset", "desk")
+    if "kind" not in doc:
+        raise ValidationError("problem.kind", "missing required key")
+    kind = _read({"kind": doc["kind"]}, _SHARED, "problem.")["kind"]
+    if kind not in PROBLEMS:
+        raise ValidationError("problem.kind", f"unknown kind {kind!r}")
+    drop = kind == "drop_array"
+    values = _read(doc, PROBLEMS[kind], "problem.")
+    preset = values.get("preset", "desk")
     if preset not in PRESETS:
         raise ValidationError("problem.preset", f"unknown preset {preset!r}")
     base = PRESETS[preset]() if drop else manufactured_spec()
 
-    values = {
-        key: _get(doc, key, int if key in INT_KEYS else float, f"problem.{key}")
-        for key in doc
-        if key not in ("kind", "preset")
-    }
     if "sigma" in values and "beta" in values:
         raise ValidationError("problem.sigma", "give sigma or beta, not both")
     eta = values.get("eta", base.params.eta)
@@ -188,8 +161,8 @@ def _parse_problem(doc: dict) -> ProblemSpec:
         # checks eta first, so a bad beta then comes from sigma
         beta = sigma_to_beta(values.get("sigma", DROP_SIGMA), eta)
         rename["beta"] = "sigma"
-    with _section("problem", keys, rename):
-        grid = dataclasses.replace(base.grid, **_pick(values, ("nx", "ny", "lx", "ly")))
+    with _section("problem", PROBLEMS[kind], rename):
+        grid = _replace(base.grid, values)
         params = PhysicalParams(
             m0=values.get("m0", base.params.m0),
             beta=beta,
@@ -197,7 +170,5 @@ def _parse_problem(doc: dict) -> ProblemSpec:
             lam=values.get("lambda", base.params.lam),
             c0=values.get("c0", base.params.c0),
         )
-        drops = base.drops
-        if drop:
-            drops = dataclasses.replace(drops, **_pick(values, ("count_x", "count_y", "spacing", "radius")))
+        drops = _replace(base.drops, values) if drop else None
         return dataclasses.replace(base, grid=grid, params=params, drops=drops)

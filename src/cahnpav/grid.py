@@ -32,6 +32,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
-            if n < 4 or n % 2 != 0:
+            if not isinstance(n, Integral) or n < 4 or n % 2 != 0:
                 raise ValidationError(name, f"must be an even integer >= 4, got {n}")
         for name, length in (("lx", self.lx), ("ly", self.ly)):
             if not 0 < length < math.inf:

@@ -50,9 +50,11 @@ def read_history_csv(path: Path | str) -> list[HistoryRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected history header in {path}")
     records = []
-    for line in lines[1:]:
-        cells = zip(_COLUMNS, line.split(","))
-        records.append(HistoryRecord(**{name: _parse_cell(name, cell) for name, cell in cells}))
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(_COLUMNS):
+            raise ValueError(f"{path}: line {number} has {len(cells)} cells, expected {len(_COLUMNS)}")
+        records.append(HistoryRecord(**{name: _parse_cell(name, cell) for name, cell in zip(_COLUMNS, cells)}))
     return records
 
 
@@ -82,8 +84,11 @@ def read_snapshot(path: Path | str) -> tuple[RealField, float]:
     head, _, rest = raw.partition(b"\n\n")
     fields = {}
     for line in head.decode("ascii").splitlines():
-        key, value = line.split(" ", 1)
+        key, _, value = line.partition(" ")
         fields[key] = value
+    for key in ("nx", "ny", "lx", "ly", "t"):
+        if not fields.get(key):
+            raise ValueError(f"{path}: header has no value for {key}")
     nx, ny = int(fields["nx"]), int(fields["ny"])
     grid = GridSpec(nx=nx, ny=ny, lx=float(fields["lx"]), ly=float(fields["ly"]))
     if len(rest) != nx * ny * 8:

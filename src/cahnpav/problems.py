@@ -6,6 +6,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -31,6 +32,10 @@ class DropLayout:
     radius: float
 
     def __post_init__(self) -> None:
+        for name in ("count_x", "count_y"):
+            count = getattr(self, name)
+            if not isinstance(count, Integral):
+                raise ValidationError(name, f"must be an integer, got {count!r}")
         for name in ("count_x", "count_y", "spacing", "radius"):
             value = getattr(self, name)
             if not value > 0:

@@ -41,10 +41,12 @@ class TestGridSpec:
         assert grid.mesh[0].shape == (8, 16)
         assert grid.area == 8.0
 
-    @pytest.mark.parametrize("nx,ny", [(3, 8), (8, 3), (2, 8), (7, 8), (8, 9)])
+    @pytest.mark.parametrize("nx,ny", [(3, 8), (8, 3), (2, 8), (7, 8), (8, 9), (64.0, 8), (8, 8.0)])
     def test_rejects_bad_resolution(self, nx, ny):
-        with pytest.raises(ValueError):
+        # a float count passed here once and failed only at the first transform
+        with pytest.raises(ValidationError) as excinfo:
             GridSpec(nx, ny, 1.0, 1.0)
+        assert excinfo.value.field == ("ny" if nx == 8 else "nx")  # one bad value per case
 
     @pytest.mark.parametrize("lx,ly", [(0.0, 1.0), (1.0, -2.0)])
     def test_rejects_bad_lengths(self, lx, ly):
@@ -96,7 +98,9 @@ class TestKeptMultipliers:
         assert not np.any(kept.imag)
         assert kept.real.tobytes() == np.asarray(formula, dtype=np.float64).tobytes()
 
-    @pytest.mark.parametrize("nx,ny,lx,ly", [(8, 8, 2.0, 2.0), (12, 16, 2.0, 3.0), (16, 10, 4.0, 1.5)])
+    @pytest.mark.parametrize(
+        "nx,ny,lx,ly", [(8, 8, 2.0, 2.0), (12, 16, 2.0, 3.0), (16, 10, 4.0, 1.5), (np.int64(12), np.int32(16), 2.0, 3.0)]
+    )
     def test_weights(self, nx, ny, lx, ly):
         grid = GridSpec(nx, ny, lx, ly)
         ky = grid.ky

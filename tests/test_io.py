@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cahnpav import GridSpec, ParseError, RealField, SchemeKind, ValidationError
-from cahnpav.config import parse_config
+from cahnpav.config import OUTPUT, PROBLEMS, TIME, TOP, parse_config
 from cahnpav.diagnostics import HistoryRecord
 from cahnpav.output import (
     CSV_HEADER,
@@ -20,6 +22,7 @@ from cahnpav.output import (
 from helpers import constant, n_drops
 
 MINIMAL = {"problem": {"kind": "manufactured"}, "scheme": "2a"}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestParseConfig:
@@ -37,6 +40,15 @@ class TestParseConfig:
         assert config.history_every == 1
         assert config.snapshot_every == 0
         assert str(config.output_dir) == "out"
+
+    def test_readme_schema_section_matches_the_tables(self):
+        # its JSON example parses, and its text names every key the tables accept
+        text = README.read_text(encoding="utf-8")
+        section = re.search(r"^### Config schema\n(.*?)^#", text, re.S | re.M).group(1)
+        example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert parse_config(example).scheme is SchemeKind.PAV_2A
+        keys = set().union(TOP, TIME, OUTPUT, *PROBLEMS.values())
+        assert sorted(key for key in keys if not re.search(rf"[`\".]{key}[`\"]", section)) == []
 
     def test_unknown_scheme_names_field(self):
         doc = dict(MINIMAL, scheme="3c")
@@ -331,6 +343,17 @@ class TestHistoryCsv:
         with pytest.raises(ValueError):
             read_history_csv(path)
 
+    @pytest.mark.parametrize("edit", [lambda row: row + ",7", lambda row: row.rsplit(",", 4)[0]], ids=["long", "short"])
+    def test_row_of_wrong_length_refused(self, tmp_path, edit):
+        # a long row lost its extra cells without a word, a short one raised TypeError
+        path = tmp_path / "h.csv"
+        write_history_csv(sample_records(), path)
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"h\.csv: line 3 has (12|7) cells, expected 11"):
+            read_history_csv(path)
+
 
 class TestSnapshot:
     def test_zero_field_layout(self, tmp_path):
@@ -371,4 +394,16 @@ class TestSnapshot:
         path.write_bytes(raw + bytes(8) if extra > 0 else raw[:-8])
         size = 192 + extra
         with pytest.raises(ValueError, match=rf"snap\.dat.*\b{size}\b.*\b192\b"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "header,key",
+        [(b"nx 4\nny 6\nlx 1\nly 1\n", "t"), (b"nx 4\nny\nlx 1\nly 1\nt 0\n", "ny")],
+        ids=["missing-key", "key-without-value"],
+    )
+    def test_header_without_a_value_refused(self, tmp_path, header, key):
+        # a missing key raised a bare KeyError, a key with no value an unpacking error
+        path = tmp_path / "snap.dat"
+        path.write_bytes(header + b"\n" + bytes(192))
+        with pytest.raises(ValueError, match=rf"snap\.dat: header has no value for {key}$"):
             read_snapshot(path)
