@@ -10,7 +10,6 @@ from .errors import (
     Diverged,
     InvalidState,
     NonPositiveEnergy,
-    ParseError,
     SolverError,
     ValidationError,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "GridSpec",
     "InvalidState",
     "NonPositiveEnergy",
-    "ParseError",
     "PhysicalParams",
     "ProblemSpec",
     "RealField",

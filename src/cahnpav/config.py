@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .model import PhysicalParams, sigma_to_beta
 from .problems import DROP_SIGMA, PRESETS, ProblemSpec, manufactured_spec
 from .schemes import SchemeKind
@@ -36,9 +36,9 @@ class RunConfig:
     problem: ProblemSpec
     scheme: SchemeKind
     output_dir: Path
+    dealias: bool
     history_every: int = 1
     snapshot_every: int = 0
-    dealias: bool = False
 
     def __post_init__(self) -> None:
         if self.history_every < 1:
@@ -111,13 +111,13 @@ def parse_scheme(name: str, field: str) -> SchemeKind:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration document.
 
-    Raises ParseError on malformed JSON and ValidationError (naming the
-    offending field) on constraint violations.
+    Raises a ValidationError naming the offending field: ``config`` for
+    malformed JSON, else the dotted key of the value it refuses.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"config: invalid JSON: {exc}") from exc
+        raise ValidationError("config", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("<document>", "top level must be an object")
     top = _read(doc, TOP, "")

@@ -20,10 +20,6 @@ class Diverged(SolverError):
     """
 
 
-class ParseError(SolverError):
-    """The configuration document is not syntactically valid."""
-
-
 class ValidationError(SolverError, ValueError):
     """An input value violates a constraint: ``field`` names it (an attribute
     such as ``ny``, or a dotted config key), ``reason`` says how."""

@@ -63,9 +63,12 @@ class PhysicalParams:
             if not value > 0:
                 raise ValidationError(name, f"must be positive, got {value}")
         if self.well_amp is None:
-            if self.eta**2 == 0:
-                raise ValidationError("eta", f"eta**2 underflows to 0 for eta = {self.eta}")
-            object.__setattr__(self, "well_amp", self.beta / self.eta**2)
+            try:
+                object.__setattr__(self, "well_amp", self.beta / self.eta**2)
+            except ZeroDivisionError:
+                raise ValidationError("eta", f"eta**2 underflows to 0 for eta = {self.eta}") from None
+            except OverflowError:
+                raise ValidationError("eta", f"eta**2 overflows for eta = {self.eta}") from None
         for name in ("m0", "beta", "eta", "well_amp", "lam", "c0"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -86,12 +86,16 @@ def read_snapshot(path: Path | str) -> tuple[RealField, float]:
     for line in head.decode("ascii").splitlines():
         key, _, value = line.partition(" ")
         fields[key] = value
-    for key in ("nx", "ny", "lx", "ly", "t"):
+    for key, kind in (("nx", int), ("ny", int), ("lx", float), ("ly", float), ("t", float)):
         if not fields.get(key):
             raise ValueError(f"{path}: header has no value for {key}")
-    nx, ny = int(fields["nx"]), int(fields["ny"])
-    grid = GridSpec(nx=nx, ny=ny, lx=float(fields["lx"]), ly=float(fields["ly"]))
+        try:
+            fields[key] = kind(fields[key])
+        except ValueError:
+            raise ValueError(f"{path}: header value {fields[key]!r} for {key} is not {kind.__name__}") from None
+    nx, ny = fields["nx"], fields["ny"]
+    grid = GridSpec(nx=nx, ny=ny, lx=fields["lx"], ly=fields["ly"])
     if len(rest) != nx * ny * 8:
         raise ValueError(f"{path}: payload of {len(rest)} bytes, expected nx * ny * 8 = {nx * ny * 8}")
     values = np.frombuffer(rest, dtype="<f8").reshape(nx, ny)
-    return RealField(grid, values.copy()), float(fields["t"])
+    return RealField(grid, values.copy()), fields["t"]

@@ -18,7 +18,7 @@ from .schemes import SCHEMES, STEPPERS, Level, Scheme, SchemeKind, SchemeState, 
 class RunResult:
     history: list[HistoryRecord]
     final_state: SchemeState
-    failure: SolverError | None = None  # raised by step final_state.step + 1; None if completed
+    failure: SolverError | None  # raised by step final_state.step + 1; None if completed
 
     @property
     def diverged(self) -> bool:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cahnpav import GridSpec, ParseError, RealField, SchemeKind, ValidationError
+from cahnpav import GridSpec, RealField, SchemeKind, ValidationError
 from cahnpav.config import OUTPUT, PROBLEMS, TIME, TOP, parse_config
 from cahnpav.diagnostics import HistoryRecord
 from cahnpav.output import (
@@ -63,8 +63,10 @@ class TestParseConfig:
         assert "dt" in excinfo.value.field
 
     def test_malformed_json(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError) as excinfo:
             parse_config("{not json")
+        assert excinfo.value.field == "config"
+        assert excinfo.value.reason.startswith("invalid JSON: ")
 
     def test_missing_problem(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -249,9 +251,11 @@ class TestParseConfig:
             ({"kind": "drop_array", "sigma": 1e9, "beta": 0.01}, "problem.sigma"),  # not both
             ({"kind": "drop_array", "count_x": 20}, "problem.count_x"),  # lattice wider than lx
             ({"kind": "drop_array", "count_y": 11}, "problem.count_y"),  # 10 * 0.4 = ly
+            ({"kind": "manufactured", "eta": 1e300}, "problem.eta"),  # eta**2 overflows
+            ({"kind": "drop_array", "count_x": 10**400}, "problem.count_x"),  # beyond the float range
         ],
         ids=["ny", "eta-underflow", "lambda", "count_y", "sigma", "drop-eta", "ly", "well_amp",
-             "sigma-and-beta", "count_x-wide", "count_y-wide"],
+             "sigma-and-beta", "count_x-wide", "count_y-wide", "eta-overflow", "count_x-huge"],
     )
     def test_out_of_range_value_names_field(self, problem, field):
         with pytest.raises(ValidationError) as excinfo:
@@ -406,4 +410,16 @@ class TestSnapshot:
         path = tmp_path / "snap.dat"
         path.write_bytes(header + b"\n" + bytes(192))
         with pytest.raises(ValueError, match=rf"snap\.dat: header has no value for {key}$"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "header,key,value",
+        [(b"nx abc\nny 6\nlx 1\nly 1\nt 0\n", "nx", "abc"), (b"nx 4\nny 6\nlx 1\nly 1x\nt 0\n", "ly", "1x")],
+        ids=["int", "float"],
+    )
+    def test_header_value_not_a_number_refused(self, tmp_path, header, key, value):
+        # int() or float() raised a bare ValueError that named neither the file nor the key
+        path = tmp_path / "snap.dat"
+        path.write_bytes(header + b"\n" + bytes(192))
+        with pytest.raises(ValueError, match=rf"snap\.dat: header value '{value}' for {key} is not (int|float)$"):
             read_snapshot(path)

@@ -75,8 +75,9 @@ class TestPhysicalParams:
             (dict(m0=1.0, beta=0.0, eta=0.0), "eta"),  # eta first: drop configs derive beta from it
             (dict(m0=1.0, beta=1.0, eta=1.0, lam=-0.1), "lam"),
             (dict(m0=1.0, beta=1e300, eta=1e-10), "well_amp"),
+            (dict(m0=1.0, beta=1.0, eta=1e300), "eta"),  # eta**2 raised OverflowError
         ],
-        ids=["eta-underflow", "eta-before-beta", "lam", "well_amp"],
+        ids=["eta-underflow", "eta-before-beta", "lam", "well_amp", "eta-overflow"],
     )
     def test_names_the_offending_field(self, kwargs, field):
         with pytest.raises(ValidationError) as excinfo:

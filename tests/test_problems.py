@@ -86,7 +86,7 @@ class TestSourceTerm:
     def test_half_spectrum_is_the_float_contraction(self, n, lam):
         # complex128 with a zero imaginary part, and the real part is the
         # float contraction with the spectra table, byte for byte
-        spec = manufactured_spec(nx=n, ny=n, lam=lam)
+        spec = dataclasses.replace(MFG, grid=GridSpec(n, n, 2.0, 2.0), params=dataclasses.replace(MFG.params, lam=lam))
         source, table = spec.source(), source_spectra(spec.grid, spec.params)
         for t in np.linspace(0.0, 3.0, 301):
             f_hat = source(t)
@@ -102,7 +102,7 @@ class TestSourceTerm:
         # refused when the problem is built, not when a step evaluates the source
         for nx, ny, field in ((6, 20, "nx"), (20, 6, "ny")):
             with pytest.raises(ValidationError) as excinfo:
-                manufactured_spec(nx=nx, ny=ny)
+                dataclasses.replace(MFG, grid=GridSpec(nx, ny, 2.0, 2.0))
             assert excinfo.value.field == field
 
     def test_band_limited_exactness(self):
@@ -276,7 +276,7 @@ class TestProblemSpecValidation:
         desk = desk_scale_drop_spec()
         fits = dataclasses.replace(desk, drops=dataclasses.replace(desk.drops, **{axis: 10}))
         assert all(0 <= c.min() and c.max() < 4.0 for c in fits.drops.centers(fits.grid))
-        for count in (11, 20):
+        for count in (11, 20, 10**400):  # 10**400 has no float: (count - 1) * spacing overflowed
             with pytest.raises(ValidationError) as excinfo:
                 dataclasses.replace(desk, drops=dataclasses.replace(desk.drops, **{axis: count}))
             assert excinfo.value.field == axis

@@ -123,7 +123,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize(
         "problem,dt,kwargs",
         [
-            (manufactured_spec(tf=0.5), 0.3, {}),  # one step would end at t = 0.4
+            (dataclasses.replace(manufactured_spec(), tf=0.5), 0.3, {}),  # one step would end at t = 0.4
             (desk_scale_drop_spec(), -1e-3, dict(n_steps=2)),  # would run backward
         ],
         ids=["dt-not-dividing-window", "negative-dt"],
@@ -162,7 +162,7 @@ class TestRunSimulation:
 
     def test_runtime_failure_keeps_partial_history(self):
         # E[phi^0] > 0 at c0 = -0.95, but the 12th 2a step drives the energy below 0
-        problem = manufactured_spec(c0=-0.95)
+        problem = with_c0(manufactured_spec(), -0.95)
         result = run_simulation(problem, SchemeKind.PAV_2A)
         assert isinstance(result.failure, NonPositiveEnergy)
         assert not result.diverged and result.diverged_step is None

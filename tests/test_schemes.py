@@ -671,6 +671,12 @@ class TestDivergenceGuard:
         values[3, 5] = -OVERFLOW_GUARD
         _guard(RealField(self.GRID, values), 7)
 
+    def test_guard_passes_a_field_within_a_million(self):
+        # the bound is 1e6 (README), not only OVERFLOW_GUARD: a lower guard fails here
+        values = np.full(self.GRID.shape, 1e5)
+        values[3, 5] = -1e5
+        _guard(RealField(self.GRID, values), 7)
+
     def test_semi_implicit_raises_on_blowup(self):
         # stiff well + large dt + explicit nonlinearity blows past the guard
         grid = GridSpec(32, 32, 2.0, 2.0)
@@ -950,7 +956,7 @@ class TestXiAccuracyOrder:
         ids=lambda v: getattr(v, "value", v),
     )
     def test_xi_deviation_order(self, scheme, lo, hi):
-        problem = manufactured_spec(tf=0.6)
+        problem = replace(manufactured_spec(), tf=0.6)
         dts = [0.05 * 2**-j for j in range(4)]
         devs = []
         for dt in dts:
