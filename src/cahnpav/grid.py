@@ -24,11 +24,27 @@ real operand to ``x + 0j`` through a buffer on every product and then run the
 complex loop, so holding ``x + 0j`` gives the same bytes and skips the cast.
 ``k2`` stays real (the formulas are written in it), and ``dealias_mask``
 boolean: dealiasing is off unless a run asks for it.
+
+Reductions: every full-array sum in the package, the Parseval sums here, the
+well integral in ``model`` and the source and SAV sums in ``schemes``, is
+``_dot(a, b)``, Re sum(conj(a) w b) with w one of the three Parseval weights
+or 1.  Up to ``_SERIAL_MAX`` = 10,000 elements it is ``np.vdot(a, w * b)``,
+whose BLAS dot runs on one thread at that size.  Above it, a BLAS dot splits
+the sum across threads, so its bits would follow the host's thread count; the
+sum is then one ``np.einsum`` pass over the arrays' float64 views (a complex
+array as (re, im) pairs along its last axis), which calls no BLAS, forms no
+weighted product and gives the same bits under any thread count.  A weight has
+one layout per side of that limit, each built from its float formula on first
+use and kept: ``np.vdot`` reads the complex multiplier, shape (nx, ny//2 + 1),
+and ``np.einsum`` the real view, the formula with each entry twice, shape
+(nx, ny + 2) (``parseval``: (1, ny + 2)).  So a large grid builds no complex
+``grad_weight`` or ``h2_weight``, and a small one no real view.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +53,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ValidationError
+
+_SERIAL_MAX = 10_000  # elements: OpenBLAS splits a longer dot across threads
 
 
 @dataclass(frozen=True)
@@ -60,6 +78,9 @@ class GridSpec:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if not isinstance(n, Integral) or n < 4 or n % 2 != 0:
                 raise ValidationError(name, f"must be an even integer >= 4, got {n}")
+        if int(self.nx) * int(self.ny) * 16 > sys.maxsize:  # the bytes of a complex128 array of nx * ny
+            name = "nx" if self.nx >= self.ny else "ny"
+            raise ValidationError(name, "too large: numpy cannot size an array of nx * ny points")
         for name, length in (("lx", self.lx), ("ly", self.ly)):
             if not 0 < length < math.inf:
                 raise ValidationError(name, f"must be positive and finite, got {length}")
@@ -112,17 +133,34 @@ class GridSpec:
     def parseval(self) -> np.ndarray:
         """Parseval weight of each half-spectrum column, times lx ly: 1 on the
         zero and Nyquist columns, 2 on the others (they stand for -ky too)."""
-        return np.where((self.ky == 0) | (self.ky == self.ky.max()), 1.0, 2.0) * self.area + 0j
+        return self._weight("parseval") + 0j
 
     @cached_property
     def grad_weight(self) -> np.ndarray:
         """parseval k2: the Parseval weight of the gradient inner product."""
-        return self.parseval.real * self.k2 + 0j
+        return self._weight("grad_weight") + 0j
 
     @cached_property
     def h2_weight(self) -> np.ndarray:
         """parseval (1 + k2)^2: the Parseval weight of the squared H2 norm."""
-        return self.parseval.real * (1.0 + self.k2) ** 2 + 0j
+        return self._weight("h2_weight") + 0j
+
+    def _weight(self, name: str) -> np.ndarray:
+        """The float64 formula of the Parseval weight ``name``, from which each layout is built."""
+        w = np.where((self.ky == 0) | (self.ky == self.ky.max()), 1.0, 2.0) * self.area
+        if name == "grad_weight":
+            return w * self.k2
+        if name == "h2_weight":
+            return w * (1.0 + self.k2) ** 2
+        return w
+
+    def _real_weight(self, name: str) -> np.ndarray:
+        """The Parseval weight ``name`` laid out for half-spectra's float64 views:
+        each entry twice, for the real and the imaginary part; built on first use and kept."""
+        kept = self.__dict__.setdefault("_real_weights", {})
+        if name not in kept:
+            kept[name] = np.repeat(self._weight(name), 2, axis=1)
+        return kept[name]
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -189,6 +227,23 @@ class RealField:
         return self._coeffs
 
 
+def _floats(a: np.ndarray) -> np.ndarray:
+    """a as C-ordered float64 numbers: a real array itself, a complex one as (re, im) pairs."""
+    return np.ascontiguousarray(a, dtype=np.result_type(a, np.float64)).view(np.float64)
+
+
+def _dot(a: np.ndarray, b: np.ndarray, grid: GridSpec | None = None, weight: str = "") -> float:
+    """Re sum(conj(a) w b) of two 2-D arrays of one shape, both real or both
+    complex, w the ``grid``'s Parseval weight named ``weight`` or 1 without one:
+    ``np.vdot`` up to ``_SERIAL_MAX`` elements, one BLAS-free ``np.einsum`` pass
+    above it (see the module docstring)."""
+    if a.size <= _SERIAL_MAX:
+        return float(np.vdot(a, getattr(grid, weight) * b if weight else b).real)
+    if not weight:
+        return float(np.einsum("ij,ij->", _floats(a), _floats(b)))
+    return float(np.einsum("ij,ij,ij->", _floats(a), _floats(b), grid._real_weight(weight)))
+
+
 def integrate(f: RealField) -> float:
     """Quadrature of f over the domain: hx * hy * sum(values).
 
@@ -200,12 +255,12 @@ def integrate(f: RealField) -> float:
 
 def inner(f: RealField, g: RealField) -> float:
     """Integral of f g over the domain, via Parseval on the half-spectra."""
-    return float(np.vdot(f.coeffs, f.grid.parseval * g.coeffs).real)
+    return _dot(f.coeffs, g.coeffs, f.grid, "parseval")
 
 
 def grad_inner(f: RealField, g: RealField) -> float:
     """Integral of grad f . grad g over the domain, via Parseval."""
-    return float(np.vdot(f.coeffs, f.grid.grad_weight * g.coeffs).real)
+    return _dot(f.coeffs, g.coeffs, f.grid, "grad_weight")
 
 
 def grad_sq_integral(f: RealField) -> float:
@@ -223,5 +278,4 @@ def h2_norm(f: RealField) -> float:
 
     Norm-equivalent to the usual ||f||^2 + ||grad f||^2 + ||lap f||^2 form.
     """
-    c = f.coeffs
-    return float(np.sqrt(np.vdot(c, f.grid.h2_weight * c).real))
+    return float(np.sqrt(_dot(f.coeffs, f.coeffs, f.grid, "h2_weight")))

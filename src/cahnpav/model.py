@@ -18,12 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveEnergy, ValidationError
-from .grid import GridSpec, RealField, grad_inner, grad_sq_integral, inner
+from .grid import GridSpec, RealField, _dot, grad_inner, grad_sq_integral, inner
 
 
 def sigma_to_beta(sigma: float, eta: float) -> float:
     """Mixing-energy coefficient from surface tension: beta = 3/(2 sqrt 2) sigma eta."""
     return 3.0 / (2.0 * math.sqrt(2.0)) * sigma * eta
+
+
+class _Derived(float):
+    """A well amplitude formed as beta / eta**2.  ``dataclasses.replace`` passes
+    every field back to ``__init__``, so this type tells the new instance to form
+    the amplitude anew; a plain float, given by the caller, is kept."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,8 @@ class PhysicalParams:
     well_amp : float, optional
         Amplitude ``a`` of the double-well a/4 (phi^2-1)^2.  Defaults to
         beta / eta^2 (the applied form); pass 1.0 for the theory form.
+        ``dataclasses.replace`` forms a defaulted amplitude anew from the
+        new beta and eta, and keeps a given one.
     lam : float
         Coefficient of the linear phi term, >= 0 (0 in applied runs).
     c0 : float
@@ -62,9 +72,9 @@ class PhysicalParams:
             value = getattr(self, name)
             if not value > 0:
                 raise ValidationError(name, f"must be positive, got {value}")
-        if self.well_amp is None:
+        if self.well_amp is None or type(self.well_amp) is _Derived:
             try:
-                object.__setattr__(self, "well_amp", self.beta / self.eta**2)
+                object.__setattr__(self, "well_amp", _Derived(self.beta / self.eta**2))
             except ZeroDivisionError:
                 raise ValidationError("eta", f"eta**2 underflows to 0 for eta = {self.eta}") from None
             except OverflowError:
@@ -94,7 +104,7 @@ def potential_h(phi: RealField, p: PhysicalParams) -> RealField:
 
 def well_integral(w: np.ndarray, grid: GridSpec, p: PhysicalParams) -> float:
     """Integral of the double-well density a/4 w^2, w = well(phi), over the domain."""
-    return 0.25 * p.well_amp * grid.hx * grid.hy * float(np.vdot(w, w))
+    return 0.25 * p.well_amp * grid.hx * grid.hy * _dot(w, w)
 
 
 def potential_integral(phi: RealField, p: PhysicalParams) -> float:

@@ -75,7 +75,7 @@ from functools import partial
 import numpy as np
 
 from .errors import Diverged, InvalidState, NonPositiveEnergy, ValidationError
-from .grid import GridSpec, RealField, grad_inner
+from .grid import GridSpec, RealField, _dot, grad_inner
 from .model import (
     PhysicalParams,
     chemical_potential_exact,
@@ -283,12 +283,13 @@ def _drain(coef: Coef, mu: RealField, diss: float, y: Level, f_hat: np.ndarray |
     """m0 ||grad mu_d||^2 - int(f mu_d) of mu_d = a mu + b y.mu, (a, b) = coef,
     by bilinearity from mu's dissipation ``diss``, y's and one cross term.  The
     two Parseval sums of f, of half-spectrum f_hat, share its weighted form: the
-    same bits as ``inner`` where the weights are powers of two, as on [0,2]^2."""
+    same bits as ``inner`` where the weights are powers of two, as on [0,2]^2, and
+    the half-spectrum has at most 10,000 entries (above, the sums run in another order)."""
     a, b = coef
     drain = _bilinear(coef, diss, p.m0 * grad_inner(mu, y.mu) if b else 0.0, y.dissipation)
     if f_hat is not None:
         wf = mu.grid.parseval * f_hat
-        drain -= a * float(np.vdot(wf, mu.coeffs).real) + (b * float(np.vdot(wf, y.mu.coeffs).real) if b else 0.0)
+        drain -= a * _dot(wf, mu.coeffs) + (b * _dot(wf, y.mu.coeffs) if b else 0.0)
     return drain
 
 
@@ -313,10 +314,10 @@ def _sav_r1(r: float, g_hat: np.ndarray, b_hat: np.ndarray, state: SchemeState, 
     cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
     sigma, (a, b), _ = _weights(r)
     _, m0k2, inv = _symbols(sigma, grid, dt, p)
-    wb = grid.parseval * b_hat  # int(b f) = Re vdot(wb, f_hat)
-    ib_n, ib_p = np.vdot(wb, cur.phi.coeffs).real, np.vdot(wb, prev.phi.coeffs).real
+    wb = grid.parseval * b_hat  # int(b f) = _dot(wb, f_hat)
+    ib_n, ib_p = _dot(wb, cur.phi.coeffs), _dot(wb, prev.phi.coeffs)
     wb *= inv  # phi_1 has spectrum g_hat inv, phi_2 -m0k2 b_hat inv
-    ib_1, ib_2 = np.vdot(wb, g_hat).real, -np.vdot(wb, m0k2 * b_hat).real  # ib_2 <= 0: divisor >= 2 sigma
+    ib_1, ib_2 = _dot(wb, g_hat), -_dot(wb, m0k2 * b_hat)  # ib_2 <= 0: divisor >= 2 sigma
     num = 2.0 * a * cur.sav_r + 2.0 * b * prev.sav_r + sigma * ib_1 - a * ib_n - b * ib_p
     return num / (2.0 * sigma - sigma * ib_2)
 
@@ -359,7 +360,8 @@ def _imex_step(
         del w_mid
     e_den = cur.energy if level == 0.0 else e_mid  # E at L, until L = 1 reads E^{n+1}
     xi, r_new, r1 = None, cur.r, cur.sav_r  # the xi scaling h(ext) in the field solve; semi and sav keep R
-    scale = p.well_amp  # of h(ext) / a when xi is None, over sqrt(e1[ext]) for sav's b
+    scale = float(p.well_amp)  # of h(ext) / a when xi is None, over sqrt(e1[ext]) for sav's b; a plain float,
+    # since numpy scales an array by a float subclass (a derived well_amp) on a slower path
     if scheme.sav:
         scale /= math.sqrt(sav_energy(well_integral(w, grid, p), p))
     elif scheme.xi == "a":  # mu_d: mu extrapolated to t^{n+L}

@@ -1,14 +1,21 @@
 """Tests for the spectral grid, transforms, operators and quadrature."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cahnpav import GridSpec, PhysicalParams, RealField, ValidationError
-from cahnpav.grid import grad_sq_integral, h2_norm, inner, integrate, l2_norm
+import cahnpav
+from cahnpav import STEPPERS, GridSpec, PhysicalParams, RealField, SchemeKind, ValidationError, init_state
+from cahnpav.grid import grad_inner, grad_sq_integral, h2_norm, inner, integrate, l2_norm
+from cahnpav.model import well, well_integral
 from cahnpav.schemes import _symbols
 
 from helpers import constant, count_transforms, from_function, mean
@@ -41,9 +48,15 @@ class TestGridSpec:
         assert grid.mesh[0].shape == (8, 16)
         assert grid.area == 8.0
 
-    @pytest.mark.parametrize("nx,ny", [(3, 8), (8, 3), (2, 8), (7, 8), (8, 9), (64.0, 8), (8, 8.0)])
+    @pytest.mark.parametrize(
+        "nx,ny",
+        [(3, 8), (8, 3), (2, 8), (7, 8), (8, 9), (64.0, 8), (8, 8.0),
+         pytest.param(10**400, 8, id="nx-huge"), pytest.param(8, 10**400, id="ny-huge"),
+         pytest.param(np.int64(2**32), np.int64(2**32), id="int64-product")],
+    )
     def test_rejects_bad_resolution(self, nx, ny):
-        # a float count passed here once and failed only at the first transform
+        # a float count passed here once and failed only at the first transform;
+        # a count numpy cannot size (np.int64's product wraps to 0) only at allocation
         with pytest.raises(ValidationError) as excinfo:
             GridSpec(nx, ny, 1.0, 1.0)
         assert excinfo.value.field == ("ny" if nx == 8 else "nx")  # one bad value per case
@@ -379,3 +392,88 @@ class TestH2Norm:
         grid = GridSpec(12, 12, 2.0, 2.0)
         f = random_field(grid, seed)
         assert h2_norm(f) >= l2_norm(f) * (1 - 1e-13)
+
+
+class TestReductions:
+    """Above 10,000 elements a reduction is one BLAS-free einsum pass (grid's module docstring)."""
+
+    def test_einsum_path_agrees_with_vdot(self, monkeypatch):
+        # 144^2: 10,512 half-spectrum and 20,736 physical values, each just past the limit
+        grid = GridSpec(144, 144, 2.0, 3.0)
+        f = random_field(grid, 5)
+        g = RealField(grid, f.values + 0.1 * random_field(grid, 6).values)
+        p = PhysicalParams(m0=1.0, beta=0.7, eta=1.0, well_amp=1.3)
+        w = well(f.values)
+        want = {
+            "grad_inner": np.vdot(f.coeffs, grid.grad_weight * g.coeffs).real,
+            "inner": np.vdot(f.coeffs, grid.parseval * g.coeffs).real,
+            "h2_norm": np.sqrt(np.vdot(f.coeffs, grid.h2_weight * f.coeffs).real),
+            "well_integral": 0.25 * p.well_amp * grid.hx * grid.hy * np.vdot(w, w),
+        }
+
+        def no_blas(*args):
+            raise AssertionError("np.vdot called past the limit")
+
+        monkeypatch.setattr(np, "vdot", no_blas)
+        got = {
+            "grad_inner": grad_inner(f, g),
+            "inner": inner(f, g),
+            "h2_norm": h2_norm(f),
+            "well_integral": well_integral(w, grid, p),
+        }
+        for name, value in got.items():
+            assert value == pytest.approx(want[name], rel=1e-13), name
+
+    @pytest.mark.parametrize("layout", [np.complex64, np.asfortranarray], ids=["complex64", "fortran"])
+    def test_einsum_path_takes_any_coefficient_layout(self, layout):
+        # coefficients handed in by a caller need not be C-ordered complex128
+        grid = GridSpec(144, 144, 2.0, 2.0)
+        c = random_field(grid, 9).coeffs
+        c = c.astype(layout) if layout is np.complex64 else layout(c)
+        f = RealField(grid, coeffs=c)
+        assert grad_sq_integral(f) == pytest.approx(np.vdot(c, grid.grad_weight * c).real, rel=1e-13)
+
+    def test_real_view_weight_is_kept(self):
+        grid = GridSpec(144, 144, 2.0, 2.0)
+        f = random_field(grid, 7)
+        grad_sq_integral(f)
+        kept = grid._real_weight("grad_weight")
+        assert kept.shape == (144, 146) and kept.flags.c_contiguous
+        assert kept[:, 0::2].tobytes() == kept[:, 1::2].tobytes() == grid.grad_weight.real.tobytes()
+        grad_sq_integral(f)
+        assert grid._real_weight("grad_weight") is kept
+
+    def test_large_step_builds_no_complex_weight(self):
+        # the complex and the real-view grad_weight are 2 MB each at 512^2
+        grid = GridSpec(512, 512, 2.0, 2.0)
+        params = PhysicalParams(m0=1e-3, beta=1e-3, eta=0.05)
+        state = init_state(random_field(grid, 8, smooth=True), params)
+        STEPPERS[SchemeKind.PAV_2A](state, 1e-3, params)
+        assert {"grad_weight", "h2_weight"}.isdisjoint(grid.__dict__)
+        assert set(grid.__dict__["_real_weights"]) == {"grad_weight"}
+
+    def test_bits_do_not_follow_blas_threads(self):
+        # each process prints the repr of a few reductions; OpenBLAS reads its
+        # thread count when numpy loads, so each count needs its own process
+        code = textwrap.dedent("""
+            import numpy as np
+            from cahnpav import GridSpec, PhysicalParams, RealField
+            from cahnpav.grid import grad_inner, h2_norm, inner
+            from cahnpav.model import well, well_integral
+            p = PhysicalParams(m0=1.0, beta=0.7, eta=1.0, well_amp=1.3)
+            for n in (128, 512):
+                grid = GridSpec(n, n, 2.0, 2.0)
+                rng = np.random.default_rng(n)
+                f, g = (RealField(grid, rng.standard_normal(grid.shape)) for _ in "fg")
+                print(repr((grad_inner(f, g), inner(f, g), h2_norm(f), well_integral(well(f.values), grid, p))))
+        """)
+        src = str(Path(cahnpav.__file__).parents[1])
+        out = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src] + [x for x in [env.get("PYTHONPATH")] if x])
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            out[threads] = run.stdout
+        assert out["1"].count("\n") == 2
+        assert out["1"] == out["2"]

@@ -253,9 +253,10 @@ class TestParseConfig:
             ({"kind": "drop_array", "count_y": 11}, "problem.count_y"),  # 10 * 0.4 = ly
             ({"kind": "manufactured", "eta": 1e300}, "problem.eta"),  # eta**2 overflows
             ({"kind": "drop_array", "count_x": 10**400}, "problem.count_x"),  # beyond the float range
+            ({"kind": "manufactured", "nx": 10**400}, "problem.nx"),  # beyond any numpy array
         ],
         ids=["ny", "eta-underflow", "lambda", "count_y", "sigma", "drop-eta", "ly", "well_amp",
-             "sigma-and-beta", "count_x-wide", "count_y-wide", "eta-overflow", "count_x-huge"],
+             "sigma-and-beta", "count_x-wide", "count_y-wide", "eta-overflow", "count_x-huge", "nx-huge"],
     )
     def test_out_of_range_value_names_field(self, problem, field):
         with pytest.raises(ValidationError) as excinfo:

@@ -1,5 +1,7 @@
 """Tests for the energy functional, potential and chemical potential."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,21 @@ class TestPhysicalParams:
         with pytest.raises(ValidationError) as excinfo:
             PhysicalParams(**kwargs)
         assert excinfo.value.field == field
+
+    def test_replace_forms_a_defaulted_amplitude_anew(self):
+        p = PhysicalParams(m0=0.01, beta=0.01, eta=0.1)
+        for q in (replace(p, eta=0.05), replace(p, beta=0.04), replace(replace(p, m0=1.0), eta=0.05)):
+            assert q.well_amp == q.beta / q.eta**2 == pytest.approx(4.0)
+        with pytest.raises(ValidationError) as excinfo:
+            replace(p, eta=1e300)
+        assert excinfo.value.field == "eta"
+
+    def test_replace_keeps_a_given_amplitude(self):
+        p = PhysicalParams(m0=0.01, beta=0.01, eta=0.1, well_amp=1.0)
+        assert replace(p, eta=0.05).well_amp == 1.0
+        derived = PhysicalParams(m0=0.01, beta=0.01, eta=0.1)
+        assert replace(derived, well_amp=3.0, eta=0.05).well_amp == 3.0
+        assert replace(replace(derived, well_amp=3.0), eta=0.05).well_amp == 3.0
 
     def test_zero_well_amp_allowed(self):
         # the linear regime used by the closed-form oracle tests
