@@ -32,8 +32,8 @@ class HistoryRecord:
     sav_r: float | None
     h2: float
     dissipation: float
-    linf_err: float | None = None
-    l2_err: float | None = None
+    linf_err: float | None
+    l2_err: float | None
 
 
 def error_norms(phi: RealField, exact: RealField) -> tuple[float, float]:

@@ -36,11 +36,13 @@ def write_history_csv(records: list[HistoryRecord], path: Path | str) -> None:
 
 
 def _parse_cell(name: str, cell: str) -> int | float | None:
-    if name == "step":
-        return int(cell)
     if cell == "" and name in _OPTIONAL:
         return None
-    return float(cell)
+    kind = int if name == "step" else float
+    try:
+        return kind(cell)
+    except ValueError:
+        raise ValueError(f"column {name}: {cell!r} is not {kind.__name__}") from None
 
 
 def read_history_csv(path: Path | str) -> list[HistoryRecord]:
@@ -54,7 +56,11 @@ def read_history_csv(path: Path | str) -> list[HistoryRecord]:
         cells = line.split(",")
         if len(cells) != len(_COLUMNS):
             raise ValueError(f"{path}: line {number} has {len(cells)} cells, expected {len(_COLUMNS)}")
-        records.append(HistoryRecord(**{name: _parse_cell(name, cell) for name, cell in zip(_COLUMNS, cells)}))
+        try:
+            row = {name: _parse_cell(name, cell) for name, cell in zip(_COLUMNS, cells)}
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}, {exc}") from None
+        records.append(HistoryRecord(**row))
     return records
 
 
@@ -82,8 +88,12 @@ def read_snapshot(path: Path | str) -> tuple[RealField, float]:
     """Read a snapshot back; bit-exact inverse of :func:`write_snapshot`."""
     raw = Path(path).read_bytes()
     head, _, rest = raw.partition(b"\n\n")
+    try:
+        text = head.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: header is not ASCII: byte {exc.start} is {head[exc.start]:#04x}") from None
     fields = {}
-    for line in head.decode("ascii").splitlines():
+    for line in text.splitlines():
         key, _, value = line.partition(" ")
         fields[key] = value
     for key, kind in (("nx", int), ("ny", int), ("lx", float), ("ly", float), ("t", float)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 from .diagnostics import HistoryRecord, error_norms
@@ -79,8 +80,9 @@ def run_simulation(
 ) -> RunResult:
     """Advance the problem n_steps times, collecting history records.
 
-    Steps are of size ``problem.dt``; ``n_steps`` defaults to ``problem.n_steps``
-    and must be >= 1.  A bad argument, or an initial state the scheme cannot
+    Steps are of size ``problem.dt``; ``n_steps`` defaults to ``problem.n_steps``.
+    ``n_steps`` and ``history_every`` must be integers >= 1, ``snapshot_every``
+    an integer >= 0.  A bad argument, or an initial state the scheme cannot
     start from, raises before the first step.  A SolverError raised by a step,
     such as a Diverged baseline, is caught and reported as the result's
     ``failure``.  Completed or not, the run records its last finished step and,
@@ -89,12 +91,12 @@ def run_simulation(
     dt = problem.dt
     if n_steps is None:
         n_steps = problem.n_steps
-    elif n_steps < 1:
-        raise ValidationError("n_steps", f"must be >= 1, got {n_steps}")
-    if history_every < 1:
-        raise ValidationError("history_every", f"must be >= 1, got {history_every}")
-    if snapshot_every < 0:
-        raise ValidationError("snapshot_every", f"must be >= 0, got {snapshot_every}")
+    counts = (("n_steps", n_steps, 1), ("history_every", history_every, 1), ("snapshot_every", snapshot_every, 0))
+    for name, value, least in counts:
+        if not isinstance(value, Integral):
+            raise ValidationError(name, f"must be an integer, got {value!r}")
+        if value < least:
+            raise ValidationError(name, f"must be >= {least}, got {value}")
     if snapshot_every and output_dir is None:
         raise ValidationError("output_dir", f"snapshot_every={snapshot_every} needs a directory to write to")
     step_fn, row = STEPPERS[scheme], SCHEMES[scheme]

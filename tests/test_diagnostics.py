@@ -31,6 +31,8 @@ def make_record(step, *, mass=5.0, r=1.0, xi=0.9, energy=2.0, **overrides):
         sav_r=None,
         h2=3.0,
         dissipation=0.1,
+        linf_err=None,
+        l2_err=None,
     )
     fields.update(overrides)
     return HistoryRecord(**fields)

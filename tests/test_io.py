@@ -360,6 +360,20 @@ class TestHistoryCsv:
             read_history_csv(path)
 
 
+    @pytest.mark.parametrize("column,cell,kind", [("step", "3.0", "int"), ("h2", "", "float")], ids=["step", "h2"])
+    def test_cell_not_a_number_refused(self, tmp_path, column, cell, kind):
+        # int() or float() raised a bare ValueError that named neither the file, the line nor the column
+        path = tmp_path / "h.csv"
+        write_history_csv(sample_records(), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[CSV_HEADER.split(",").index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"h\.csv: line 3, column {column}: '{re.escape(cell)}' is not {kind}$"):
+            read_history_csv(path)
+
+
 class TestSnapshot:
     def test_zero_field_layout(self, tmp_path):
         grid = GridSpec(4, 4, 2.0, 2.0)
@@ -423,4 +437,11 @@ class TestSnapshot:
         path = tmp_path / "snap.dat"
         path.write_bytes(header + b"\n" + bytes(192))
         with pytest.raises(ValueError, match=rf"snap\.dat: header value '{value}' for {key} is not (int|float)$"):
+            read_snapshot(path)
+
+    def test_header_not_ascii_refused(self, tmp_path):
+        # decode raised a UnicodeDecodeError that did not name the file
+        path = tmp_path / "snap.dat"
+        path.write_bytes("nx 4\nny 6\nlx 1\nly 1\nt 0\u00e9\n".encode() + b"\n" + bytes(192))
+        with pytest.raises(ValueError, match=r"snap\.dat: header is not ASCII: byte 23 is 0xc3$"):
             read_snapshot(path)

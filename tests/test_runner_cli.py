@@ -140,6 +140,15 @@ class TestRunSimulation:
             run_simulation(manufactured_spec(), SchemeKind.PAV_1A, n_steps=n_steps)
         assert excinfo.value.field == "n_steps"
 
+    @pytest.mark.parametrize("name,value", [("n_steps", 2.5), ("history_every", 1.5), ("snapshot_every", 2.5)])
+    def test_non_integer_count_refused(self, tmp_path, name, value):
+        # n_steps=2.5 raised TypeError, history_every=1.5 recorded steps 0, 3, 6, 9, 10
+        # and snapshot_every=2.5 wrote snapshots 0, 5, 10
+        with pytest.raises(ValidationError, match=rf"must be an integer, got {value}$") as excinfo:
+            run_simulation(manufactured_spec(dt=0.1), SchemeKind.PAV_2A, output_dir=tmp_path, **{name: value})
+        assert excinfo.value.field == name
+        assert not written(tmp_path)
+
     @pytest.mark.parametrize(
         "scheme", [k for k in SchemeKind if k is not SchemeKind.SAV], ids=lambda k: k.value
     )
@@ -267,63 +276,101 @@ def mfg_config(tmp_path):
     return write
 
 
-# argv, and the field and the start of the reason of the one line it prints
+# argv, and the start of the one line it prints after "error: ": the field and
+# the reason, or the reason alone for a refusal that names no field; this is the
+# one table of command-line refusals, and CI runs each row through the console script
 REFUSALS = {
-    "run-missing-config": (["run", "--config", "missing.json"], "config", "cannot read"),
+    "run-missing-config": (["run", "--config", "missing.json"], "config: cannot read"),
     "convergence-dts-not-a-number": (
         ["convergence", "--scheme", "1a", "--dts", "0.1,abc,0.05"],
-        "dts",
-        "could not convert string to float: 'abc'",
+        "dts: could not convert string to float: 'abc'",
     ),
     "convergence-too-few-dts": (
-        ["convergence", "--scheme", "1a", "--dts", "0.1,0.05"], "dts", "need at least 3 step sizes"
+        ["convergence", "--scheme", "1a", "--dts", "0.1,0.05"], "dts: need at least 3 step sizes"
     ),
     "convergence-dt-not-dividing-window": (  # 0.3 does not divide [0.1, 1.1]
-        ["convergence", "--scheme", "1a", "--dts", "0.3,0.1,0.05"], "dts", "0.3 does not divide"
+        ["convergence", "--scheme", "1a", "--dts", "0.3,0.1,0.05"], "dts: 0.3 does not divide"
     ),
     "convergence-unknown-scheme": (
         ["convergence", "--scheme", "xyz", "--dts", "0.1,0.05,0.025"],
-        "scheme",
-        "unknown scheme 'xyz'; expected one of 1a, 1b, 2a, 2b, semi, sav",
+        "scheme: unknown scheme 'xyz'; expected one of 1a, 1b, 2a, 2b, semi, sav",
     ),
     "compare-unknown-scheme": (
         ["compare", "--schemes", "2a,bogus", "--dt", "0.001", "--steps", "2"],
-        "schemes",
-        "unknown scheme 'bogus'; expected one of 1a, 1b, 2a, 2b, semi, sav",
+        "schemes: unknown scheme 'bogus'; expected one of 1a, 1b, 2a, 2b, semi, sav",
     ),
     "compare-empty-schemes": (
-        ["compare", "--schemes", ",", "--dt", "0.001", "--steps", "2"], "schemes", "empty list"
+        ["compare", "--schemes", ",", "--dt", "0.001", "--steps", "2"], "schemes: empty list"
     ),
     "compare-negative-dt": (
-        ["compare", "--schemes", "2a", "--dt", "-0.1", "--steps", "2"], "dt", "must be positive, got -0.1"
+        ["compare", "--schemes", "2a", "--dt", "-0.1", "--steps", "2"], "dt: must be positive, got -0.1"
     ),
     "compare-infinite-dt": (
-        ["compare", "--schemes", "2a", "--dt", "inf", "--steps", "2"], "dt", "must be finite, got inf"
+        ["compare", "--schemes", "2a", "--dt", "inf", "--steps", "2"], "dt: must be finite, got inf"
     ),
     "compare-zero-steps": (
-        ["compare", "--schemes", "2a", "--dt", "0.001", "--steps", "0"], "n_steps", "must be >= 1, got 0"
+        ["compare", "--schemes", "2a", "--dt", "0.001", "--steps", "0"], "n_steps: must be >= 1, got 0"
     ),
     "compare-repeated-scheme": (
-        ["compare", "--schemes", "2a,1b,2a", "--dt", "0.001", "--steps", "2"], "schemes", "repeated scheme '2a'"
+        ["compare", "--schemes", "2a,1b,2a", "--dt", "0.001", "--steps", "2"], "schemes: repeated scheme '2a'"
     ),
-    "run-invalid-json": (["run", "--config", "../bad.json"], "config", "invalid JSON: Expecting property name"),
-    "run-config-not-an-object": (["run", "--config", "../list.json"], "<document>", "top level must be an object"),
-    "run-unknown-preset": (["run", "--config", "../huge.json"], "problem.preset", "unknown preset 'huge'"),
-    "run-negative-snapshot-every": (["run", "--config", "../snap.json"], "output.snapshot_every", "must be >= 0"),
+    "run-invalid-json": (["run", "--config", "../bad.json"], "config: invalid JSON: Expecting property name"),
+    "run-config-not-an-object": (["run", "--config", "../list.json"], "<document>: top level must be an object"),
+    "run-unknown-preset": (["run", "--config", "../huge.json"], "problem.preset: unknown preset 'huge'"),
+    "run-negative-snapshot-every": (["run", "--config", "../snap.json"], "output.snapshot_every: must be >= 0"),
+    "run-coarse-manufactured-grid": (
+        ["run", "--config", "../coarse.json"], "problem.nx: the manufactured source needs >= 8 points, got 6"
+    ),
+    # int H(phi^0) + c0 < 0 on the desk drops: only sav is refused, naming no field
+    "run-sav-energy-rule": (["run", "--config", "../sav.json"], "potential energy + c0 = "),
+    "run-sigma-and-beta": (["run", "--config", "../sigma.json"], "problem.sigma: give sigma or beta, not both"),
+    "run-dt-not-dividing-window": (["run", "--config", "../tfdt.json"], "time.dt: 0.3 does not divide [0.1, 0.5]"),
+    "run-eta-squared-overflows": (["run", "--config", "../eta.json"], "problem.eta: eta**2 overflows"),
+    "run-drop-count-beyond-float": (
+        ["run", "--config", "../count.json"],
+        "problem.count_x: the drop lattice is wider than the domain length 4.0",
+    ),
+    "run-grid-numpy-cannot-size": (
+        ["run", "--config", "../nx.json"], "problem.nx: too large: numpy cannot size an array of nx * ny points"
+    ),
+    "run-history-every-wrong-type": (
+        ["run", "--config", "../every.json"], "output.history_every: expected int, got str"
+    ),
+    "run-unknown-time-key": (
+        ["run", "--config", "../steps.json"], "time.steps: unknown key; expected one of t0, tf, dt"
+    ),
 }
+
+
+def refused_config(problem, scheme="2a", time=None, **output):
+    """A config whose run would write out/ in the working directory, from its first snapshot on."""
+    doc = {"problem": problem, "scheme": scheme, "output": {"snapshot_every": 1, **output}}
+    if time is not None:
+        doc["time"] = time
+    return json.dumps(doc)
+
 
 # the config files that REFUSALS names, beside the working directory
 REFUSED_CONFIGS = {
     "bad.json": "{oops",
     "list.json": "[]",
-    "huge.json": json.dumps({"problem": {"kind": "drop_array", "preset": "huge"}, "scheme": "2a"}),
-    "snap.json": json.dumps({"problem": {"kind": "manufactured"}, "scheme": "2a", "output": {"snapshot_every": -1}}),
+    "huge.json": refused_config({"kind": "drop_array", "preset": "huge"}),
+    "snap.json": refused_config({"kind": "manufactured"}, snapshot_every=-1),
+    "coarse.json": refused_config({"kind": "manufactured", "nx": 6, "ny": 6}),
+    "sav.json": refused_config({"kind": "drop_array", "c0": SAV_ONLY_BAD_C0}, scheme="sav"),
+    "sigma.json": refused_config({"kind": "drop_array", "sigma": 1e9, "beta": 0.01}),
+    "tfdt.json": refused_config({"kind": "manufactured"}, time={"tf": 0.5, "dt": 0.3}),
+    "eta.json": refused_config({"kind": "manufactured", "eta": 1e300}),
+    "count.json": refused_config({"kind": "drop_array", "count_x": 10**400}),
+    "nx.json": refused_config({"kind": "manufactured", "nx": 10**400}),
+    "every.json": refused_config({"kind": "manufactured"}, history_every="7"),
+    "steps.json": refused_config({"kind": "manufactured"}, time={"steps": 3}),
 }
 
 
 class TestCliRefusals:
-    @pytest.mark.parametrize("argv,field,reason", REFUSALS.values(), ids=REFUSALS.keys())
-    def test_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys, argv, field, reason):
+    @pytest.mark.parametrize("argv,start", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys, argv, start):
         # exit 2, one stderr line naming the field, and no file or directory, not even out/
         for name, text in REFUSED_CONFIGS.items():
             (tmp_path / name).write_text(text)
@@ -334,7 +381,7 @@ class TestCliRefusals:
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line.startswith(f"error: {field}: {reason}")
+        assert line.startswith(f"error: {start}")
         assert not any(work.iterdir())
 
 
