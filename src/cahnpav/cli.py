@@ -29,9 +29,8 @@ ALL_NAMES = [k.value for k in SchemeKind]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except SolverError as exc:  # a refusal (a ValidationError) is raised before anything is written
         print(f"error: {exc}", file=sys.stderr)
@@ -41,12 +40,32 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses a command line with a ValidationError naming
+    the option (its name without dashes), in place of argparse's usage block;
+    its subcommands' parsers are of this class too."""
+
+    def error(self, message: str):
+        head, _, reason = message.partition(": ")
+        if head.startswith("argument "):  # a bad value: "argument --dt: invalid float value: 'abc'"
+            field = head.removeprefix("argument ")
+        elif head == "the following arguments are required":
+            field, reason = reason.split(", ")[0], "required"
+        elif head == "unrecognized arguments":
+            field, reason = reason.split()[0], "unrecognized argument"
+        elif head == "ambiguous option":  # "--s could match --schemes, --steps"
+            field, _, reason = reason.partition(" ")
+        else:
+            field, reason = self.prog, message
+        raise ValidationError(field.lstrip("-"), reason)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cahnpav",
         description="Energy-stable pseudo-spectral Cahn-Hilliard solver",
     )
-    sub = parser.add_subparsers(required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a single simulation from a JSON config")
     p_run.add_argument("--config", required=True, type=Path, help="path to the JSON config")

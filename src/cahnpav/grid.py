@@ -39,15 +39,37 @@ use and kept: ``np.vdot`` reads the complex multiplier, shape (nx, ny//2 + 1),
 and ``np.einsum`` the real view, the formula with each entry twice, shape
 (nx, ny + 2) (``parseval``: (1, ny + 2)).  So a large grid builds no complex
 ``grad_weight`` or ``h2_weight``, and a small one no real view.
+
+Row halves: on a grid of more than ``_SPLIT_OVER`` = 128^2 points, a time
+step (``schemes._split_step``) runs its full-array work as kernels that
+``_rows`` runs once per half, rows [0, nx//2) and [nx//2, nx), each call given
+those rows of every array argument.  Each sum a kernel returns is the first
+half's plus the second's, in that order, and each half's sum is one
+``np.einsum`` pass, whatever its size.  The first half runs on the calling
+thread and the second on one worker thread, which starts on first use; with
+``wait=False`` both run on the worker while the calling thread makes a
+transform.  When ``os.sched_getaffinity`` holds one CPU, the worker's halves
+run inline on the calling thread.  Which thread ran a half changes no bit, so
+results depend on the grid size only.  Up to the limit, ``_rows`` runs a kernel
+once over all rows on the calling thread, with the arithmetic of a plain step.
+A kernel writes only into the arrays it is given and forms none of its own
+(numpy may still take an iteration buffer of up to 8,192 elements for a
+broadcast operand).  It calls only raw numpy and ``_dot``.  It calls no
+``GridSpec`` transform and no public reduction, which a profiler may wrap on
+one thread.  It calls no ``_rows`` either: with one worker, a nested call would
+wait for itself.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
 import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from numbers import Integral
 
 import numpy as np
@@ -55,6 +77,7 @@ import numpy as np
 from .errors import ValidationError
 
 _SERIAL_MAX = 10_000  # elements: OpenBLAS splits a longer dot across threads
+_SPLIT_OVER = 128 * 128  # points: a step on a larger grid runs its kernels as two row halves
 
 
 @dataclass(frozen=True)
@@ -232,16 +255,124 @@ def _floats(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.result_type(a, np.float64)).view(np.float64)
 
 
-def _dot(a: np.ndarray, b: np.ndarray, grid: GridSpec | None = None, weight: str = "") -> float:
+def _dot(a: np.ndarray, b: np.ndarray, grid: GridSpec | None = None, weight: str = "", rows=...) -> float:
     """Re sum(conj(a) w b) of two 2-D arrays of one shape, both real or both
     complex, w the ``grid``'s Parseval weight named ``weight`` or 1 without one:
     ``np.vdot`` up to ``_SERIAL_MAX`` elements, one BLAS-free ``np.einsum`` pass
-    above it (see the module docstring)."""
-    if a.size <= _SERIAL_MAX:
+    above it (see the module docstring).  Given ``rows`` (a kernel's half, see
+    ``_rows``), a and b are those rows of arrays over the grid, w is cut to match,
+    and the sum is one ``np.einsum`` pass, whatever its size."""
+    if rows is ... and a.size <= _SERIAL_MAX:
         return float(np.vdot(a, getattr(grid, weight) * b if weight else b).real)
     if not weight:
         return float(np.einsum("ij,ij->", _floats(a), _floats(b)))
-    return float(np.einsum("ij,ij,ij->", _floats(a), _floats(b), grid._real_weight(weight)))
+    w = grid._real_weight(weight)
+    return float(np.einsum("ij,ij,ij->", _floats(a), _floats(b), w if rows is ... or len(w) == 1 else w[rows]))
+
+
+class _Task:
+    """One call handed to the worker: ``result()`` waits for it, then returns its
+    value or raises its error; ``wait()`` only waits."""
+
+    __slots__ = ("call", "done", "value", "error")
+
+    def __init__(self, call: Callable[[], dict]) -> None:
+        self.call, self.value, self.error = call, None, None
+        self.done = threading.Lock()
+        self.done.acquire()
+
+    def run(self) -> None:
+        try:
+            self.value = self.call()
+        except BaseException as error:  # raised again on the calling thread
+            self.error = error
+        self.call = None  # drops the arrays the call holds
+        self.done.release()
+
+    def wait(self) -> None:
+        self.done.acquire()
+
+    def result(self) -> dict:
+        self.wait()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class _Inline:
+    """The worker's stand-in on one CPU: runs each task when it is handed over."""
+
+    @staticmethod
+    def put(task: _Task) -> None:
+        task.run()
+
+
+_tasks = None  # the worker's queue, or _Inline; set on the first split call
+_starting = threading.Lock()  # so that two callers' first splits start one worker
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        tasks.get().run()
+
+
+def _submit(call: Callable[[], dict]) -> _Task:
+    """Hand ``call`` to the worker, started here on first use (inline on one CPU)."""
+    global _tasks
+    with _starting:
+        if _tasks is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            if cpus > 1:
+                _tasks = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(_tasks,), name="cahnpav-rows", daemon=True).start()
+            else:
+                _tasks = _Inline
+        tasks = _tasks
+    task = _Task(call)
+    tasks.put(task)
+    return task
+
+
+def _forget_worker() -> None:
+    global _tasks, _starting
+    _tasks, _starting = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread: it starts its own
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _add(first: dict, second: dict) -> dict:
+    return {name: value + second[name] for name, value in first.items()}
+
+
+def _rows(grid: GridSpec, kernel: Callable[..., dict], *args, wait: bool = True):
+    """``kernel(rows, *args)`` over the rows of ``grid`` (see the module docstring):
+    one call over all rows (``rows`` is ``...``) up to ``_SPLIT_OVER`` points, else
+    one per half, the second on the worker, each given the half's rows of every
+    argument that is an array over the grid's rows.  Returns the kernel's dict of
+    sums, each half's added first half first.  With ``wait=False`` both halves run
+    on the worker and the call returns at once a function that waits for the sums
+    and returns them."""
+    if grid.nx * grid.ny <= _SPLIT_OVER:
+        sums = kernel(..., *args)
+        return sums if wait else lambda: sums
+    half = grid.nx // 2
+    first, second = (partial(kernel, rows, *_cut(args, rows, grid.nx)) for rows in (slice(0, half), slice(half, grid.nx)))
+    if not wait:
+        return _submit(lambda: _add(first(), second())).result
+    task = _submit(second)
+    try:
+        sums = first()
+    except BaseException:
+        task.wait()  # the worker may still write into the caller's arrays
+        raise
+    return _add(sums, task.result())
+
+
+def _cut(args: tuple, rows: slice, nx: int) -> list:
+    """``args`` with every array of nx rows cut to ``rows``."""
+    return [a[rows] if isinstance(a, np.ndarray) and a.ndim and len(a) == nx else a for a in args]
 
 
 def integrate(f: RealField) -> float:

@@ -102,22 +102,30 @@ def potential_h(phi: RealField, p: PhysicalParams) -> RealField:
     return RealField(phi.grid, p.well_amp * v * well(v))
 
 
-def well_integral(w: np.ndarray, grid: GridSpec, p: PhysicalParams) -> float:
-    """Integral of the double-well density a/4 w^2, w = well(phi), over the domain."""
-    return 0.25 * p.well_amp * grid.hx * grid.hy * _dot(w, w)
+def well_integral(ww: float, grid: GridSpec, p: PhysicalParams) -> float:
+    """Integral of the double-well density a/4 w^2 over the domain, from ww, the
+    sum of w^2 over the grid points, w = well(phi)."""
+    return 0.25 * p.well_amp * grid.hx * grid.hy * ww
 
 
 def potential_integral(phi: RealField, p: PhysicalParams) -> float:
     """Integral of the double-well density a/4 (phi^2 - 1)^2 over the domain."""
-    return well_integral(well(phi.values), phi.grid, p)
+    w = well(phi.values)
+    return well_integral(_dot(w, w), phi.grid, p)
+
+
+def _quadratic_part(grad: float, l2: float, p: PhysicalParams) -> float:
+    """beta/2 grad + lam/2 l2, from grad = int(grad f . grad g) and l2 = int(f g)
+    (not read when lam = 0): see quadratic_energy."""
+    quad = 0.5 * p.beta * grad
+    return quad + 0.5 * p.lam * l2 if p.lam != 0.0 else quad
 
 
 def quadratic_energy(f: RealField, g: RealField, p: PhysicalParams) -> float:
     """The bilinear form beta/2 int(grad f . grad g) + lam/2 int(f g) of the
     energy's quadratic part: with f = g, that part itself; with f != g, the
     cross term from which the part of any combination of f and g follows."""
-    quad = 0.5 * p.beta * grad_inner(f, g)
-    return quad + 0.5 * p.lam * inner(f, g) if p.lam != 0.0 else quad
+    return _quadratic_part(grad_inner(f, g), inner(f, g) if p.lam != 0.0 else 0.0, p)
 
 
 def energy_from_parts(quad: float, potential: float, p: PhysicalParams) -> float:

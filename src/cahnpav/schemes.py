@@ -62,6 +62,24 @@ Transforms: ext and mid are formed as values, g and mu as coefficients, and
 Q, the dissipations and the source work are read by Parseval, so every step
 makes one forward transform, of xi^2 h(ext) (SAV: of b), and one inverse, of
 phi_hat^{n+1}, whose values E[phi^{n+1}] (and the guard) need.
+
+Row halves: on a grid of more than 128^2 points, _split_step takes the step
+over once its times and weights are set.  It keeps the scalar steps and runs
+the array work as six blocks, each a kernel that grid._rows runs over two row
+halves, one of them on a worker thread (grid's module docstring):
+
+    1. ext, w = ext^2 - 1 and its sum, the midpoint's well and its sum, and the
+       phi and mu cross terms (with an A row's source work);
+    2. h = w ext scaled by xi^2 a (semi a; sav a / sqrt(e1[ext])), once xi is known;
+    3. g = (1 + r) phi_hat^n - r^2 / (1 + r) phi_hat^{n-1} (+ dt f);
+    4. the solve, solve_linear_step by rows (sav's r1 sums and scaling first);
+    5. Q and m0 ||grad mu||^2 of the new level (with a B row's drain sums);
+    6. the new level's well sum, after the semi and sav guard.
+
+Two blocks overlap a transform: the worker forms g (3) while the calling
+thread makes the forward transform, and the new level's sums (5) while it
+makes the inverse.  Up to 128^2 points _imex_step runs the same arithmetic on
+one thread, without kernels, whose per-call costs would show on a 20^2 grid.
 """
 
 from __future__ import annotations
@@ -75,9 +93,10 @@ from functools import partial
 import numpy as np
 
 from .errors import Diverged, InvalidState, NonPositiveEnergy, ValidationError
-from .grid import GridSpec, RealField, _dot, grad_inner
+from .grid import _SPLIT_OVER, GridSpec, RealField, _dot, _rows, grad_inner
 from .model import (
     PhysicalParams,
+    _quadratic_part,
     chemical_potential_exact,
     dissipation,
     energy_from_parts,
@@ -222,14 +241,19 @@ def solve_linear_step(
     from the half-spectra g_hat and s_hat on ``grid`` (neither is written).  The
     denominator is >= sigma > 0, so the solve is total.  phi_hat is multiplied by
     its reciprocal, bit-identical to numpy's division; the grid keeps it with
-    beta |k|^2 + lam and dt m0 |k|^2 as one entry (see _symbols).
+    beta |k|^2 + lam and dt m0 |k|^2 as one entry (see _symbols).  On a grid of
+    more than grid._SPLIT_OVER points the solve runs by rows (block 4 of the step).
     """
     lin, m0k2, inv = _symbols(sigma, grid, dt, p)
-    phi_hat = m0k2 * s_hat
-    np.subtract(g_hat, phi_hat, out=phi_hat)
-    phi_hat *= inv
-    mu_hat = lin * phi_hat
-    mu_hat += s_hat
+    if grid.nx * grid.ny > _SPLIT_OVER:
+        phi_hat, mu_hat = np.empty(lin.shape, complex), np.empty(lin.shape, complex)
+        _rows(grid, _solve_rows, lin, m0k2, inv, g_hat, s_hat, phi_hat, mu_hat)
+    else:  # _solve_rows as one numpy expression each, which costs fewer calls on a small grid
+        phi_hat = m0k2 * s_hat
+        np.subtract(g_hat, phi_hat, out=phi_hat)
+        phi_hat *= inv
+        mu_hat = lin * phi_hat
+        mu_hat += s_hat
     return RealField(grid, coeffs=phi_hat), RealField(grid, coeffs=mu_hat)
 
 
@@ -245,6 +269,8 @@ def _xi_update(r_n: float, e_num: float, e_den: float, drain: float, dt: float) 
 
 
 Coef = tuple[float, float]  # (a, b) of a combination a x + b y of two levels' fields
+Sums = dict[str, float]  # named sums of a kernel (see grid._rows)
+Dots = dict[str, tuple[np.ndarray, np.ndarray, str]]  # name: (a, b, weight) of the sum _dot(a, b, grid, weight)
 
 
 def _weights(r: float, level: float = 1.0) -> tuple[float, Coef, Coef]:
@@ -270,13 +296,25 @@ def _bilinear(coef: Coef, q_x: float, cross: float, q_y: float) -> float:
     return a * a * q_x + 2.0 * a * b * cross + b * b * q_y
 
 
-def _energy(coef: Coef, state: SchemeState, cross: float, w: np.ndarray, p: PhysicalParams) -> float:
+def _quad_dots(x_hat: np.ndarray, y_hat: np.ndarray, p: PhysicalParams) -> Dots:
+    """The sums _quad reads: of quadratic_energy(x, y) from their half-spectra."""
+    dots = {"quad": (x_hat, y_hat, "grad_weight")}
+    if p.lam != 0.0:
+        dots["quad_l2"] = (x_hat, y_hat, "parseval")
+    return dots
+
+
+def _quad(sums: Sums, p: PhysicalParams) -> float:
+    return _quadratic_part(sums["quad"], sums.get("quad_l2", 0.0), p)
+
+
+def _energy(coef: Coef, state: SchemeState, cross: float, ww: float, p: PhysicalParams) -> float:
     """E[a phi^n + b phi^{n-1}], (a, b) = coef, from the levels' quad, their
-    ``cross`` = quadratic_energy(phi^n, phi^{n-1}) and w = well() of its
-    values.  Raises NonPositiveEnergy when E <= 0."""
+    ``cross`` = quadratic_energy(phi^n, phi^{n-1}) and ww, the sum of w^2 of w =
+    well() of its values.  Raises NonPositiveEnergy when E <= 0."""
     cur = state.cur
     quad = _bilinear(coef, cur.quad, cross, state.prev.quad)
-    return energy_from_parts(quad, well_integral(w, cur.phi.grid, p), p)
+    return energy_from_parts(quad, well_integral(ww, cur.phi.grid, p), p)
 
 
 def _drain(coef: Coef, mu: RealField, diss: float, y: Level, f_hat: np.ndarray | None, p: PhysicalParams) -> float:
@@ -293,32 +331,151 @@ def _drain(coef: Coef, mu: RealField, diss: float, y: Level, f_hat: np.ndarray |
     return drain
 
 
+def _drain_dots(coef: Coef, x_hat: np.ndarray, y_hat: np.ndarray, f_hat: np.ndarray | None, grid: GridSpec) -> Dots:
+    """The sums of _drain for mu_d = a x + b y, (a, b) = coef, from the half-spectra
+    of x, y and the source f, for _split_drain."""
+    b = coef[1]
+    dots = {"mu": (x_hat, y_hat, "grad_weight")} if b else {}
+    if f_hat is not None:
+        wf = grid.parseval * f_hat
+        dots["f_x"] = (wf, x_hat, "")
+        if b:
+            dots["f_y"] = (wf, y_hat, "")
+    return dots
+
+
+def _split_drain(coef: Coef, x_diss: float, y_diss: float, sums: Sums, p: PhysicalParams) -> float:
+    """_drain from the dissipations of x and y and the sums of _drain_dots."""
+    a, b = coef
+    drain = _bilinear(coef, x_diss, p.m0 * sums["mu"] if b else 0.0, y_diss)
+    if "f_x" in sums:
+        drain -= a * sums["f_x"] + (b * sums["f_y"] if b else 0.0)
+    return drain
+
+
 def _solved(phi: RealField, mu: RealField, p: PhysicalParams) -> tuple[float, float, float, float]:
     """(E, m0 ||grad mu||^2, quad, int H) of a level's phi and mu: the scalars a Level
-    keeps, assembled here only, and int H for r1.  NonPositiveEnergy when E <= 0."""
+    keeps, and int H for r1.  NonPositiveEnergy when E <= 0."""
     quad, potential = quadratic_energy(phi, phi, p), potential_integral(phi, p)
     return energy_from_parts(quad, potential, p), dissipation(mu, p), quad, potential
 
 
-def _guard(phi: RealField, step: int) -> None:
+def _guard(values: np.ndarray, step: int) -> None:
     """Diverged unless all values lie in [-OVERFLOW_GUARD, OVERFLOW_GUARD]; NaN fails both tests."""
-    values = phi.values
     if not (-OVERFLOW_GUARD <= values.min() and values.max() <= OVERFLOW_GUARD):
         raise Diverged(f"field blew up at step {step}")
+
+
+# The kernels of _split_step, run by grid._rows: each is given the rows ``rows``
+# of the arrays its caller allocated (all of them when rows is ...) and writes
+# only into those.
+
+
+def _sums(rows, grid: GridSpec, dots: Dots) -> Sums:
+    """Each sum of ``dots``; block 5 of the step."""
+    return {name: _dot(a[rows], b[rows], grid, weight, rows) for name, (a, b, weight) in dots.items()}
+
+
+def _ext_rows(rows, coef: Coef, x, y, ext, w, w_mid, sum_w: bool, grid: GridSpec, dots: Dots) -> Sums:
+    """Block 1: ext = a x + b y, (a, b) = coef (ext is x when b = 0); w =
+    well(ext); given w_mid, the well of the midpoint (ext + x) / 2 there.  The
+    sums: of ``dots``, "w" of w^2 when ``sum_w`` and "mid" of w_mid^2."""
+    if coef[1]:
+        np.multiply(coef[0], x, out=ext)
+        np.multiply(coef[1], y, out=w)  # w holds b y until it is formed
+        ext += w
+    np.multiply(ext, ext, out=w)
+    w -= 1.0
+    sums = _sums(rows, grid, dots)
+    if sum_w:
+        sums["w"] = _dot(w, w, rows=rows)
+    if w_mid is not None:
+        np.add(ext, x, out=w_mid)
+        w_mid *= 0.5
+        np.multiply(w_mid, w_mid, out=w_mid)
+        w_mid -= 1.0
+        sums["mid"] = _dot(w_mid, w_mid, rows=rows)
+    return sums
+
+
+def _h_rows(rows, w, ext, factor: float) -> Sums:
+    """Block 2: w = well(ext) becomes factor ext w, the scaled h(ext)."""
+    w *= ext
+    w *= factor
+    return {}
+
+
+def _g_rows(rows, coef: Coef, x, y, f, dt: float, g, tmp) -> Sums:
+    """Block 3: g = a x + b y + dt f, (a, b) = coef, f None for no source;
+    ``tmp`` is scratch, None when b = 0."""
+    a, b = coef
+    if not b:  # a source alone
+        np.multiply(dt, f, out=g)
+        g += x
+        return {}
+    np.multiply(a, x, out=g)
+    np.multiply(b, y, out=tmp)
+    g += tmp
+    if f is not None:
+        np.multiply(dt, f, out=tmp)
+        g += tmp
+    return {}
+
+
+def _solve_rows(rows, lin, m0k2, inv, g, s, phi, mu) -> Sums:
+    """Block 4, solve_linear_step: phi = (g - m0k2 s) inv and mu = lin phi + s."""
+    np.multiply(m0k2, s, out=phi)
+    np.subtract(g, phi, out=phi)
+    phi *= inv
+    np.multiply(lin, phi, out=mu)
+    mu += s
+    return {}
+
+
+def _sav_rows(rows, parseval, b_hat, inv, wb, x_n, x_p, g) -> Sums:
+    """_sav_r1's sums of wb = parseval b_hat, and then of inv wb."""
+    np.multiply(parseval, b_hat, out=wb)
+    sums = {"n": _dot(wb, x_n, rows=rows), "p": _dot(wb, x_p, rows=rows)}
+    wb *= inv
+    sums["1"] = _dot(wb, g, rows=rows)
+    return sums
+
+
+def _sav_phi2_rows(rows, m0k2, b_hat, wb, tmp) -> Sums:
+    """_sav_r1's sum of wb and tmp = m0k2 b_hat."""
+    np.multiply(m0k2, b_hat, out=tmp)
+    return {"2": _dot(wb, tmp, rows=rows)}
+
+
+def _scale_rows(rows, a, factor: float) -> Sums:
+    a *= factor
+    return {}
+
+
+def _well_rows(rows, v, w, guard_step: int | None) -> Sums:
+    """Block 6: w = well(v) and the sum "w" of w^2, after the overflow guard of
+    v at ``guard_step`` unless that is None."""
+    if guard_step is not None:
+        _guard(v, guard_step)
+    np.multiply(v, v, out=w)
+    w -= 1.0
+    return {"w": _dot(w, w, rows=rows)}
 
 
 def _sav_r1(r: float, g_hat: np.ndarray, b_hat: np.ndarray, state: SchemeState, dt: float, p: PhysicalParams) -> float:
     """r1^{n+1} of the SAV step at step ratio r, from b's coefficients b_hat.  The
     system is linear in it: phi^{n+1} = phi_1 + r1^{n+1} phi_2, phi_1 solved without
-    b and phi_2 with b alone, so int(b phi_1) and int(b phi_2) are Parseval sums."""
+    b and phi_2 with b alone, so int(b phi_1) and int(b phi_2) are Parseval sums:
+    int(b f) is the sum of (parseval b_hat) f_hat, phi_1 has spectrum g_hat inv and
+    phi_2 -m0k2 b_hat inv."""
     cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
     sigma, (a, b), _ = _weights(r)
     _, m0k2, inv = _symbols(sigma, grid, dt, p)
-    wb = grid.parseval * b_hat  # int(b f) = _dot(wb, f_hat)
-    ib_n, ib_p = _dot(wb, cur.phi.coeffs), _dot(wb, prev.phi.coeffs)
-    wb *= inv  # phi_1 has spectrum g_hat inv, phi_2 -m0k2 b_hat inv
-    ib_1, ib_2 = _dot(wb, g_hat), -_dot(wb, m0k2 * b_hat)  # ib_2 <= 0: divisor >= 2 sigma
-    num = 2.0 * a * cur.sav_r + 2.0 * b * prev.sav_r + sigma * ib_1 - a * ib_n - b * ib_p
+    wb = np.empty(b_hat.shape, complex)
+    ib = _rows(grid, _sav_rows, grid.parseval, b_hat, inv, wb, cur.phi.coeffs, prev.phi.coeffs, g_hat)
+    # the broadcast parseval costs numpy an iteration buffer: m0k2 b_hat is formed after it
+    ib_2 = -_rows(grid, _sav_phi2_rows, m0k2, b_hat, wb, np.empty(b_hat.shape, complex))["2"]  # <= 0: divisor >= 2 sigma
+    num = 2.0 * a * cur.sav_r + 2.0 * b * prev.sav_r + sigma * ib["1"] - a * ib["n"] - b * ib["p"]
     return num / (2.0 * sigma - sigma * ib_2)
 
 
@@ -332,7 +489,8 @@ def _imex_step(
     is not positive and finite is a ValidationError.  The ``semi`` and ``sav``
     rows raise Diverged when the new field is non-finite or exceeds the overflow
     guard; ``sav`` raises NonPositiveEnergy when e1[ext] <= 0, at a cold start
-    e1[phi^0]."""
+    e1[phi^0].  On a grid of more than grid._SPLIT_OVER points, _split_step
+    takes over after the step's times and weights are set."""
     if not 0.0 < dt < math.inf:
         raise ValidationError("dt", f"must be positive and finite, got {dt}")
     t0 = state.t0 if state.dt_prev in (None, dt) else state.time() - state.step * dt  # cur keeps its time
@@ -342,6 +500,8 @@ def _imex_step(
         f_drain = source(t0 + (state.step + level) * dt)
     r = (scheme.order - 1) * dt / (state.dt_prev or dt)  # the step ratio; order - 1 at a cold start
     cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
+    if grid.nx * grid.ny > _SPLIT_OVER:
+        return _split_step(scheme, state, dt, p, dealias, t0, f_src, f_drain, r)
     sigma, g_coef, ext_coef = _weights(r)
     g_hat = _combine(g_coef, cur.phi.coeffs, prev.phi.coeffs)
     if f_src is not None:
@@ -351,19 +511,19 @@ def _imex_step(
     e_ext = e_mid = cur.energy  # r = 0: ext = mid = phi^n
     if scheme.xi is not None and r:
         cross = quadratic_energy(cur.phi, prev.phi, p)
-        e_ext = _energy(ext_coef, state, cross, w, p)
+        e_ext = _energy(ext_coef, state, cross, _dot(w, w), p)
         w_mid = ext + cur.phi.values  # becomes well() of the midpoint, in place
         w_mid *= 0.5
         w_mid *= w_mid
         w_mid -= 1.0
-        e_mid = _energy(_weights(r, 0.5)[2], state, cross, w_mid, p)
+        e_mid = _energy(_weights(r, 0.5)[2], state, cross, _dot(w_mid, w_mid), p)
         del w_mid
     e_den = cur.energy if level == 0.0 else e_mid  # E at L, until L = 1 reads E^{n+1}
     xi, r_new, r1 = None, cur.r, cur.sav_r  # the xi scaling h(ext) in the field solve; semi and sav keep R
     scale = float(p.well_amp)  # of h(ext) / a when xi is None, over sqrt(e1[ext]) for sav's b; a plain float,
     # since numpy scales an array by a float subclass (a derived well_amp) on a slower path
     if scheme.sav:
-        scale /= math.sqrt(sav_energy(well_integral(w, grid, p), p))
+        scale /= math.sqrt(sav_energy(well_integral(_dot(w, w), grid, p), p))
     elif scheme.xi == "a":  # mu_d: mu extrapolated to t^{n+L}
         drain = _drain(_weights(r, level)[2], cur.mu, cur.dissipation, prev, f_drain, p)
         xi = _xi_update(cur.r, e_ext, e_den, drain, dt)
@@ -383,10 +543,95 @@ def _imex_step(
     phi_new, mu_new = solve_linear_step(sigma, grid, g_hat, s_hat, dt, p)
     del g_hat, s_hat
     if scheme.xi is None:
-        _guard(phi_new, state.step + 1)
+        _guard(phi_new.values, state.step + 1)
     energy, diss, quad, _ = _solved(phi_new, mu_new, p)
     if scheme.xi == "b":  # mu_d = L mu^{n+1} + (1 - L) mu^n
         drain = _drain((level, 1.0 - level), mu_new, diss, cur, f_drain, p)
+        xi = _xi_update(cur.r, energy, energy if level == 1.0 else e_den, drain, dt)
+        r_new = xi * math.sqrt(energy)
+    new = Level(phi_new, mu_new, energy, diss, quad, r_new, r1)
+    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, t0, dt)
+
+
+def _split_step(
+    scheme: Scheme, state: SchemeState, dt: float, p: PhysicalParams, dealias: bool,
+    t0: float, f_src: np.ndarray | None, f_drain: np.ndarray | None, r: float,
+) -> SchemeState:
+    """The rest of _imex_step on a grid of more than grid._SPLIT_OVER points: the
+    same scalar steps, and the array work as blocks 1-6 of the module docstring,
+    each a kernel that grid._rows runs over two row halves.  Dealiasing stays
+    one pass on this thread: numpy casts the boolean mask through a buffer, which
+    a kernel would take on the worker."""
+    level = scheme.drain_level
+    cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
+    sigma, g_coef, ext_coef = _weights(r)
+    half = (grid.nx, grid.ny // 2 + 1)
+    energies = scheme.xi is not None and r  # E[ext] and E[mid]; r = 0: ext = mid = phi^n
+    for name in ("grad_weight", "parseval") if p.lam else ("grad_weight",):
+        grid._real_weight(name)  # built here, on this thread, before a kernel reads it
+
+    x = cur.phi.values  # block 1
+    ext = np.empty(grid.shape) if ext_coef[1] else x
+    w = np.empty(grid.shape)
+    dots = _quad_dots(cur.phi.coeffs, prev.phi.coeffs, p) if energies else {}
+    if scheme.xi == "a":  # mu_d: mu extrapolated to t^{n+L}
+        mu_coef = _weights(r, level)[2]
+        dots.update(_drain_dots(mu_coef, cur.mu.coeffs, prev.mu.coeffs, f_drain, grid))
+    w_mid = np.empty(grid.shape) if energies else None
+    sums = _rows(grid, _ext_rows, ext_coef, x, prev.phi.values, ext, w, w_mid, energies or scheme.sav, grid, dots)
+    del w_mid, dots
+    e_ext = e_mid = cur.energy
+    if energies:
+        cross = _quad(sums, p)
+        e_ext = _energy(ext_coef, state, cross, sums["w"], p)
+        e_mid = _energy(_weights(r, 0.5)[2], state, cross, sums["mid"], p)
+    e_den = cur.energy if level == 0.0 else e_mid
+    xi, r_new, r1 = None, cur.r, cur.sav_r
+    scale = float(p.well_amp)
+    if scheme.sav:
+        scale /= math.sqrt(sav_energy(well_integral(sums["w"], grid, p), p))
+    elif scheme.xi == "a":
+        xi = _xi_update(cur.r, e_ext, e_den, _split_drain(mu_coef, cur.dissipation, prev.dissipation, sums, p), dt)
+        r_new = xi * math.sqrt(e_ext)
+    elif scheme.xi == "b":
+        xi = _combine(ext_coef, cur.r, prev.r) / math.sqrt(e_ext)
+
+    _rows(grid, _h_rows, w, ext, scale if xi is None else xi * xi * p.well_amp)  # block 2
+    del ext
+    g_hat, g_done = cur.phi.coeffs, None  # block 3, on the worker while this thread transforms
+    if g_coef[1] or f_src is not None:
+        g_hat = np.empty(half, complex)
+        tmp = np.empty(half, complex) if g_coef[1] else None
+        g_done = _rows(grid, _g_rows, g_coef, cur.phi.coeffs, prev.phi.coeffs, f_src, dt, g_hat, tmp, wait=False)
+        del tmp
+    s_hat = grid.fft(w)
+    del w
+    if g_done is not None:
+        g_done()
+    if dealias:
+        s_hat *= grid.dealias_mask
+    if scheme.sav:
+        r1 = _sav_r1(r, g_hat, s_hat, state, dt, p)
+        _rows(grid, _scale_rows, s_hat, r1)
+    phi_new, mu_new = solve_linear_step(sigma, grid, g_hat, s_hat, dt, p)  # block 4
+    del g_hat, s_hat
+
+    phi_hat, mu_hat = phi_new.coeffs, mu_new.coeffs  # block 5, on the worker while this thread transforms
+    dots = {**_quad_dots(phi_hat, phi_hat, p), "diss": (mu_hat, mu_hat, "grad_weight")}
+    if scheme.xi == "b":  # mu_d = L mu^{n+1} + (1 - L) mu^n
+        mu_coef = (level, 1.0 - level)
+        dots.update(_drain_dots(mu_coef, mu_hat, cur.mu.coeffs, f_drain, grid))
+    level_sums = _rows(grid, _sums, grid, dots, wait=False)
+    values = phi_new.values
+    sums = level_sums()
+    w = np.empty(grid.shape)  # block 6
+    ww = _rows(grid, _well_rows, values, w, state.step + 1 if scheme.xi is None else None)["w"]
+    del w
+    quad = _quad(sums, p)
+    energy = energy_from_parts(quad, well_integral(ww, grid, p), p)
+    diss = p.m0 * sums["diss"]
+    if scheme.xi == "b":
+        drain = _split_drain(mu_coef, diss, cur.dissipation, sums, p)
         xi = _xi_update(cur.r, energy, energy if level == 1.0 else e_den, drain, dt)
         r_new = xi * math.sqrt(energy)
     new = Level(phi_new, mu_new, energy, diss, quad, r_new, r1)

@@ -2,11 +2,14 @@
 tests need and the package itself does not."""
 
 import math
+import queue
+import threading
+from functools import cache
 
 import numpy as np
 
 from cahnpav import GridSpec, InvalidState, RealField
-from cahnpav.grid import grad_sq_integral, integrate
+from cahnpav.grid import _serve, grad_sq_integral, integrate
 
 
 def count_transforms(monkeypatch) -> dict[str, int]:
@@ -19,6 +22,16 @@ def count_transforms(monkeypatch) -> dict[str, int]:
 
         monkeypatch.setattr(GridSpec, name, counted)
     return calls
+
+
+@cache
+def worker_tasks() -> queue.SimpleQueue:
+    """The queue of a worker thread that serves ``grid._rows`` whatever the host's
+    CPU count (on one CPU the package runs every half inline); set it as
+    ``cahnpav.grid._tasks``.  One daemon thread for the whole test session."""
+    tasks = queue.SimpleQueue()
+    threading.Thread(target=_serve, args=(tasks,), name="test-rows", daemon=True).start()
+    return tasks
 
 
 def constant(grid: GridSpec, value: float) -> RealField:

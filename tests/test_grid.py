@@ -2,9 +2,12 @@
 
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cahnpav
+import cahnpav.grid
 from cahnpav import STEPPERS, GridSpec, PhysicalParams, RealField, SchemeKind, ValidationError, init_state
-from cahnpav.grid import grad_inner, grad_sq_integral, h2_norm, inner, integrate, l2_norm
-from cahnpav.model import well, well_integral
+from cahnpav.grid import _rows, grad_inner, grad_sq_integral, h2_norm, inner, integrate, l2_norm
+from cahnpav.model import potential_integral, well
 from cahnpav.schemes import _symbols
 
-from helpers import constant, count_transforms, from_function, mean
+from helpers import constant, count_transforms, from_function, mean, worker_tasks
 
 
 def random_field(grid: GridSpec, seed: int, smooth: bool = False) -> RealField:
@@ -408,7 +412,7 @@ class TestReductions:
             "grad_inner": np.vdot(f.coeffs, grid.grad_weight * g.coeffs).real,
             "inner": np.vdot(f.coeffs, grid.parseval * g.coeffs).real,
             "h2_norm": np.sqrt(np.vdot(f.coeffs, grid.h2_weight * f.coeffs).real),
-            "well_integral": 0.25 * p.well_amp * grid.hx * grid.hy * np.vdot(w, w),
+            "potential_integral": 0.25 * p.well_amp * grid.hx * grid.hy * np.vdot(w, w),
         }
 
         def no_blas(*args):
@@ -419,7 +423,7 @@ class TestReductions:
             "grad_inner": grad_inner(f, g),
             "inner": inner(f, g),
             "h2_norm": h2_norm(f),
-            "well_integral": well_integral(w, grid, p),
+            "potential_integral": potential_integral(f, p),
         }
         for name, value in got.items():
             assert value == pytest.approx(want[name], rel=1e-13), name
@@ -459,13 +463,13 @@ class TestReductions:
             import numpy as np
             from cahnpav import GridSpec, PhysicalParams, RealField
             from cahnpav.grid import grad_inner, h2_norm, inner
-            from cahnpav.model import well, well_integral
+            from cahnpav.model import potential_integral
             p = PhysicalParams(m0=1.0, beta=0.7, eta=1.0, well_amp=1.3)
             for n in (128, 512):
                 grid = GridSpec(n, n, 2.0, 2.0)
                 rng = np.random.default_rng(n)
                 f, g = (RealField(grid, rng.standard_normal(grid.shape)) for _ in "fg")
-                print(repr((grad_inner(f, g), inner(f, g), h2_norm(f), well_integral(well(f.values), grid, p))))
+                print(repr((grad_inner(f, g), inner(f, g), h2_norm(f), potential_integral(f, p))))
         """)
         src = str(Path(cahnpav.__file__).parents[1])
         out = {}
@@ -477,3 +481,95 @@ class TestReductions:
             out[threads] = run.stdout
         assert out["1"].count("\n") == 2
         assert out["1"] == out["2"]
+
+
+class TestRows:
+    """grid._rows runs a kernel over all rows at once up to 128^2 points; above,
+    over rows [0, nx//2) on the calling thread and [nx//2, nx) on the worker,
+    or both on the worker with wait=False, adding each half's sums."""
+
+    @staticmethod
+    def kernel(calls, fail=None):
+        def kernel(rows, value):
+            calls.append((rows, threading.get_ident()))
+            if rows == fail:
+                raise ValueError(f"rows {rows}")
+            return {"sum": value if rows in (..., slice(0, 65)) else 2.0 * value}
+        return kernel
+
+    def test_up_to_128_squared_one_call_here(self, monkeypatch):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        calls = []
+        assert _rows(GridSpec(128, 128, 1.0, 1.0), self.kernel(calls), 0.25) == {"sum": 0.25}
+        assert _rows(GridSpec(128, 128, 1.0, 1.0), self.kernel(calls), 0.25, wait=False)() == {"sum": 0.25}
+        assert calls == [(..., threading.get_ident())] * 2
+
+    def test_halves_here_and_on_the_worker(self, monkeypatch):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        calls, here = [], threading.get_ident()
+        assert _rows(GridSpec(130, 130, 1.0, 1.0), self.kernel(calls), 0.25) == {"sum": 0.75}
+        first, second = sorted(calls, key=lambda call: call[0].start)
+        assert first == (slice(0, 65), here)
+        assert second[0] == slice(65, 130) and second[1] != here
+
+    def test_without_waiting_both_halves_run_on_the_worker(self, monkeypatch):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        calls = []
+        sums = _rows(GridSpec(130, 130, 1.0, 1.0), self.kernel(calls), 0.25, wait=False)
+        assert sums() == {"sum": 0.75}
+        assert [rows for rows, _ in calls] == [slice(0, 65), slice(65, 130)]
+        assert threading.get_ident() not in {thread for _, thread in calls}
+
+    @pytest.mark.parametrize("fail", [slice(0, 65), slice(65, 130)], ids=["here", "worker"])
+    def test_an_error_in_either_half_is_raised_here(self, monkeypatch, fail):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        calls = []
+        with pytest.raises(ValueError, match=re.escape(f"rows {fail}")):
+            _rows(GridSpec(130, 130, 1.0, 1.0), self.kernel(calls, fail), 0.25)
+        assert len(calls) == 2  # the worker's half had finished
+        assert _rows(GridSpec(130, 130, 1.0, 1.0), self.kernel(calls), 0.25) == {"sum": 0.75}
+
+    def test_callers_on_many_threads_share_the_worker(self, monkeypatch):
+        # four callers, more than the host's cores, with a short switch interval:
+        # each gets the sums of its own arrays
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        grid, results = GridSpec(130, 130, 1.0, 1.0), []
+
+        def caller(k):
+            a = np.full(grid.shape, float(k))
+            for _ in range(50):
+                results.append((k, _rows(grid, lambda rows, a: {"sum": float(a.sum())}, a)["sum"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [(k, k * 130.0 * 130.0) for k in range(4) for _ in range(50)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
+        # the child has no copy of the parent's worker thread: a split there must not wait for it
+        monkeypatch.setattr(cahnpav.grid, "_tasks", None)
+        grid, calls = GridSpec(130, 130, 1.0, 1.0), []
+        assert _rows(grid, self.kernel(calls), 0.25) == {"sum": 0.75}
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if the split completes, killed by the alarm if it hangs
+            signal.alarm(30)
+            os._exit(0 if _rows(grid, self.kernel([]), 0.25) == {"sum": 0.75} else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_one_cpu_runs_both_halves_here(self, monkeypatch):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        calls = []
+        assert _rows(GridSpec(130, 130, 1.0, 1.0), self.kernel(calls), 0.25) == {"sum": 0.75}
+        assert cahnpav.grid._tasks is cahnpav.grid._Inline
+        assert {thread for _, thread in calls} == {threading.get_ident()}

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import threading
 import tracemalloc
 from dataclasses import replace
 from functools import cache
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cahnpav.grid
 import cahnpav.schemes
 from cahnpav import (
     Diverged,
@@ -29,7 +31,7 @@ from cahnpav import (
     run_simulation,
 )
 from cahnpav.diagnostics import MASS_DRIFT_TOL, R_MONOTONE_SLACK, error_norms, fit_convergence_order
-from cahnpav.grid import inner, integrate
+from cahnpav.grid import _dot, inner, integrate
 from cahnpav.model import dissipation, energy_total, potential_h, potential_integral, quadratic_energy, well
 from cahnpav.problems import exact_solution
 from cahnpav.runner import seed_exact_history
@@ -40,15 +42,18 @@ from cahnpav.schemes import (
     Level,
     SchemeState,
     _drain,
+    _drain_dots,
     _energy,
     _guard,
+    _split_drain,
+    _sums,
     _symbols,
     _weights,
     _xi_update,
     solve_linear_step,
 )
 
-from helpers import constant, count_transforms, from_function, mean, sav_modified_energy
+from helpers import constant, count_transforms, from_function, mean, sav_modified_energy, worker_tasks
 from reference import reference_step
 
 THEORY = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=1.0)
@@ -323,7 +328,8 @@ class TestBilinearEnergy:
         for a, b in (self.EXT, self.MID, (1.0, 0.0)):
             values = a * cur.phi.values + b * prev.phi.values
             expected = energy_total(RealField(self.GRID, values), p)
-            got = _energy((a, b), state, cross, well(values), p)
+            w = well(values)
+            got = _energy((a, b), state, cross, _dot(w, w), p)
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p", [THEORY, WITH_LAM], ids=["lam0", "lam"])
@@ -338,6 +344,9 @@ class TestBilinearEnergy:
             expected = dissipation(mu_d, p) - (0.0 if f_src is None else inner(f_src, mu_d))
             f_hat = None if f_src is None else f_src.coeffs
             assert _drain((a, b), x.mu, x.dissipation, y, f_hat, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            # the row-split step's form: the same sums, formed as a kernel over all rows
+            sums = _sums(..., self.GRID, _drain_dots((a, b), x.mu.coeffs, y.mu.coeffs, f_hat, self.GRID))
+            assert _split_drain((a, b), x.dissipation, y.dissipation, sums, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", list(SchemeKind), ids=step_id)
@@ -664,18 +673,18 @@ class TestDivergenceGuard:
         values = np.zeros(self.GRID.shape)
         values[3, 5] = bad
         with pytest.raises(Diverged, match=r"at step 7$"):
-            _guard(RealField(self.GRID, values), 7)
+            _guard(values, 7)
 
     def test_guard_bound_is_inclusive(self):
         values = np.full(self.GRID.shape, OVERFLOW_GUARD)
         values[3, 5] = -OVERFLOW_GUARD
-        _guard(RealField(self.GRID, values), 7)
+        _guard(values, 7)
 
     def test_guard_passes_a_field_within_a_million(self):
         # the bound is 1e6 (README), not only OVERFLOW_GUARD: a lower guard fails here
         values = np.full(self.GRID.shape, 1e5)
         values[3, 5] = -1e5
-        _guard(RealField(self.GRID, values), 7)
+        _guard(values, 7)
 
     def test_semi_implicit_raises_on_blowup(self):
         # stiff well + large dt + explicit nonlinearity blows past the guard
@@ -769,6 +778,60 @@ class TestReferenceStep:
             assert kind is SEMI  # only the conditionally stable baseline may blow up
         except InvalidState:
             assert kind.is_pav and with_source  # source work can make the drain negative
+
+
+@cache
+def split_case(case):
+    """(initial field, params, t0, step sizes, source) of five steps on 130^2, the
+    smallest square grid whose steps run as two row halves: the desk drops on
+    [0,4]^2, or the manufactured problem with its source."""
+    grid = GridSpec(130, 130, 4.0, 4.0) if case == "drops" else GridSpec(130, 130, 2.0, 2.0)
+    problem = replace(desk_scale_drop_spec() if case == "drops" else manufactured_spec(), grid=grid)
+    return problem.initial_condition(), problem.params, problem.t0, (problem.dt,) * 5, problem.source()
+
+
+class TestRowHalves:
+    """Above 128^2 a step runs its array work as two row halves, the second on a
+    worker thread (grid's module docstring): its bytes do not depend on which
+    thread ran a half, and it agrees with the reference step."""
+
+    @staticmethod
+    def run(kind, dealias, case, tasks, monkeypatch):
+        # every array and scalar a step leaves, after each of the five steps
+        monkeypatch.setattr(cahnpav.grid, "_tasks", tasks)
+        phi0, p, t0, dts, source = split_case(case)
+        state, out = init_state(phi0, p, t0), []
+        for dt in dts:
+            state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
+            c = state.cur
+            out += [c.phi.values.tobytes(), c.phi.coeffs.tobytes(), c.mu.coeffs.tobytes()]
+            out.append(np.array([c.energy, c.dissipation, c.quad, c.r, c.sav_r, state.xi]).tobytes())
+        return out
+
+    def test_130_is_the_smallest_split_square(self):
+        assert 128 * 128 <= cahnpav.grid._SPLIT_OVER < 130 * 130
+
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    @pytest.mark.parametrize("case", ["drops", "manufactured"])
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_worker_gives_the_bytes_of_inline_halves(self, monkeypatch, kind, case, dealias):
+        on_worker = self.run(kind, dealias, case, worker_tasks(), monkeypatch)
+        assert on_worker == self.run(kind, dealias, case, cahnpav.grid._Inline, monkeypatch)
+
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    @pytest.mark.parametrize("case", ["drops", "manufactured"])
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_matches_reference(self, monkeypatch, kind, case, dealias):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        assert_matches_reference(kind, dealias, *split_case(case))
+
+    def test_desk_run_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", None)  # as in a fresh process
+        before = threading.active_count()
+        for kind in SchemeKind:
+            assert run_simulation(desk_scale_drop_spec(), kind, n_steps=3).failure is None
+        assert threading.active_count() == before
+        assert cahnpav.grid._tasks is None
 
 
 class TestVariableStep:
