@@ -41,7 +41,7 @@ and ``np.einsum`` the real view, the formula with each entry twice, shape
 ``grad_weight`` or ``h2_weight``, and a small one no real view.
 
 Row halves: on a grid of more than ``_SPLIT_OVER`` = 128^2 points, a time
-step (``schemes._split_step``) runs its full-array work as kernels that
+step (``schemes._imex_step``) runs its full-array work as kernels that
 ``_rows`` runs once per half, rows [0, nx//2) and [nx//2, nx), each call given
 those rows of every array argument.  Each sum a kernel returns is the first
 half's plus the second's, in that order, and each half's sum is one
@@ -193,10 +193,13 @@ class GridSpec:
         return (np.abs(self.kx) <= kx_cut) & (np.abs(self.ky) <= ky_cut)
 
     def kept(self, key: tuple, make: Callable[[], tuple]) -> tuple:
-        """``make()`` (the solve's operator), kept for calls with an equal key; another key rebuilds it."""
-        if self.__dict__.get("_kept", (None,))[0] != key:
-            self.__dict__["_kept"] = (key, make())
-        return self.__dict__["_kept"][1]
+        """``make()`` (the solve's operator), kept for calls with an equal key; another key rebuilds it.
+        A call returns the entry it found or stored, not one another caller on the grid stored since."""
+        entry = self.__dict__.get("_kept", (None,))
+        if entry[0] != key:
+            entry = (key, make())
+            self.__dict__["_kept"] = entry
+        return entry[1]
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Forward transform of a raw physical array: its mean-normalized half-spectrum.

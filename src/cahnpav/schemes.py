@@ -63,23 +63,25 @@ Q, the dissipations and the source work are read by Parseval, so every step
 makes one forward transform, of xi^2 h(ext) (SAV: of b), and one inverse, of
 phi_hat^{n+1}, whose values E[phi^{n+1}] (and the guard) need.
 
-Row halves: on a grid of more than 128^2 points, _split_step takes the step
-over once its times and weights are set.  It keeps the scalar steps and runs
-the array work as six blocks, each a kernel that grid._rows runs over two row
-halves, one of them on a worker thread (grid's module docstring):
+Two array forms: a step's array work is three stretches, each run in one of
+two forms, chosen by the grid's size:
 
     1. ext, w = ext^2 - 1 and its sum, the midpoint's well and its sum, and the
        phi and mu cross terms (with an A row's source work);
-    2. h = w ext scaled by xi^2 a (semi a; sav a / sqrt(e1[ext])), once xi is known;
-    3. g = (1 + r) phi_hat^n - r^2 / (1 + r) phi_hat^{n-1} (+ dt f);
-    4. the solve, solve_linear_step by rows (sav's r1 sums and scaling first);
-    5. Q and m0 ||grad mu||^2 of the new level (with a B row's drain sums);
-    6. the new level's well sum, after the semi and sav guard.
+    2. h = w ext scaled by xi^2 a (semi a; sav a / sqrt(e1[ext])), once xi is
+       known, g = (1 + r) phi_hat^n - r^2 / (1 + r) phi_hat^{n-1} (+ dt f), the
+       forward transform and the solve (sav's r1 sums and scaling first);
+    3. Q and m0 ||grad mu||^2 of the new level (with a B row's drain sums) and
+       its well sum, after the semi and sav guard.
 
-Two blocks overlap a transform: the worker forms g (3) while the calling
-thread makes the forward transform, and the new level's sums (5) while it
-makes the inverse.  Up to 128^2 points _imex_step runs the same arithmetic on
-one thread, without kernels, whose per-call costs would show on a 20^2 grid.
+Up to 128^2 points (grid._SPLIT_OVER) a stretch is whole-array numpy, whose
+per-call cost is low enough for a 20^2 grid.  Above, it is kernels that
+grid._rows runs over two row halves, one of them on a worker thread (grid's
+module docstring): the worker forms g while the calling thread makes the
+forward transform, and the new level's sums while it makes the inverse.
+Either form hands plain floats to the one copy of the scalar steps (the
+energies, the xi update, a B row's drain and the new level), and on a grid of
+at most 128^2 points both give the same bits.
 """
 
 from __future__ import annotations
@@ -242,7 +244,7 @@ def solve_linear_step(
     denominator is >= sigma > 0, so the solve is total.  phi_hat is multiplied by
     its reciprocal, bit-identical to numpy's division; the grid keeps it with
     beta |k|^2 + lam and dt m0 |k|^2 as one entry (see _symbols).  On a grid of
-    more than grid._SPLIT_OVER points the solve runs by rows (block 4 of the step).
+    more than grid._SPLIT_OVER points the solve runs by rows (stretch 2 of the step).
     """
     lin, m0k2, inv = _symbols(sigma, grid, dt, p)
     if grid.nx * grid.ny > _SPLIT_OVER:
@@ -366,18 +368,18 @@ def _guard(values: np.ndarray, step: int) -> None:
         raise Diverged(f"field blew up at step {step}")
 
 
-# The kernels of _split_step, run by grid._rows: each is given the rows ``rows``
-# of the arrays its caller allocated (all of them when rows is ...) and writes
-# only into those.
+# The kernels of the step's row form, run by grid._rows: each is given the
+# rows ``rows`` of the arrays its caller allocated (all of them when rows is
+# ...) and writes only into those.
 
 
 def _sums(rows, grid: GridSpec, dots: Dots) -> Sums:
-    """Each sum of ``dots``; block 5 of the step."""
+    """Each sum of ``dots``: stretch 3's sums of the new level."""
     return {name: _dot(a[rows], b[rows], grid, weight, rows) for name, (a, b, weight) in dots.items()}
 
 
 def _ext_rows(rows, coef: Coef, x, y, ext, w, w_mid, sum_w: bool, grid: GridSpec, dots: Dots) -> Sums:
-    """Block 1: ext = a x + b y, (a, b) = coef (ext is x when b = 0); w =
+    """Stretch 1: ext = a x + b y, (a, b) = coef (ext is x when b = 0); w =
     well(ext); given w_mid, the well of the midpoint (ext + x) / 2 there.  The
     sums: of ``dots``, "w" of w^2 when ``sum_w`` and "mid" of w_mid^2."""
     if coef[1]:
@@ -399,14 +401,14 @@ def _ext_rows(rows, coef: Coef, x, y, ext, w, w_mid, sum_w: bool, grid: GridSpec
 
 
 def _h_rows(rows, w, ext, factor: float) -> Sums:
-    """Block 2: w = well(ext) becomes factor ext w, the scaled h(ext)."""
+    """Stretch 2: w = well(ext) becomes factor ext w, the scaled h(ext)."""
     w *= ext
     w *= factor
     return {}
 
 
 def _g_rows(rows, coef: Coef, x, y, f, dt: float, g, tmp) -> Sums:
-    """Block 3: g = a x + b y + dt f, (a, b) = coef, f None for no source;
+    """Stretch 2: g = a x + b y + dt f, (a, b) = coef, f None for no source;
     ``tmp`` is scratch, None when b = 0."""
     a, b = coef
     if not b:  # a source alone
@@ -423,7 +425,7 @@ def _g_rows(rows, coef: Coef, x, y, f, dt: float, g, tmp) -> Sums:
 
 
 def _solve_rows(rows, lin, m0k2, inv, g, s, phi, mu) -> Sums:
-    """Block 4, solve_linear_step: phi = (g - m0k2 s) inv and mu = lin phi + s."""
+    """Stretch 2, solve_linear_step: phi = (g - m0k2 s) inv and mu = lin phi + s."""
     np.multiply(m0k2, s, out=phi)
     np.subtract(g, phi, out=phi)
     phi *= inv
@@ -453,7 +455,7 @@ def _scale_rows(rows, a, factor: float) -> Sums:
 
 
 def _well_rows(rows, v, w, guard_step: int | None) -> Sums:
-    """Block 6: w = well(v) and the sum "w" of w^2, after the overflow guard of
+    """Stretch 3: w = well(v) and the sum "w" of w^2, after the overflow guard of
     v at ``guard_step`` unless that is None."""
     if guard_step is not None:
         _guard(v, guard_step)
@@ -489,8 +491,11 @@ def _imex_step(
     is not positive and finite is a ValidationError.  The ``semi`` and ``sav``
     rows raise Diverged when the new field is non-finite or exceeds the overflow
     guard; ``sav`` raises NonPositiveEnergy when e1[ext] <= 0, at a cold start
-    e1[phi^0].  On a grid of more than grid._SPLIT_OVER points, _split_step
-    takes over after the step's times and weights are set."""
+    e1[phi^0].  Each of the three array stretches runs in the form the grid's
+    size picks (the module docstring's "Two array forms") and hands its floats
+    to the one copy of the scalar steps.  The row form keeps dealiasing one pass
+    on this thread: numpy casts the boolean mask through a buffer, which a
+    kernel would take on the worker."""
     if not 0.0 < dt < math.inf:
         raise ValidationError("dt", f"must be positive and finite, got {dt}")
     t0 = state.t0 if state.dt_prev in (None, dt) else state.time() - state.step * dt  # cur keeps its time
@@ -500,138 +505,108 @@ def _imex_step(
         f_drain = source(t0 + (state.step + level) * dt)
     r = (scheme.order - 1) * dt / (state.dt_prev or dt)  # the step ratio; order - 1 at a cold start
     cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
-    if grid.nx * grid.ny > _SPLIT_OVER:
-        return _split_step(scheme, state, dt, p, dealias, t0, f_src, f_drain, r)
     sigma, g_coef, ext_coef = _weights(r)
-    g_hat = _combine(g_coef, cur.phi.coeffs, prev.phi.coeffs)
-    if f_src is not None:
-        g_hat = g_hat + dt * f_src
-    ext = _combine(ext_coef, cur.phi.values, prev.phi.values)
-    w = well(ext)
-    e_ext = e_mid = cur.energy  # r = 0: ext = mid = phi^n
-    if scheme.xi is not None and r:
-        cross = quadratic_energy(cur.phi, prev.phi, p)
-        e_ext = _energy(ext_coef, state, cross, _dot(w, w), p)
-        w_mid = ext + cur.phi.values  # becomes well() of the midpoint, in place
-        w_mid *= 0.5
-        w_mid *= w_mid
-        w_mid -= 1.0
-        e_mid = _energy(_weights(r, 0.5)[2], state, cross, _dot(w_mid, w_mid), p)
-        del w_mid
+    energies = scheme.xi is not None and r  # E[ext] and E[mid]; r = 0: ext = mid = phi^n
+    # mu_d: mu extrapolated to t^{n+L} (A rows), L mu^{n+1} + (1 - L) mu^n (B rows)
+    mu_coef = _weights(r, level)[2] if scheme.xi == "a" else (level, 1.0 - level) if scheme.xi else None
+    split = grid.nx * grid.ny > _SPLIT_OVER
+
+    if split:  # stretch 1: ext, w = well(ext) and the midpoint's well, their sums and the cross terms
+        for name in ("grad_weight", "parseval") if p.lam else ("grad_weight",):
+            grid._real_weight(name)  # built here, on this thread, before a kernel reads it
+        x = cur.phi.values
+        ext = np.empty(grid.shape) if ext_coef[1] else x
+        w = np.empty(grid.shape)
+        dots = _quad_dots(cur.phi.coeffs, prev.phi.coeffs, p) if energies else {}
+        if scheme.xi == "a":
+            dots.update(_drain_dots(mu_coef, cur.mu.coeffs, prev.mu.coeffs, f_drain, grid))
+        w_mid = np.empty(grid.shape) if energies else None
+        sums = _rows(grid, _ext_rows, ext_coef, x, prev.phi.values, ext, w, w_mid, energies or scheme.sav, grid, dots)
+        del w_mid, dots
+        ww, ww_mid = sums.get("w"), sums.get("mid")
+        cross = _quad(sums, p) if energies else None
+        if scheme.xi == "a":
+            drain = _split_drain(mu_coef, cur.dissipation, prev.dissipation, sums, p)
+    else:  # stretch 1 as whole arrays, g first for a lower peak
+        g_hat = _combine(g_coef, cur.phi.coeffs, prev.phi.coeffs)
+        if f_src is not None:
+            g_hat = g_hat + dt * f_src
+        ext = _combine(ext_coef, cur.phi.values, prev.phi.values)
+        w = well(ext)
+        ww = _dot(w, w) if energies or scheme.sav else None
+        if energies:
+            cross = quadratic_energy(cur.phi, prev.phi, p)
+            w_mid = ext + cur.phi.values  # becomes well() of the midpoint, in place
+            w_mid *= 0.5
+            w_mid *= w_mid
+            w_mid -= 1.0
+            ww_mid = _dot(w_mid, w_mid)
+            del w_mid
+        if scheme.xi == "a":
+            drain = _drain(mu_coef, cur.mu, cur.dissipation, prev, f_drain, p)
+    e_ext = e_mid = cur.energy
+    if energies:
+        e_ext = _energy(ext_coef, state, cross, ww, p)
+        e_mid = _energy(_weights(r, 0.5)[2], state, cross, ww_mid, p)
     e_den = cur.energy if level == 0.0 else e_mid  # E at L, until L = 1 reads E^{n+1}
     xi, r_new, r1 = None, cur.r, cur.sav_r  # the xi scaling h(ext) in the field solve; semi and sav keep R
     scale = float(p.well_amp)  # of h(ext) / a when xi is None, over sqrt(e1[ext]) for sav's b; a plain float,
     # since numpy scales an array by a float subclass (a derived well_amp) on a slower path
     if scheme.sav:
-        scale /= math.sqrt(sav_energy(well_integral(_dot(w, w), grid, p), p))
-    elif scheme.xi == "a":  # mu_d: mu extrapolated to t^{n+L}
-        drain = _drain(_weights(r, level)[2], cur.mu, cur.dissipation, prev, f_drain, p)
+        scale /= math.sqrt(sav_energy(well_integral(ww, grid, p), p))
+    elif scheme.xi == "a":
         xi = _xi_update(cur.r, e_ext, e_den, drain, dt)
         r_new = xi * math.sqrt(e_ext)
     elif scheme.xi == "b":  # R extrapolated to t^{n+1}: xi^n at r = 0
         xi = _combine(ext_coef, cur.r, prev.r) / math.sqrt(e_ext)
 
-    w *= ext  # now h(ext) / a
-    w *= scale if xi is None else xi * xi * p.well_amp
+    factor = scale if xi is None else xi * xi * p.well_amp
+    if split:  # stretch 2: h = factor ext w, then g on the worker while this thread transforms h
+        _rows(grid, _h_rows, w, ext, factor)
+        del ext
+        g_hat, g_done = cur.phi.coeffs, None
+        if g_coef[1] or f_src is not None:
+            g_hat = np.empty_like(g_hat)
+            tmp = np.empty_like(g_hat) if g_coef[1] else None
+            g_done = _rows(grid, _g_rows, g_coef, cur.phi.coeffs, prev.phi.coeffs, f_src, dt, g_hat, tmp, wait=False)
+            del tmp
+    else:  # h as whole arrays
+        w *= ext
+        w *= factor
+        del ext
     s_hat = grid.fft(w)
-    del ext, w  # not read again: freed before the solve, and g_hat, s_hat after it, for a lower peak
-    if dealias:
-        s_hat *= grid.dealias_mask
-    if scheme.sav:
-        r1 = _sav_r1(r, g_hat, s_hat, state, dt, p)
-        s_hat *= r1
-    phi_new, mu_new = solve_linear_step(sigma, grid, g_hat, s_hat, dt, p)
-    del g_hat, s_hat
-    if scheme.xi is None:
-        _guard(phi_new.values, state.step + 1)
-    energy, diss, quad, _ = _solved(phi_new, mu_new, p)
-    if scheme.xi == "b":  # mu_d = L mu^{n+1} + (1 - L) mu^n
-        drain = _drain((level, 1.0 - level), mu_new, diss, cur, f_drain, p)
-        xi = _xi_update(cur.r, energy, energy if level == 1.0 else e_den, drain, dt)
-        r_new = xi * math.sqrt(energy)
-    new = Level(phi_new, mu_new, energy, diss, quad, r_new, r1)
-    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, t0, dt)
-
-
-def _split_step(
-    scheme: Scheme, state: SchemeState, dt: float, p: PhysicalParams, dealias: bool,
-    t0: float, f_src: np.ndarray | None, f_drain: np.ndarray | None, r: float,
-) -> SchemeState:
-    """The rest of _imex_step on a grid of more than grid._SPLIT_OVER points: the
-    same scalar steps, and the array work as blocks 1-6 of the module docstring,
-    each a kernel that grid._rows runs over two row halves.  Dealiasing stays
-    one pass on this thread: numpy casts the boolean mask through a buffer, which
-    a kernel would take on the worker."""
-    level = scheme.drain_level
-    cur, prev, grid = state.cur, state.prev, state.cur.phi.grid
-    sigma, g_coef, ext_coef = _weights(r)
-    half = (grid.nx, grid.ny // 2 + 1)
-    energies = scheme.xi is not None and r  # E[ext] and E[mid]; r = 0: ext = mid = phi^n
-    for name in ("grad_weight", "parseval") if p.lam else ("grad_weight",):
-        grid._real_weight(name)  # built here, on this thread, before a kernel reads it
-
-    x = cur.phi.values  # block 1
-    ext = np.empty(grid.shape) if ext_coef[1] else x
-    w = np.empty(grid.shape)
-    dots = _quad_dots(cur.phi.coeffs, prev.phi.coeffs, p) if energies else {}
-    if scheme.xi == "a":  # mu_d: mu extrapolated to t^{n+L}
-        mu_coef = _weights(r, level)[2]
-        dots.update(_drain_dots(mu_coef, cur.mu.coeffs, prev.mu.coeffs, f_drain, grid))
-    w_mid = np.empty(grid.shape) if energies else None
-    sums = _rows(grid, _ext_rows, ext_coef, x, prev.phi.values, ext, w, w_mid, energies or scheme.sav, grid, dots)
-    del w_mid, dots
-    e_ext = e_mid = cur.energy
-    if energies:
-        cross = _quad(sums, p)
-        e_ext = _energy(ext_coef, state, cross, sums["w"], p)
-        e_mid = _energy(_weights(r, 0.5)[2], state, cross, sums["mid"], p)
-    e_den = cur.energy if level == 0.0 else e_mid
-    xi, r_new, r1 = None, cur.r, cur.sav_r
-    scale = float(p.well_amp)
-    if scheme.sav:
-        scale /= math.sqrt(sav_energy(well_integral(sums["w"], grid, p), p))
-    elif scheme.xi == "a":
-        xi = _xi_update(cur.r, e_ext, e_den, _split_drain(mu_coef, cur.dissipation, prev.dissipation, sums, p), dt)
-        r_new = xi * math.sqrt(e_ext)
-    elif scheme.xi == "b":
-        xi = _combine(ext_coef, cur.r, prev.r) / math.sqrt(e_ext)
-
-    _rows(grid, _h_rows, w, ext, scale if xi is None else xi * xi * p.well_amp)  # block 2
-    del ext
-    g_hat, g_done = cur.phi.coeffs, None  # block 3, on the worker while this thread transforms
-    if g_coef[1] or f_src is not None:
-        g_hat = np.empty(half, complex)
-        tmp = np.empty(half, complex) if g_coef[1] else None
-        g_done = _rows(grid, _g_rows, g_coef, cur.phi.coeffs, prev.phi.coeffs, f_src, dt, g_hat, tmp, wait=False)
-        del tmp
-    s_hat = grid.fft(w)
-    del w
-    if g_done is not None:
+    del w  # not read again: freed before the solve, and g_hat, s_hat after it, for a lower peak
+    if split and g_done is not None:
         g_done()
     if dealias:
         s_hat *= grid.dealias_mask
     if scheme.sav:
         r1 = _sav_r1(r, g_hat, s_hat, state, dt, p)
         _rows(grid, _scale_rows, s_hat, r1)
-    phi_new, mu_new = solve_linear_step(sigma, grid, g_hat, s_hat, dt, p)  # block 4
+    phi_new, mu_new = solve_linear_step(sigma, grid, g_hat, s_hat, dt, p)
     del g_hat, s_hat
 
-    phi_hat, mu_hat = phi_new.coeffs, mu_new.coeffs  # block 5, on the worker while this thread transforms
-    dots = {**_quad_dots(phi_hat, phi_hat, p), "diss": (mu_hat, mu_hat, "grad_weight")}
-    if scheme.xi == "b":  # mu_d = L mu^{n+1} + (1 - L) mu^n
-        mu_coef = (level, 1.0 - level)
-        dots.update(_drain_dots(mu_coef, mu_hat, cur.mu.coeffs, f_drain, grid))
-    level_sums = _rows(grid, _sums, grid, dots, wait=False)
-    values = phi_new.values
-    sums = level_sums()
-    w = np.empty(grid.shape)  # block 6
-    ww = _rows(grid, _well_rows, values, w, state.step + 1 if scheme.xi is None else None)["w"]
-    del w
-    quad = _quad(sums, p)
-    energy = energy_from_parts(quad, well_integral(ww, grid, p), p)
-    diss = p.m0 * sums["diss"]
+    guard_step = state.step + 1 if scheme.xi is None else None  # semi and sav: the overflow guard
+    if split:  # stretch 3: the new level's Q, m0 ||grad mu||^2 and a B row's drain sums on the worker
+        phi_hat, mu_hat = phi_new.coeffs, mu_new.coeffs  # while this thread transforms phi_hat
+        dots = {**_quad_dots(phi_hat, phi_hat, p), "diss": (mu_hat, mu_hat, "grad_weight")}
+        if scheme.xi == "b":
+            dots.update(_drain_dots(mu_coef, mu_hat, cur.mu.coeffs, f_drain, grid))
+        level_sums = _rows(grid, _sums, grid, dots, wait=False)
+        values = phi_new.values
+        sums = level_sums()
+        ww = _rows(grid, _well_rows, values, np.empty(grid.shape), guard_step)["w"]
+        quad, diss = _quad(sums, p), p.m0 * sums["diss"]
+        energy = energy_from_parts(quad, well_integral(ww, grid, p), p)
+        if scheme.xi == "b":
+            drain = _split_drain(mu_coef, diss, cur.dissipation, sums, p)
+    else:
+        if guard_step is not None:
+            _guard(phi_new.values, guard_step)
+        energy, diss, quad, _ = _solved(phi_new, mu_new, p)
+        if scheme.xi == "b":
+            drain = _drain(mu_coef, mu_new, diss, cur, f_drain, p)
     if scheme.xi == "b":
-        drain = _split_drain(mu_coef, diss, cur.dissipation, sums, p)
         xi = _xi_update(cur.r, energy, energy if level == 1.0 else e_den, drain, dt)
         r_new = xi * math.sqrt(energy)
     new = Level(phi_new, mu_new, energy, diss, quad, r_new, r1)

@@ -136,6 +136,20 @@ class TestKeptMultipliers:
         for kept, formula in zip(_symbols(sigma, grid, dt, p), (lin, m0k2, 1.0 / (sigma + m0k2 * lin))):
             self.assert_complex_of(kept, formula)
 
+    def test_kept_returns_its_own_entry_when_another_caller_stores_one(self):
+        # another caller on the grid, with another key, stores its entry right
+        # after this call stores its own: the call still returns what it made
+        class Racing(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                if key == "_kept" and value[0] == "a":
+                    super().__setitem__(key, ("b", ("B",)))
+
+        grid = GridSpec(8, 8, 2.0, 2.0)
+        object.__setattr__(grid, "__dict__", Racing(grid.__dict__))
+        assert grid.kept("a", lambda: ("A",)) == ("A",)
+        assert grid.kept("b", lambda: ("rebuilt",)) == ("B",)
+
 
 class TestRealField:
     @pytest.fixture

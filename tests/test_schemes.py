@@ -790,6 +790,18 @@ def split_case(case):
     return problem.initial_condition(), problem.params, problem.t0, (problem.dt,) * 5, problem.source()
 
 
+def step_bytes(kind, dealias, phi0, p, t0, dts, source):
+    """Every array and scalar a step leaves, after each step of a run from
+    init_state, one of each size in ``dts``."""
+    state, out = init_state(phi0, p, t0), []
+    for dt in dts:
+        state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
+        c = state.cur
+        out += [c.phi.values.tobytes(), c.phi.coeffs.tobytes(), c.mu.coeffs.tobytes()]
+        out.append(np.array([c.energy, c.dissipation, c.quad, c.r, c.sav_r, state.xi]).tobytes())
+    return out
+
+
 class TestRowHalves:
     """Above 128^2 a step runs its array work as two row halves, the second on a
     worker thread (grid's module docstring): its bytes do not depend on which
@@ -797,16 +809,8 @@ class TestRowHalves:
 
     @staticmethod
     def run(kind, dealias, case, tasks, monkeypatch):
-        # every array and scalar a step leaves, after each of the five steps
         monkeypatch.setattr(cahnpav.grid, "_tasks", tasks)
-        phi0, p, t0, dts, source = split_case(case)
-        state, out = init_state(phi0, p, t0), []
-        for dt in dts:
-            state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
-            c = state.cur
-            out += [c.phi.values.tobytes(), c.phi.coeffs.tobytes(), c.mu.coeffs.tobytes()]
-            out.append(np.array([c.energy, c.dissipation, c.quad, c.r, c.sav_r, state.xi]).tobytes())
-        return out
+        return step_bytes(kind, dealias, *split_case(case))
 
     def test_130_is_the_smallest_split_square(self):
         assert 128 * 128 <= cahnpav.grid._SPLIT_OVER < 130 * 130
@@ -832,6 +836,40 @@ class TestRowHalves:
             assert run_simulation(desk_scale_drop_spec(), kind, n_steps=3).failure is None
         assert threading.active_count() == before
         assert cahnpav.grid._tasks is None
+
+
+@cache
+def forms_case(case):
+    """(initial field, params, t0, step sizes, source) of five steps on a grid of
+    at most 128^2: the manufactured problem with its source, the same with lam =
+    0.6, or the desk drops on [0,4]^2 at 64^2 or 128^2."""
+    if case.startswith("drops"):
+        n = int(case.removeprefix("drops-"))
+        problem = replace(desk_scale_drop_spec(), grid=GridSpec(n, n, 4.0, 4.0))
+    else:
+        problem = manufactured_spec()
+        if case == "manufactured-lam":
+            problem = replace(problem, params=replace(problem.params, lam=0.6))
+    return problem.initial_condition(), problem.params, problem.t0, (problem.dt,) * 5, problem.source()
+
+
+class TestArrayForms:
+    """A step runs its array work as whole arrays up to 128^2 points and as row
+    kernels above (the schemes module docstring).  With the limit that schemes
+    reads lowered to 0, a small grid's step takes the row form, whose kernels
+    grid._rows still runs once over all rows: both forms give the same bytes."""
+
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    @pytest.mark.parametrize("case", ["manufactured", "manufactured-lam", "drops-64", "drops-128"])
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_row_form_gives_the_bytes_of_whole_arrays(self, monkeypatch, kind, case, dealias):
+        whole = step_bytes(kind, dealias, *forms_case(case))
+        calls = []
+        ext_rows = cahnpav.schemes._ext_rows
+        monkeypatch.setattr(cahnpav.schemes, "_SPLIT_OVER", 0)
+        monkeypatch.setattr(cahnpav.schemes, "_ext_rows", lambda *args: calls.append(args[0]) or ext_rows(*args))
+        assert step_bytes(kind, dealias, *forms_case(case)) == whole
+        assert calls == [...] * 5  # the row form ran, over all rows at once
 
 
 class TestVariableStep:
