@@ -1,9 +1,11 @@
 """Command-line interface: single runs, convergence sweeps, scheme comparisons.
 
-Exit codes: 0 success, 2 configuration error, 3 a baseline scheme diverged
-(an expected physical outcome for the conditionally stable baselines, not a
-tool failure), 4 a runtime failure: a step raised a solver error after the
-run started.  Runs that stop early still write their history.
+Exit codes: 0 success, 1 an I/O error (an OSError, such as an output
+directory under a regular file), 2 configuration error, 3 a baseline scheme
+diverged (an expected physical outcome for the conditionally stable baselines,
+not a tool failure), 4 a runtime failure: a step raised a solver error after
+the run started.  Runs that stop early still write their history.  Exit 1 and
+2 print one line to stderr, ``io error: ...`` and ``error: <field>: <reason>``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .runner import run_simulation
 from .schemes import SchemeKind
 
 EXIT_OK = 0
+EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_RUNTIME = 4
@@ -37,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_IO
 
 
 class _Parser(argparse.ArgumentParser):

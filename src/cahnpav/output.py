@@ -6,12 +6,14 @@ byte-identical and regression files are bit-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import HistoryRecord
+from .errors import ValidationError
 from .grid import GridSpec, RealField
 
 #: History columns, in the field order of HistoryRecord.
@@ -85,7 +87,10 @@ def write_snapshot(phi: RealField, t: float, path: Path | str) -> None:
 
 
 def read_snapshot(path: Path | str) -> tuple[RealField, float]:
-    """Read a snapshot back; bit-exact inverse of :func:`write_snapshot`."""
+    """Read a snapshot back; bit-exact inverse of :func:`write_snapshot`.  A header
+    that is not ASCII, lacks a value, holds one that is not a number, a grid
+    ``GridSpec`` refuses or a time that is not finite, or a payload of the wrong
+    size, is a ValueError that names the file."""
     raw = Path(path).read_bytes()
     head, _, rest = raw.partition(b"\n\n")
     try:
@@ -103,8 +108,13 @@ def read_snapshot(path: Path | str) -> tuple[RealField, float]:
             fields[key] = kind(fields[key])
         except ValueError:
             raise ValueError(f"{path}: header value {fields[key]!r} for {key} is not {kind.__name__}") from None
+    if not math.isfinite(fields["t"]):
+        raise ValueError(f"{path}: header value {fields['t']!r} for t is not finite")
     nx, ny = fields["nx"], fields["ny"]
-    grid = GridSpec(nx=nx, ny=ny, lx=fields["lx"], ly=fields["ly"])
+    try:
+        grid = GridSpec(nx=nx, ny=ny, lx=fields["lx"], ly=fields["ly"])
+    except ValidationError as exc:
+        raise ValueError(f"{path}: header {exc}") from None
     if len(rest) != nx * ny * 8:
         raise ValueError(f"{path}: payload of {len(rest)} bytes, expected nx * ny * 8 = {nx * ny * 8}")
     values = np.frombuffer(rest, dtype="<f8").reshape(nx, ny)

@@ -51,12 +51,17 @@ turns the current level into the previous one.  A ``Level`` keeps phi, mu, R,
 r1 and, so that no step recomputes them, E, m0 ||grad mu||^2 and the
 quadratic part Q = beta/2 ||grad phi||^2 + lam/2 ||phi||^2 of E.
 
-Energies by bilinearity: a step forms one phi cross term B =
+Energies by bilinearity: a step reads one phi cross term B =
 quadratic_energy(phi^n, phi^{n-1}), and Q(a phi^n + b phi^{n-1}) = a^2 Q^n +
 2ab B + b^2 Q^{n-1} gives the quadratic parts of E[ext] and E[mid]; only
 their int H reads values (ext shares w = ext^2 - 1 with h(ext)).  Likewise
 m0 ||grad mu_d||^2 comes from the levels' dissipations and one mu cross
-term: of mu^n, mu^{n-1} for 2a, of mu^{n+1}, mu^n for 2b.
+term: of mu^n, mu^{n-1} for 2a, of mu^{n+1}, mu^n for 2b.  An order-2 PAV
+step forms both cross terms of its new level with phi^n and mu^n (2b's mu
+term is its drain's) and carries them to the next step on the state it
+returns (SchemeState._cross), so that step forms neither.  The step after a
+cold start or a dataclasses.replace finds none and forms them itself, with
+the same arguments in the same order, so the bits are the same either way.
 
 Transforms: ext and mid are formed as values, g and mu as coefficients, and
 Q, the dissipations and the source work are read by Parseval, so every step
@@ -67,18 +72,21 @@ Two array forms: a step's array work is three stretches, each run in one of
 two forms, chosen by the grid's size:
 
     1. ext, w = ext^2 - 1 and its sum, the midpoint's well and its sum, and the
-       phi and mu cross terms (with an A row's source work);
+       phi and mu cross terms unless the state carries them (with an A row's
+       source work);
     2. h = w ext scaled by xi^2 a (semi a; sav a / sqrt(e1[ext])), once xi is
        known, g = (1 + r) phi_hat^n - r^2 / (1 + r) phi_hat^{n-1} (+ dt f), the
        forward transform and the solve (sav's r1 sums and scaling first);
-    3. Q and m0 ||grad mu||^2 of the new level (with a B row's drain sums) and
-       its well sum, after the semi and sav guard.
+    3. Q and m0 ||grad mu||^2 of the new level, a B row's drain sums, an
+       order-2 PAV row's cross terms of the new level with phi^n and mu^n for
+       the next step, and the new level's well sum, after the semi and sav guard.
 
 Up to 128^2 points (grid._SPLIT_OVER) a stretch is whole-array numpy, whose
 per-call cost is low enough for a 20^2 grid.  Above, it is kernels that
 grid._rows runs over two row halves, one of them on a worker thread (grid's
 module docstring): the worker forms g while the calling thread makes the
-forward transform, and the new level's sums while it makes the inverse.
+forward transform, and the new level's sums, the carried cross terms among
+them, while it makes the inverse.
 Either form hands plain floats to the one copy of the scalar steps (the
 energies, the xi update, a B row's drain and the new level), and on a grid of
 at most 128^2 points both give the same bits.
@@ -88,7 +96,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -183,7 +191,14 @@ class SchemeState:
     ``cur``, and order 2 reads it as phi^{-1} = phi^0, R^{-1} = R^0.
 
     The clock: ``time()`` is the time of ``cur``; a step forms later times from its
-    own dt, first moving t0 so that ``cur`` keeps its time (fixed steps never do)."""
+    own dt, first moving t0 so that ``cur`` keeps its time (fixed steps never do).
+
+    ``_cross`` is (quadratic_energy(cur.phi, prev.phi), grad_inner(cur.mu, prev.mu)):
+    the cross terms that an order-2 PAV step forms for the next step, with the
+    params it was given, as the levels' scalars are.  It is None on any other
+    state, whose next step forms the cross terms itself.  Nothing else sets it,
+    so it cannot be paired with another level: the constructor does not take it,
+    and ``dataclasses.replace`` (a new ``prev``, say) drops it."""
 
     cur: Level
     prev: Level
@@ -191,6 +206,7 @@ class SchemeState:
     xi: float = 1.0
     t0: float = 0.0
     dt_prev: float | None = None
+    _cross: tuple[float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def time(self) -> float:
         """The time of ``cur``: t0 + step dt_prev, formed afresh, or t0 at a cold start."""
@@ -298,16 +314,16 @@ def _bilinear(coef: Coef, q_x: float, cross: float, q_y: float) -> float:
     return a * a * q_x + 2.0 * a * b * cross + b * b * q_y
 
 
-def _quad_dots(x_hat: np.ndarray, y_hat: np.ndarray, p: PhysicalParams) -> Dots:
-    """The sums _quad reads: of quadratic_energy(x, y) from their half-spectra."""
-    dots = {"quad": (x_hat, y_hat, "grad_weight")}
+def _quad_dots(name: str, x_hat: np.ndarray, y_hat: np.ndarray, p: PhysicalParams) -> Dots:
+    """The sums _quad reads under ``name``: of quadratic_energy(x, y) from their half-spectra."""
+    dots = {name: (x_hat, y_hat, "grad_weight")}
     if p.lam != 0.0:
-        dots["quad_l2"] = (x_hat, y_hat, "parseval")
+        dots[name + "_l2"] = (x_hat, y_hat, "parseval")
     return dots
 
 
-def _quad(sums: Sums, p: PhysicalParams) -> float:
-    return _quadratic_part(sums["quad"], sums.get("quad_l2", 0.0), p)
+def _quad(sums: Sums, name: str, p: PhysicalParams) -> float:
+    return _quadratic_part(sums[name], sums.get(name + "_l2", 0.0), p)
 
 
 def _energy(coef: Coef, state: SchemeState, cross: float, ww: float, p: PhysicalParams) -> float:
@@ -319,14 +335,19 @@ def _energy(coef: Coef, state: SchemeState, cross: float, ww: float, p: Physical
     return energy_from_parts(quad, well_integral(ww, cur.phi.grid, p), p)
 
 
-def _drain(coef: Coef, mu: RealField, diss: float, y: Level, f_hat: np.ndarray | None, p: PhysicalParams) -> float:
+def _drain(
+    coef: Coef, mu: RealField, diss: float, y: Level, f_hat: np.ndarray | None, p: PhysicalParams, mu_cross: float | None,
+) -> float:
     """m0 ||grad mu_d||^2 - int(f mu_d) of mu_d = a mu + b y.mu, (a, b) = coef,
-    by bilinearity from mu's dissipation ``diss``, y's and one cross term.  The
+    by bilinearity from mu's dissipation ``diss``, y's and the cross term
+    ``mu_cross`` = grad_inner(mu, y.mu), formed here when it is None.  The
     two Parseval sums of f, of half-spectrum f_hat, share its weighted form: the
     same bits as ``inner`` where the weights are powers of two, as on [0,2]^2, and
     the half-spectrum has at most 10,000 entries (above, the sums run in another order)."""
     a, b = coef
-    drain = _bilinear(coef, diss, p.m0 * grad_inner(mu, y.mu) if b else 0.0, y.dissipation)
+    if b and mu_cross is None:
+        mu_cross = grad_inner(mu, y.mu)
+    drain = _bilinear(coef, diss, p.m0 * mu_cross if b else 0.0, y.dissipation)
     if f_hat is not None:
         wf = mu.grid.parseval * f_hat
         drain -= a * _dot(wf, mu.coeffs) + (b * _dot(wf, y.mu.coeffs) if b else 0.0)
@@ -510,6 +531,7 @@ def _imex_step(
     # mu_d: mu extrapolated to t^{n+L} (A rows), L mu^{n+1} + (1 - L) mu^n (B rows)
     mu_coef = _weights(r, level)[2] if scheme.xi == "a" else (level, 1.0 - level) if scheme.xi else None
     split = grid.nx * grid.ny > _SPLIT_OVER
+    carried = state._cross  # the cross terms of cur with prev that the step which made cur formed
 
     if split:  # stretch 1: ext, w = well(ext) and the midpoint's well, their sums and the cross terms
         for name in ("grad_weight", "parseval") if p.lam else ("grad_weight",):
@@ -517,14 +539,19 @@ def _imex_step(
         x = cur.phi.values
         ext = np.empty(grid.shape) if ext_coef[1] else x
         w = np.empty(grid.shape)
-        dots = _quad_dots(cur.phi.coeffs, prev.phi.coeffs, p) if energies else {}
+        dots = _quad_dots("cross", cur.phi.coeffs, prev.phi.coeffs, p) if energies and not carried else {}
         if scheme.xi == "a":
             dots.update(_drain_dots(mu_coef, cur.mu.coeffs, prev.mu.coeffs, f_drain, grid))
+            if carried:
+                dots.pop("mu", None)
         w_mid = np.empty(grid.shape) if energies else None
         sums = _rows(grid, _ext_rows, ext_coef, x, prev.phi.values, ext, w, w_mid, energies or scheme.sav, grid, dots)
         del w_mid, dots
         ww, ww_mid = sums.get("w"), sums.get("mid")
-        cross = _quad(sums, p) if energies else None
+        if carried:
+            cross, sums["mu"] = carried
+        elif energies:
+            cross = _quad(sums, "cross", p)
         if scheme.xi == "a":
             drain = _split_drain(mu_coef, cur.dissipation, prev.dissipation, sums, p)
     else:  # stretch 1 as whole arrays, g first for a lower peak
@@ -535,7 +562,7 @@ def _imex_step(
         w = well(ext)
         ww = _dot(w, w) if energies or scheme.sav else None
         if energies:
-            cross = quadratic_energy(cur.phi, prev.phi, p)
+            cross = carried[0] if carried else quadratic_energy(cur.phi, prev.phi, p)
             w_mid = ext + cur.phi.values  # becomes well() of the midpoint, in place
             w_mid *= 0.5
             w_mid *= w_mid
@@ -543,7 +570,7 @@ def _imex_step(
             ww_mid = _dot(w_mid, w_mid)
             del w_mid
         if scheme.xi == "a":
-            drain = _drain(mu_coef, cur.mu, cur.dissipation, prev, f_drain, p)
+            drain = _drain(mu_coef, cur.mu, cur.dissipation, prev, f_drain, p, carried and carried[1])
     e_ext = e_mid = cur.energy
     if energies:
         e_ext = _energy(ext_coef, state, cross, ww, p)
@@ -587,30 +614,40 @@ def _imex_step(
     del g_hat, s_hat
 
     guard_step = state.step + 1 if scheme.xi is None else None  # semi and sav: the overflow guard
-    if split:  # stretch 3: the new level's Q, m0 ||grad mu||^2 and a B row's drain sums on the worker
-        phi_hat, mu_hat = phi_new.coeffs, mu_new.coeffs  # while this thread transforms phi_hat
-        dots = {**_quad_dots(phi_hat, phi_hat, p), "diss": (mu_hat, mu_hat, "grad_weight")}
-        if scheme.xi == "b":
+    carry = None  # an order-2 PAV row's cross terms of the new level with cur, for the next step
+    if split:  # stretch 3: the new level's Q, m0 ||grad mu||^2, a B row's drain sums and the carry
+        phi_hat, mu_hat = phi_new.coeffs, mu_new.coeffs  # on the worker while this thread transforms phi_hat
+        dots = {**_quad_dots("quad", phi_hat, phi_hat, p), "diss": (mu_hat, mu_hat, "grad_weight")}
+        if energies:
+            dots.update(_quad_dots("cross", phi_hat, cur.phi.coeffs, p), mu=(mu_hat, cur.mu.coeffs, "grad_weight"))
+        if scheme.xi == "b":  # its drain's "mu" is the carry's
             dots.update(_drain_dots(mu_coef, mu_hat, cur.mu.coeffs, f_drain, grid))
         level_sums = _rows(grid, _sums, grid, dots, wait=False)
         values = phi_new.values
         sums = level_sums()
         ww = _rows(grid, _well_rows, values, np.empty(grid.shape), guard_step)["w"]
-        quad, diss = _quad(sums, p), p.m0 * sums["diss"]
+        quad, diss = _quad(sums, "quad", p), p.m0 * sums["diss"]
         energy = energy_from_parts(quad, well_integral(ww, grid, p), p)
+        if energies:
+            carry = _quad(sums, "cross", p), sums["mu"]
         if scheme.xi == "b":
             drain = _split_drain(mu_coef, diss, cur.dissipation, sums, p)
     else:
         if guard_step is not None:
             _guard(phi_new.values, guard_step)
         energy, diss, quad, _ = _solved(phi_new, mu_new, p)
+        if energies:
+            carry = quadratic_energy(phi_new, cur.phi, p), grad_inner(mu_new, cur.mu)
         if scheme.xi == "b":
-            drain = _drain(mu_coef, mu_new, diss, cur, f_drain, p)
+            drain = _drain(mu_coef, mu_new, diss, cur, f_drain, p, carry and carry[1])
     if scheme.xi == "b":
         xi = _xi_update(cur.r, energy, energy if level == 1.0 else e_den, drain, dt)
         r_new = xi * math.sqrt(energy)
     new = Level(phi_new, mu_new, energy, diss, quad, r_new, r1)
-    return SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, t0, dt)
+    stepped = SchemeState(new, cur, state.step + 1, state.xi if xi is None else xi, t0, dt)
+    if carry is not None:
+        object.__setattr__(stepped, "_cross", carry)
+    return stepped
 
 
 STEPPERS = {kind: partial(_imex_step, row) for kind, row in SCHEMES.items()}

@@ -439,6 +439,29 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=rf"snap\.dat: header value '{value}' for {key} is not (int|float)$"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize(
+        "header,field,reason",
+        [
+            (b"nx 3\nny 6\nlx 1\nly 1\nt 0\n", "nx", "must be an even integer >= 4, got 3"),
+            (b"nx 4\nny 6\nlx nan\nly 1\nt 0\n", "lx", "must be positive and finite, got nan"),
+        ],
+        ids=["odd-nx", "nan-lx"],
+    )
+    def test_header_grid_refused_naming_the_file(self, tmp_path, header, field, reason):
+        # GridSpec's ValidationError named the field but not the file
+        path = tmp_path / "snap.dat"
+        path.write_bytes(header + b"\n" + bytes(192))
+        with pytest.raises(ValueError, match=rf"snap\.dat: header {field}: {reason}$"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_header_time_not_finite_refused(self, tmp_path, value):
+        # t nan was read back as a snapshot time
+        path = tmp_path / "snap.dat"
+        path.write_bytes(f"nx 4\nny 6\nlx 1\nly 1\nt {value}\n".encode() + b"\n" + bytes(192))
+        with pytest.raises(ValueError, match=rf"snap\.dat: header value {value} for t is not finite$"):
+            read_snapshot(path)
+
     def test_header_not_ascii_refused(self, tmp_path):
         # decode raised a UnicodeDecodeError that did not name the file
         path = tmp_path / "snap.dat"

@@ -430,6 +430,16 @@ class TestCliRun:
         main(["run", "--config", str(path)])
         assert (tmp_path / "out" / "history.csv").read_bytes() == first
 
+    def test_io_error_exits_1(self, mfg_config, tmp_path, capsys):
+        # an output directory under a regular file: the run's first write raises an OSError
+        (tmp_path / "file").write_text("")
+        path = mfg_config(output={"dir": str(tmp_path / "file" / "out")})
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("io error: ")
+
     def test_coarse_manufactured_grid_exits_2_before_writing(self, mfg_config, tmp_path, capsys):
         path = mfg_config(
             problem={"kind": "manufactured", "nx": 6, "ny": 6},

@@ -31,7 +31,7 @@ from cahnpav import (
     run_simulation,
 )
 from cahnpav.diagnostics import MASS_DRIFT_TOL, R_MONOTONE_SLACK, error_norms, fit_convergence_order
-from cahnpav.grid import _dot, inner, integrate
+from cahnpav.grid import _dot, grad_inner, inner, integrate
 from cahnpav.model import dissipation, energy_total, potential_h, potential_integral, quadratic_energy, well
 from cahnpav.problems import exact_solution
 from cahnpav.runner import seed_exact_history
@@ -343,7 +343,7 @@ class TestBilinearEnergy:
             mu_d = RealField(self.GRID, coeffs=a * x.mu.coeffs + b * y.mu.coeffs)
             expected = dissipation(mu_d, p) - (0.0 if f_src is None else inner(f_src, mu_d))
             f_hat = None if f_src is None else f_src.coeffs
-            assert _drain((a, b), x.mu, x.dissipation, y, f_hat, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert _drain((a, b), x.mu, x.dissipation, y, f_hat, p, None) == pytest.approx(expected, rel=1e-12, abs=0.0)
             # the row-split step's form: the same sums, formed as a kernel over all rows
             sums = _sums(..., self.GRID, _drain_dots((a, b), x.mu.coeffs, y.mu.coeffs, f_hat, self.GRID))
             assert _split_drain((a, b), x.dissipation, y.dissipation, sums, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -781,24 +781,38 @@ class TestReferenceStep:
 
 
 @cache
-def split_case(case):
-    """(initial field, params, t0, step sizes, source) of five steps on 130^2, the
-    smallest square grid whose steps run as two row halves: the desk drops on
-    [0,4]^2, or the manufactured problem with its source."""
-    grid = GridSpec(130, 130, 4.0, 4.0) if case == "drops" else GridSpec(130, 130, 2.0, 2.0)
+def sized_case(case, n):
+    """(initial field, params, t0, step sizes, source) of five steps on n^2: the
+    desk drops on [0,4]^2, or the manufactured problem with its source."""
+    grid = GridSpec(n, n, 4.0, 4.0) if case == "drops" else GridSpec(n, n, 2.0, 2.0)
     problem = replace(desk_scale_drop_spec() if case == "drops" else manufactured_spec(), grid=grid)
     return problem.initial_condition(), problem.params, problem.t0, (problem.dt,) * 5, problem.source()
 
 
-def step_bytes(kind, dealias, phi0, p, t0, dts, source):
-    """Every array and scalar a step leaves, after each step of a run from
-    init_state, one of each size in ``dts``."""
+def split_case(case):
+    """sized_case on 130^2, the smallest square grid whose steps run as two row halves."""
+    return sized_case(case, 130)
+
+
+def state_bytes(state):
+    """Every array and scalar a step leaves: the new level's, xi and the cross
+    terms it carries to the next step (none unless an order-2 PAV step made it)."""
+    c = state.cur
+    scalars = [c.energy, c.dissipation, c.quad, c.r, c.sav_r, state.xi, *(state._cross or ())]
+    return [c.phi.values.tobytes(), c.phi.coeffs.tobytes(), c.mu.coeffs.tobytes(), np.array(scalars).tobytes()]
+
+
+def step_bytes(kind, dealias, phi0, p, t0, dts, source, carry=True):
+    """state_bytes after each step of a run from init_state, one of each size in
+    ``dts``; with ``carry`` False, each state goes through dataclasses.replace
+    before its step, which drops the cross terms it carries."""
     state, out = init_state(phi0, p, t0), []
     for dt in dts:
+        if not carry:
+            state = replace(state)
+            assert state._cross is None
         state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
-        c = state.cur
-        out += [c.phi.values.tobytes(), c.phi.coeffs.tobytes(), c.mu.coeffs.tobytes()]
-        out.append(np.array([c.energy, c.dissipation, c.quad, c.r, c.sav_r, state.xi]).tobytes())
+        out += state_bytes(state)
     return out
 
 
@@ -870,6 +884,55 @@ class TestArrayForms:
         monkeypatch.setattr(cahnpav.schemes, "_ext_rows", lambda *args: calls.append(args[0]) or ext_rows(*args))
         assert step_bytes(kind, dealias, *forms_case(case)) == whole
         assert calls == [...] * 5  # the row form ran, over all rows at once
+
+
+class TestCarriedCrossTerms:
+    """An order-2 PAV step forms the cross terms of its new level with cur for the
+    next step (SchemeState._cross).  Carried or formed by the next step itself,
+    they give the same bytes, in both array forms; a state with another prev
+    carries none."""
+
+    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+    @pytest.mark.parametrize("n", [64, 128, 130])
+    @pytest.mark.parametrize("case", ["drops", "manufactured"])
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_a_run_without_the_carry_gives_the_bytes(self, monkeypatch, kind, case, n, dealias):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        args = (kind, dealias, *sized_case(case, n))
+        assert step_bytes(*args, carry=False) == step_bytes(*args)
+
+    @pytest.mark.parametrize("n", [64, 130])
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_order_2_pav_steps_carry_the_cross_terms(self, monkeypatch, kind, n):
+        # the whole-array form forms them by the calls a step without them makes,
+        # the row form as two halves' sums
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        phi0, p, t0, (dt, *_), source = sized_case("manufactured", n)
+        state = init_state(phi0, p, t0)
+        for _ in range(2):
+            state = STEPPERS[kind](state, dt, p, source)
+        if not (SCHEMES[kind].order == 2 and kind.is_pav):
+            assert state._cross is None
+            return
+        cur, prev = state.cur, state.prev
+        direct = (quadratic_energy(cur.phi, prev.phi, p), grad_inner(cur.mu, prev.mu))
+        assert state._cross == (direct if n <= 128 else pytest.approx(direct, rel=1e-12, abs=0.0))
+        assert repr(state) == repr(replace(state)) and state == replace(state)  # neither shown nor compared
+
+    @pytest.mark.parametrize("n", [64, 130])
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+    def test_a_replaced_prev_steps_as_a_constructed_state(self, monkeypatch, kind, n):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        phi0, p, t0, (dt, *_), source = sized_case("manufactured", n)
+        stepper = STEPPERS[kind]
+        first = stepper(init_state(phi0, p, t0), dt, p, source)
+        state = stepper(stepper(first, dt, p, source), dt, p, source)
+        other = first.cur  # a level two steps before cur, not its prev
+        # built by hand from a copy of cur, so that nothing a step left on cur itself reaches it
+        built = SchemeState(replace(state.cur), other, state.step, state.xi, state.t0, state.dt_prev)
+        replaced = replace(state, prev=other)
+        assert replaced._cross is None
+        assert state_bytes(stepper(replaced, dt, p, source)) == state_bytes(stepper(built, dt, p, source))
 
 
 class TestVariableStep:
