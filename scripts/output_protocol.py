@@ -1,18 +1,19 @@
 """Write the outputs of the byte-identity protocol: ``cahnpav run`` for each of
-the six schemes on four problems, dealias off and on, with a snapshot every
+the six schemes on five problems, dealias off and on, with a snapshot every
 10 steps.
 
     PYTHONPATH=src python3 scripts/output_protocol.py OUT
 
 The problems are the desk drop array (``tf = 0.05``, ``dt = 1e-3``), the same
 on a 130^2 grid (the smallest square whose steps run their array work as two
-row halves, as the paper preset's do), the manufactured problem (``dt = 0.1``)
-and the manufactured problem with ``lambda = 0.6`` (``dt = 0.05``).  Each of
-the 48 runs writes its ``history.csv`` and snapshots to
-``OUT/<problem>-<scheme>-<dealias>/``: 252 files in all.  To compare two
-checkouts, run the script under each one's ``src`` and then ``diff -r`` the
-two output directories.  The exit code is 1 if a run did not complete, and 2
-if OUT already exists.
+row halves), the paper preset at 512^2 for 3 steps (``tf = 0.003``,
+``dt = 1e-3``), the manufactured problem (``dt = 0.1``) and the manufactured
+problem with ``lambda = 0.6`` (``dt = 0.05``).  Each of the 60 runs writes its
+``history.csv`` and snapshots to ``OUT/<problem>-<scheme>-<dealias>/``: 288
+files in all.  To compare two checkouts, or one checkout under two BLAS
+thread counts or CPU sets, run the script under each and then ``diff -r`` the
+output directories.  The exit code is 1 if a run did not complete, and 2 if
+OUT already exists.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from cahnpav.schemes import SchemeKind
 PROBLEMS = {
     "drop": ({"kind": "drop_array", "preset": "desk"}, {"t0": 0.0, "tf": 0.05, "dt": 1e-3}),
     "drop-130": ({"kind": "drop_array", "preset": "desk", "nx": 130, "ny": 130}, {"t0": 0.0, "tf": 0.05, "dt": 1e-3}),
+    "paper": ({"kind": "drop_array", "preset": "paper"}, {"t0": 0.0, "tf": 0.003, "dt": 1e-3}),
     "mfg": ({"kind": "manufactured"}, {"t0": 0.1, "tf": 1.1, "dt": 0.1}),
     "mfg-lam": ({"kind": "manufactured", "lambda": 0.6}, {"t0": 0.1, "tf": 1.1, "dt": 0.05}),
 }

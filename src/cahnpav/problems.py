@@ -89,8 +89,11 @@ class ProblemSpec:
     def n_steps(self) -> int:
         """Steps of size ``dt`` from ``t0`` to ``tf``; a ValidationError on ``dt``
         unless that is a whole number up to round-off, as a run must end at tf."""
-        n = round((self.tf - self.t0) / self.dt)
-        if n < 1 or abs((self.tf - self.t0) / self.dt - n) > 1e-9 * n:
+        steps = (self.tf - self.t0) / self.dt
+        if not steps < math.inf:
+            raise ValidationError("dt", f"(tf - t0) / dt overflows for dt = {self.dt} on [{self.t0}, {self.tf}]")
+        n = round(steps)
+        if n < 1 or abs(steps - n) > 1e-9 * n:
             raise ValidationError("dt", f"{self.dt} does not divide [{self.t0}, {self.tf}] into whole steps")
         return n
 

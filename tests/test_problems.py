@@ -291,6 +291,12 @@ class TestProblemSpecValidation:
             short.n_steps
         assert excinfo.value.field == "dt"
 
+    def test_step_count_overflow_refused_on_dt(self):
+        # (1.1 - 0.1) / 5e-324 is inf, which round() turned into an OverflowError
+        with pytest.raises(ValidationError, match="overflows") as excinfo:
+            dataclasses.replace(MFG, dt=5e-324).n_steps
+        assert excinfo.value.field == "dt"
+
     def test_initial_condition_dispatch(self):
         mfg = manufactured_spec()
         assert np.allclose(

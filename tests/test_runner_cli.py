@@ -276,9 +276,13 @@ def mfg_config(tmp_path):
     return write
 
 
-# argv, and the start of the one line it prints after "error: ": the field and
-# the reason, or the reason alone for a refusal that names no field; this is the
-# one table of command-line refusals, and CI runs each row through the console script
+# The command-line tables: every check of the console script is a row of
+# REFUSALS or RUNS. Each row runs from an empty work/ beside the CONFIGS files;
+# tier-1 runs it in-process and CI through the installed console script.
+#
+# REFUSALS: argv, and the start of the one line it prints after "error: ": the
+# field and the reason, or the reason alone for a refusal that names no field.
+# The run exits 2 with nothing on stdout and nothing in work/.
 REFUSALS = {
     "run-missing-config": (["run", "--config", "missing.json"], "config: cannot read"),
     "convergence-dts-not-a-number": (
@@ -360,6 +364,13 @@ REFUSALS = {
     "run-drop-lattice-wider-than-domain": (
         ["run", "--config", "../wide.json"], "problem.count_x: the drop lattice is wider than the domain length 4.0"
     ),
+    # (tf - t0) / dt is inf: round() raised an OverflowError
+    "run-step-count-overflows": (
+        ["run", "--config", "../span.json"], "time.dt: (tf - t0) / dt overflows for dt = 0.1"
+    ),
+    "convergence-step-count-overflows": (
+        ["convergence", "--scheme", "2a", "--dts", "5e-324,0.1,0.05"], "dts: (tf - t0) / dt overflows for dt = 5e-324"
+    ),
 }
 
 
@@ -371,8 +382,8 @@ def refused_config(problem, scheme="2a", time=None, **output):
     return json.dumps(doc)
 
 
-# the config files that REFUSALS names, beside the working directory
-REFUSED_CONFIGS = {
+# the config files that REFUSALS and RUNS name, beside the working directory
+CONFIGS = {
     "bad.json": "{oops",
     "list.json": "[]",
     "huge.json": refused_config({"kind": "drop_array", "preset": "huge"}),
@@ -389,6 +400,75 @@ REFUSED_CONFIGS = {
     "scheme.json": refused_config({"kind": "manufactured"}, scheme="9z", time={"dt": 0.05}),
     "tiny_eta.json": refused_config({"kind": "manufactured", "eta": 1e-200}, time={"dt": 0.05}),
     "wide.json": refused_config({"kind": "drop_array", "count_x": 20}),
+    "span.json": refused_config({"kind": "manufactured"}, time={"t0": -1e308, "tf": 1e308, "dt": 0.1}),
+    "mfg.json": json.dumps({"problem": {"kind": "manufactured"}, "scheme": "2a"}),
+}
+
+
+def workdir(root):
+    """An empty root/work beside the CONFIGS files, where a row runs."""
+    work = root / "work"
+    work.mkdir(parents=True)
+    for name, text in CONFIGS.items():
+        (root / name).write_text(text)
+    return work
+
+
+def files(work):
+    """Every file under work, by its path from there."""
+    return sorted(p.relative_to(work).as_posix() for p in work.rglob("*") if p.is_file())
+
+
+def converges(scheme, floor):
+    """A sweep's check: both fitted slopes, linf and l2, reach floor, and the CSV has a row per dt."""
+
+    def check(out, work):
+        assert files(work) == [f"out/convergence_{scheme}.csv"], files(work)
+        lines = [line for line in out.splitlines() if "fitted slope" in line]
+        assert len(lines) == 1, out
+        slopes = [float(part.partition("=")[2]) for part in lines[0].split()[-2:]]
+        assert min(slopes) >= floor, lines[0]
+        csv = (work / f"out/convergence_{scheme}.csv").read_text().splitlines()
+        assert csv[0] == "dt,linf_err,l2_err" and len(csv) == 4, csv
+
+    return check
+
+
+def compares_every_scheme(out, work):
+    # steps 0-3 of each scheme; r and xi filled exactly in the PAV histories, sav_r only in sav's
+    assert files(work) == sorted(f"out/history_{kind.value}.csv" for kind in SchemeKind), files(work)
+    for kind in SchemeKind:
+        records = read_history_csv(work / f"out/history_{kind.value}.csv")
+        assert [rec.step for rec in records] == [0, 1, 2, 3], kind
+        filled = {(rec.r is not None, rec.xi is not None, rec.sav_r is not None) for rec in records}
+        assert filled == {(kind.is_pav, kind.is_pav, kind is SchemeKind.SAV)}, (kind, filled)
+    assert [line.partition(":")[0] for line in out.splitlines()] == [kind.value for kind in SchemeKind], out
+
+
+def ends_at_tf(out, work):
+    # step n is at t0 + n dt, not a running sum: the last of the 40 steps is at tf = 1.1
+    assert files(work) == ["out/history.csv"], files(work)
+    records = read_history_csv(work / "out/history.csv")
+    assert [rec.step for rec in records] == list(range(41)), out
+    assert records[-1].t == 1.1, records[-1].t
+
+
+# RUNS: argv, and a check of what the run prints (its stdout) and writes (work/),
+# which raises an AssertionError; the run exits 0 with nothing on stderr
+RUNS = {
+    **{
+        f"convergence-{scheme}": (
+            ["convergence", "--scheme", scheme, "--dts", "0.1,0.05,0.025", "--output-dir", "out"],
+            converges(scheme, floor),
+        )
+        for scheme, floor in (("1a", 0.9), ("1b", 0.9), ("2a", 1.9), ("2b", 1.9), ("semi", 1.9), ("sav", 1.9))
+    },
+    "compare-every-scheme": (
+        ["compare", "--schemes", "1a,1b,2a,2b,semi,sav", "--dt", "0.001", "--steps", "3", "--problem", "desk",
+         "--output-dir", "out"],
+        compares_every_scheme,
+    ),
+    "run-manufactured-to-tf": (["run", "--config", "../mfg.json"], ends_at_tf),
 }
 
 
@@ -396,10 +476,7 @@ class TestCliRefusals:
     @pytest.mark.parametrize("argv,start", REFUSALS.values(), ids=REFUSALS.keys())
     def test_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys, argv, start):
         # exit 2, one stderr line naming the field, and no file or directory, not even out/
-        for name, text in REFUSED_CONFIGS.items():
-            (tmp_path / name).write_text(text)
-        work = tmp_path / "work"
-        work.mkdir()
+        work = workdir(tmp_path)
         monkeypatch.chdir(work)
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -415,14 +492,18 @@ class TestCliRefusals:
         assert "--steps" in capsys.readouterr().out
 
 
-class TestCliRun:
-    def test_successful_run_writes_history(self, mfg_config, tmp_path):
-        path = mfg_config()
-        assert main(["run", "--config", str(path)]) == 0
-        records = read_history_csv(tmp_path / "out" / "history.csv")
-        assert records[0].step == 0
-        assert records[-1].step == 20  # (1.1 - 0.1) / 0.05
+class TestCliRuns:
+    @pytest.mark.parametrize("argv,check", RUNS.values(), ids=RUNS.keys())
+    def test_exits_0_passing_its_check(self, tmp_path, monkeypatch, capsys, argv, check):
+        work = workdir(tmp_path)
+        monkeypatch.chdir(work)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        check(captured.out, work)
 
+
+class TestCliRun:
     def test_run_determinism_byte_identical(self, mfg_config, tmp_path):
         path = mfg_config()
         main(["run", "--config", str(path)])
@@ -439,15 +520,6 @@ class TestCliRun:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("io error: ")
-
-    def test_coarse_manufactured_grid_exits_2_before_writing(self, mfg_config, tmp_path, capsys):
-        path = mfg_config(
-            problem={"kind": "manufactured", "nx": 6, "ny": 6},
-            output={"dir": str(tmp_path / "out"), "snapshot_every": 1},
-        )
-        assert main(["run", "--config", str(path)]) == 2
-        assert "error: problem.nx:" in capsys.readouterr().err
-        assert not written(tmp_path)
 
     def test_sav_energy_rule_exits_2_before_writing(self, tmp_path, capsys):
         doc = {
@@ -524,22 +596,6 @@ class TestCliRun:
 
 
 class TestCliConvergence:
-    def test_sweep_writes_csv_and_slope(self, tmp_path, capsys):
-        # 2a, and 1a, semi and sav over the sweep that CI's console-script step
-        # runs: the printed slopes, linf and l2, reach each scheme's order
-        sweeps = [("2a", "0.1,0.05,0.025,0.0125", 1.9)] + [
-            (scheme, "0.1,0.05,0.025", floor) for scheme, floor in (("1a", 0.9), ("semi", 1.9), ("sav", 1.9))
-        ]
-        for scheme, dts, floor in sweeps:
-            code = main(["convergence", "--scheme", scheme, "--dts", dts, "--output-dir", str(tmp_path)])
-            assert code == 0
-            (line,) = [line for line in capsys.readouterr().out.splitlines() if "fitted slope" in line]
-            slopes = dict(part.split("=") for part in line.split()[-2:])
-            assert min(float(slopes["linf"]), float(slopes["l2"])) >= floor, (scheme, line)
-            csv = (tmp_path / f"convergence_{scheme}.csv").read_text().splitlines()
-            assert csv[0] == "dt,linf_err,l2_err"
-            assert len(csv) == len(dts.split(",")) + 1
-
     def test_failed_run_exits_4_writing_no_csv(self, tmp_path, monkeypatch, capsys):
         # the first run, at the largest dt, fails at its third step
         step, calls = STEPPERS[SchemeKind.PAV_2A], []
@@ -560,47 +616,6 @@ class TestCliConvergence:
 
 
 class TestCliCompare:
-    def test_compare_writes_per_scheme_histories(self, tmp_path, capsys):
-        code = main(
-            [
-                "compare",
-                "--schemes",
-                "2a,1a",
-                "--dt",
-                "0.001",
-                "--steps",
-                "3",
-                "--problem",
-                "desk",
-                "--output-dir",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        assert (tmp_path / "history_2a.csv").exists()
-        assert (tmp_path / "history_1a.csv").exists()
-        assert "2a:" in capsys.readouterr().out
-
-    def test_compare_non_positive_dt_exits_2(self, tmp_path, capsys):
-        code = main(
-            ["compare", "--schemes", "2a", "--dt", "-0.1", "--steps", "2",
-             "--output-dir", str(tmp_path / "out")]
-        )
-        assert code == 2
-        assert "error: dt: must be positive, got -0.1" in capsys.readouterr().err
-        assert not written(tmp_path)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("steps", ["0", "-3"])
-    def test_compare_steps_below_one_exits_2(self, tmp_path, capsys, steps):
-        code = main(
-            ["compare", "--schemes", "2a,1a", "--dt", "0.001", "--steps", steps,
-             "--output-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert f"error: n_steps: must be >= 1, got {steps}" in capsys.readouterr().err
-        assert not written(tmp_path)
-
     def test_compare_diverging_baseline_exits_3(self, tmp_path, capsys):
         code = main(
             ["compare", "--schemes", "semi", "--dt", "0.05", "--steps", "60",
