@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
     write_history_csv(result.history, out / "history.csv")
     if result.failure is not None:
         print(f"{_stopped(config.scheme, result)}; history written to {out / 'history.csv'}", file=sys.stderr)
-        return EXIT_DIVERGED if result.diverged else EXIT_RUNTIME
+        return _stopped_code(result)
     print(f"completed {result.final_state.step} steps; history in {out / 'history.csv'}")
     return EXIT_OK
 
@@ -119,6 +119,11 @@ def _stopped(scheme: SchemeKind, result) -> str:
     """Why a run stopped before its last step, naming the failing step."""
     verb = "diverged" if result.diverged else "failed"
     return f"{scheme.value} {verb} at step {result.final_state.step + 1}: {result.failure}"
+
+
+def _stopped_code(result) -> int:
+    """The exit code of a run that stopped before its last step."""
+    return EXIT_DIVERGED if result.diverged else EXIT_RUNTIME
 
 
 def cmd_convergence(args) -> int:
@@ -141,7 +146,7 @@ def cmd_convergence(args) -> int:
         result = run_simulation(spec, scheme, history_every=spec.n_steps, exact_history=True)
         if result.failure is not None:
             print(f"error: dt={dt:.6g}: {_stopped(scheme, result)}", file=sys.stderr)
-            return EXIT_RUNTIME
+            return _stopped_code(result)
         final = result.history[-1]
         rows.append((dt, final.linf_err, final.l2_err))
         print(f"dt={dt:.6g}  linf={final.linf_err:.6e}  l2={final.l2_err:.6e}")
@@ -180,7 +185,7 @@ def cmd_compare(args) -> int:
             verb = "DIVERGED" if result.diverged else "FAILED"
             print(f"{scheme.value}: {verb} at step {result.final_state.step + 1}: {result.failure} ({path})")
             # a runtime failure outranks a diverged baseline
-            code = max(code, EXIT_DIVERGED if result.diverged else EXIT_RUNTIME)
+            code = max(code, _stopped_code(result))
         else:
             final = result.history[-1]
             print(f"{scheme.value}: {final.step} steps, E={final.energy:.6g} ({path})")

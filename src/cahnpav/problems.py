@@ -15,6 +15,7 @@ from .grid import GridSpec, RealField
 from .model import PhysicalParams, sigma_to_beta
 
 DROP_SIGMA = 151.15  # surface tension of both drop presets
+MAX_STEPS = 5e8  # a run takes fewer steps: from here on, n_steps' round-off tolerance 1e-9 n is half a step
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,15 @@ class ProblemSpec:
     @property
     def n_steps(self) -> int:
         """Steps of size ``dt`` from ``t0`` to ``tf``; a ValidationError on ``dt``
-        unless that is a whole number up to round-off, as a run must end at tf."""
+        unless that is a whole number up to round-off, as a run must end at tf,
+        and fewer than MAX_STEPS, where that round-off reaches half a step."""
         steps = (self.tf - self.t0) / self.dt
         if not steps < math.inf:
             raise ValidationError("dt", f"(tf - t0) / dt overflows for dt = {self.dt} on [{self.t0}, {self.tf}]")
+        if steps >= MAX_STEPS:
+            raise ValidationError(
+                "dt", f"{self.dt} makes {steps:.6g} steps of [{self.t0}, {self.tf}], {MAX_STEPS:.0e} or more"
+            )
         n = round(steps)
         if n < 1 or abs(steps - n) > 1e-9 * n:
             raise ValidationError("dt", f"{self.dt} does not divide [{self.t0}, {self.tf}] into whole steps")

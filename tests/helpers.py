@@ -8,19 +8,22 @@ from functools import cache
 
 import numpy as np
 
+import cahnpav.schemes
 from cahnpav import GridSpec, InvalidState, RealField
 from cahnpav.grid import _serve, grad_sq_integral, integrate
 
 
-def count_transforms(monkeypatch) -> dict[str, int]:
-    """Count the GridSpec.fft and GridSpec.ifft calls made from now on, by name."""
-    calls = {"fft": 0, "ifft": 0}
-    for name in calls:
-        def counted(self, array, _name=name, _original=getattr(GridSpec, name)):
+def count_work(monkeypatch) -> dict[str, int]:
+    """Count a step's work from now on, by name: the GridSpec.fft and
+    GridSpec.ifft calls and the solves (cahnpav.schemes.solve_linear_step)."""
+    calls = {"fft": 0, "ifft": 0, "solve": 0}
+    for owner, attr, name in ((GridSpec, "fft", "fft"), (GridSpec, "ifft", "ifft"),
+                              (cahnpav.schemes, "solve_linear_step", "solve")):
+        def counted(*args, _name=name, _original=getattr(owner, attr), **kwargs):
             calls[_name] += 1
-            return _original(self, array)
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(GridSpec, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 

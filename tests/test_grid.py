@@ -22,7 +22,7 @@ from cahnpav.grid import _rows, grad_inner, grad_sq_integral, h2_norm, inner, in
 from cahnpav.model import potential_integral, well
 from cahnpav.schemes import _symbols
 
-from helpers import constant, count_transforms, from_function, mean, worker_tasks
+from helpers import constant, count_work, from_function, mean, worker_tasks
 
 
 def random_field(grid: GridSpec, seed: int, smooth: bool = False) -> RealField:
@@ -154,7 +154,7 @@ class TestKeptMultipliers:
 class TestRealField:
     @pytest.fixture
     def transforms(self, monkeypatch):
-        return count_transforms(monkeypatch)
+        return count_work(monkeypatch)
 
     def test_each_form_is_transformed_at_most_once(self, transforms):
         grid = GridSpec(8, 12, 2.0, 3.0)
@@ -165,7 +165,7 @@ class TestRealField:
         g = RealField(grid, coeffs=coeffs[0])
         back = [g.values for _ in range(3)]
         assert all(g.coeffs is coeffs[0] for _ in range(3))
-        assert transforms == {"fft": 1, "ifft": 1}
+        assert transforms == {"fft": 1, "ifft": 1, "solve": 0}
         assert all(c is coeffs[0] for c in coeffs) and all(v is back[0] for v in back)
         assert np.allclose(back[0], values, rtol=0.0, atol=1e-13)
 
@@ -175,7 +175,7 @@ class TestRealField:
         f = RealField(grid, values, coeffs=coeffs)
         for _ in range(3):
             assert f.values is values and f.coeffs is coeffs
-        assert transforms == {"fft": 0, "ifft": 0}
+        assert transforms == {"fft": 0, "ifft": 0, "solve": 0}
 
     def test_needs_a_form(self):
         with pytest.raises(ValueError, match="needs its values or its coefficients"):

@@ -297,6 +297,15 @@ class TestProblemSpecValidation:
             dataclasses.replace(MFG, dt=5e-324).n_steps
         assert excinfo.value.field == "dt"
 
+    @pytest.mark.parametrize("dt", [9.999999995e-10, 1e-300])
+    def test_step_count_beyond_its_round_off_refused_on_dt(self, dt):
+        # from 5e8 steps the whole-step tolerance 1e-9 n is half a step: 9.999999995e-10
+        # passed as 1e9 steps, ending at 1.0999999995, and 1e-300 as a 301-digit count
+        with pytest.raises(ValidationError, match="5e\\+08 or more") as excinfo:
+            dataclasses.replace(MFG, dt=dt).n_steps
+        assert excinfo.value.field == "dt"
+        assert dataclasses.replace(MFG, dt=2e-8).n_steps == 50_000_000
+
     def test_initial_condition_dispatch(self):
         mfg = manufactured_spec()
         assert np.allclose(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cahnpav import (
+    Diverged,
     NonPositiveEnergy,
     ProblemSpec,
     SchemeKind,
@@ -371,6 +372,13 @@ REFUSALS = {
     "convergence-step-count-overflows": (
         ["convergence", "--scheme", "2a", "--dts", "5e-324,0.1,0.05"], "dts: (tf - t0) / dt overflows for dt = 5e-324"
     ),
+    # 5e8 steps or more: the whole-step test's round-off is half a step or more there
+    "run-too-many-steps": (
+        ["run", "--config", "../fine.json"], "time.dt: 9.999999995e-10 makes 1e+09 steps of [0.1, 1.1]"
+    ),
+    "convergence-too-many-steps": (
+        ["convergence", "--scheme", "2a", "--dts", "1e-300,0.1,0.05"], "dts: 1e-300 makes 1e+300 steps of [0.1, 1.1]"
+    ),
 }
 
 
@@ -401,6 +409,7 @@ CONFIGS = {
     "tiny_eta.json": refused_config({"kind": "manufactured", "eta": 1e-200}, time={"dt": 0.05}),
     "wide.json": refused_config({"kind": "drop_array", "count_x": 20}),
     "span.json": refused_config({"kind": "manufactured"}, time={"t0": -1e308, "tf": 1e308, "dt": 0.1}),
+    "fine.json": refused_config({"kind": "manufactured"}, time={"dt": 9.999999995e-10}),
     "mfg.json": json.dumps({"problem": {"kind": "manufactured"}, "scheme": "2a"}),
 }
 
@@ -596,23 +605,38 @@ class TestCliRun:
 
 
 class TestCliConvergence:
-    def test_failed_run_exits_4_writing_no_csv(self, tmp_path, monkeypatch, capsys):
-        # the first run, at the largest dt, fails at its third step
-        step, calls = STEPPERS[SchemeKind.PAV_2A], []
+    @staticmethod
+    def sweep_stopping_at_step_3(monkeypatch, tmp_path, capsys, kind, error):
+        """Run a sweep whose first run, at the largest dt, raises ``error`` at its
+        third step: it writes no CSV. Returns the exit code and stderr."""
+        step, calls = STEPPERS[kind], []
 
-        def failing(state, *args, **kwargs):
+        def stopping(state, *args, **kwargs):
             calls.append(state.step)
             if len(calls) == 3:
-                raise NonPositiveEnergy("energy went negative")
+                raise error
             return step(state, *args, **kwargs)
 
-        monkeypatch.setitem(STEPPERS, SchemeKind.PAV_2A, failing)
+        monkeypatch.setitem(STEPPERS, kind, stopping)
         out = tmp_path / "out"
-        assert main(["convergence", "--scheme", "2a", "--dts", "0.025,0.1,0.05", "--output-dir", str(out)]) == 4
+        code = main(["convergence", "--scheme", kind.value, "--dts", "0.025,0.1,0.05", "--output-dir", str(out)])
         captured = capsys.readouterr()
-        assert captured.err == "error: dt=0.1: 2a failed at step 3: energy went negative\n"
         assert "fitted slope" not in captured.out
         assert calls == [0, 1, 2] and not out.exists()
+        return code, captured.err
+
+    def test_failed_run_exits_4_writing_no_csv(self, tmp_path, monkeypatch, capsys):
+        error = NonPositiveEnergy("energy went negative")
+        assert self.sweep_stopping_at_step_3(monkeypatch, tmp_path, capsys, SchemeKind.PAV_2A, error) == (
+            4, "error: dt=0.1: 2a failed at step 3: energy went negative\n"
+        )
+
+    def test_diverged_run_exits_3_writing_no_csv(self, tmp_path, monkeypatch, capsys):
+        # as run and compare do: a diverged baseline is exit 3, not a runtime failure
+        error = Diverged("non-finite field")
+        assert self.sweep_stopping_at_step_3(monkeypatch, tmp_path, capsys, SchemeKind.SEMI_IMPLICIT, error) == (
+            3, "error: dt=0.1: semi diverged at step 3: non-finite field\n"
+        )
 
 
 class TestCliCompare:

@@ -53,7 +53,7 @@ from cahnpav.schemes import (
     solve_linear_step,
 )
 
-from helpers import constant, count_transforms, from_function, mean, sav_modified_energy, worker_tasks
+from helpers import constant, count_work, from_function, mean, sav_modified_energy, worker_tasks
 from reference import reference_step
 
 THEORY = PhysicalParams(m0=1.0, beta=1.0, eta=1.0, well_amp=1.0, c0=1.0)
@@ -740,11 +740,11 @@ def assert_matches_reference(kind, dealias, phi0, p, t0, dts, source):
 
 class TestReferenceStep:
     """Each stepper against tests/reference.py, a plain step written from the
-    schemes docstring's equations.  The sav row runs in TestSav."""
+    schemes docstring's equations; its sav row is the two-solve superposition."""
 
     @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
     @pytest.mark.parametrize("case", ["desk", "manufactured", "lam"])
-    @pytest.mark.parametrize("kind", [kind for kind in SchemeKind if kind is not SAV], ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
     def test_matches_reference(self, kind, case, dealias):
         assert_matches_reference(kind, dealias, *reference_case(case))
 
@@ -780,18 +780,20 @@ class TestReferenceStep:
             assert kind.is_pav and with_source  # source work can make the drain negative
 
 
+STEP_CASES = ["mfg-20", "mfg-lam-20", "mfg-64", "mfg-128", "mfg-130", "drops-64", "drops-128", "drops-130"]
+
+
 @cache
-def sized_case(case, n):
-    """(initial field, params, t0, step sizes, source) of five steps on n^2: the
-    desk drops on [0,4]^2, or the manufactured problem with its source."""
-    grid = GridSpec(n, n, 4.0, 4.0) if case == "drops" else GridSpec(n, n, 2.0, 2.0)
-    problem = replace(desk_scale_drop_spec() if case == "drops" else manufactured_spec(), grid=grid)
+def step_case(name):
+    """(initial field, params, t0, step sizes, source) of five steps on n^2, the
+    name's last part: ``mfg-n`` the manufactured problem with its source on
+    [0,2]^2 (``mfg-lam-n`` with lam = 0.6), ``drops-n`` the desk drops on [0,4]^2."""
+    family, *lam, n = name.split("-")
+    problem = desk_scale_drop_spec() if family == "drops" else manufactured_spec()
+    problem = replace(problem, grid=GridSpec(int(n), int(n), problem.grid.lx, problem.grid.ly))
+    if lam:
+        problem = replace(problem, params=replace(problem.params, lam=0.6))
     return problem.initial_condition(), problem.params, problem.t0, (problem.dt,) * 5, problem.source()
-
-
-def split_case(case):
-    """sized_case on 130^2, the smallest square grid whose steps run as two row halves."""
-    return sized_case(case, 130)
 
 
 def state_bytes(state):
@@ -802,46 +804,52 @@ def state_bytes(state):
     return [c.phi.values.tobytes(), c.phi.coeffs.tobytes(), c.mu.coeffs.tobytes(), np.array(scalars).tobytes()]
 
 
-def step_bytes(kind, dealias, phi0, p, t0, dts, source, carry=True):
-    """state_bytes after each step of a run from init_state, one of each size in
-    ``dts``; with ``carry`` False, each state goes through dataclasses.replace
-    before its step, which drops the cross terms it carries."""
-    state, out = init_state(phi0, p, t0), []
-    for dt in dts:
-        if not carry:
-            state = replace(state)
-            assert state._cross is None
-        state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
-        out += state_bytes(state)
-    return out
-
-
-class TestRowHalves:
-    """Above 128^2 a step runs its array work as two row halves, the second on a
-    worker thread (grid's module docstring): its bytes do not depend on which
-    thread ran a half, and it agrees with the reference step."""
-
-    @staticmethod
-    def run(kind, dealias, case, tasks, monkeypatch):
-        monkeypatch.setattr(cahnpav.grid, "_tasks", tasks)
-        return step_bytes(kind, dealias, *split_case(case))
+class TestStepRuns:
+    """Every way a step can run gives the same bytes (state_bytes after each of
+    five steps from init_state), and each step makes one forward transform, one
+    inverse and one solve.  A step runs its array work as whole arrays up to
+    128^2 points and as row kernels above, in two row halves, the second on a
+    worker thread (the schemes and grid module docstrings); an order-2 PAV step
+    carries the cross terms of its new level to the next step."""
 
     def test_130_is_the_smallest_split_square(self):
         assert 128 * 128 <= cahnpav.grid._SPLIT_OVER < 130 * 130
 
     @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-    @pytest.mark.parametrize("case", ["drops", "manufactured"])
+    @pytest.mark.parametrize("case", STEP_CASES)
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
-    def test_worker_gives_the_bytes_of_inline_halves(self, monkeypatch, kind, case, dealias):
-        on_worker = self.run(kind, dealias, case, worker_tasks(), monkeypatch)
-        assert on_worker == self.run(kind, dealias, case, cahnpav.grid._Inline, monkeypatch)
-
-    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-    @pytest.mark.parametrize("case", ["drops", "manufactured"])
-    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
-    def test_matches_reference(self, monkeypatch, kind, case, dealias):
+    def test_every_way_gives_the_bytes(self, monkeypatch, kind, case, dealias):
         monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
-        assert_matches_reference(kind, dealias, *split_case(case))
+        work = count_work(monkeypatch)
+        phi0, p, t0, dts, source = step_case(case)
+
+        def run(carry=True):
+            # without the carry each state goes through dataclasses.replace, which drops it
+            state, out = init_state(phi0, p, t0), []
+            for dt in dts:
+                if not carry:
+                    state = replace(state)
+                    assert state._cross is None
+                before = dict(work)
+                state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
+                assert {name: work[name] - before[name] for name in work} == {"fft": 1, "ifft": 1, "solve": 1}
+                out += state_bytes(state)
+            return out
+
+        plain = run()
+        assert run(carry=False) == plain
+        if phi0.grid.nx * phi0.grid.ny <= cahnpav.grid._SPLIT_OVER:
+            # the limit that schemes reads lowered to 0: the row form, whose
+            # kernels grid._rows still runs once over all rows
+            calls, ext_rows = [], cahnpav.schemes._ext_rows
+            monkeypatch.setattr(cahnpav.schemes, "_SPLIT_OVER", 0)
+            monkeypatch.setattr(cahnpav.schemes, "_ext_rows", lambda *args: calls.append(args[0]) or ext_rows(*args))
+            assert run() == plain
+            assert calls == [...] * 5
+        else:  # both halves on this thread
+            monkeypatch.setattr(cahnpav.grid, "_tasks", cahnpav.grid._Inline)
+            assert run() == plain
+            assert_matches_reference(kind, dealias, phi0, p, t0, dts, source)
 
     def test_desk_run_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(cahnpav.grid, "_tasks", None)  # as in a fresh process
@@ -852,54 +860,11 @@ class TestRowHalves:
         assert cahnpav.grid._tasks is None
 
 
-@cache
-def forms_case(case):
-    """(initial field, params, t0, step sizes, source) of five steps on a grid of
-    at most 128^2: the manufactured problem with its source, the same with lam =
-    0.6, or the desk drops on [0,4]^2 at 64^2 or 128^2."""
-    if case.startswith("drops"):
-        n = int(case.removeprefix("drops-"))
-        problem = replace(desk_scale_drop_spec(), grid=GridSpec(n, n, 4.0, 4.0))
-    else:
-        problem = manufactured_spec()
-        if case == "manufactured-lam":
-            problem = replace(problem, params=replace(problem.params, lam=0.6))
-    return problem.initial_condition(), problem.params, problem.t0, (problem.dt,) * 5, problem.source()
-
-
-class TestArrayForms:
-    """A step runs its array work as whole arrays up to 128^2 points and as row
-    kernels above (the schemes module docstring).  With the limit that schemes
-    reads lowered to 0, a small grid's step takes the row form, whose kernels
-    grid._rows still runs once over all rows: both forms give the same bytes."""
-
-    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-    @pytest.mark.parametrize("case", ["manufactured", "manufactured-lam", "drops-64", "drops-128"])
-    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
-    def test_row_form_gives_the_bytes_of_whole_arrays(self, monkeypatch, kind, case, dealias):
-        whole = step_bytes(kind, dealias, *forms_case(case))
-        calls = []
-        ext_rows = cahnpav.schemes._ext_rows
-        monkeypatch.setattr(cahnpav.schemes, "_SPLIT_OVER", 0)
-        monkeypatch.setattr(cahnpav.schemes, "_ext_rows", lambda *args: calls.append(args[0]) or ext_rows(*args))
-        assert step_bytes(kind, dealias, *forms_case(case)) == whole
-        assert calls == [...] * 5  # the row form ran, over all rows at once
-
-
 class TestCarriedCrossTerms:
     """An order-2 PAV step forms the cross terms of its new level with cur for the
-    next step (SchemeState._cross).  Carried or formed by the next step itself,
-    they give the same bytes, in both array forms; a state with another prev
-    carries none."""
-
-    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-    @pytest.mark.parametrize("n", [64, 128, 130])
-    @pytest.mark.parametrize("case", ["drops", "manufactured"])
-    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
-    def test_a_run_without_the_carry_gives_the_bytes(self, monkeypatch, kind, case, n, dealias):
-        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
-        args = (kind, dealias, *sized_case(case, n))
-        assert step_bytes(*args, carry=False) == step_bytes(*args)
+    next step (SchemeState._cross), equal to those the next step would form; a
+    state with another prev carries none.  TestStepRuns pins the bytes of a run
+    that carries them to those of one that does not."""
 
     @pytest.mark.parametrize("n", [64, 130])
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
@@ -907,7 +872,7 @@ class TestCarriedCrossTerms:
         # the whole-array form forms them by the calls a step without them makes,
         # the row form as two halves' sums
         monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
-        phi0, p, t0, (dt, *_), source = sized_case("manufactured", n)
+        phi0, p, t0, (dt, *_), source = step_case(f"mfg-{n}")
         state = init_state(phi0, p, t0)
         for _ in range(2):
             state = STEPPERS[kind](state, dt, p, source)
@@ -923,7 +888,7 @@ class TestCarriedCrossTerms:
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
     def test_a_replaced_prev_steps_as_a_constructed_state(self, monkeypatch, kind, n):
         monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
-        phi0, p, t0, (dt, *_), source = sized_case("manufactured", n)
+        phi0, p, t0, (dt, *_), source = step_case(f"mfg-{n}")
         stepper = STEPPERS[kind]
         first = stepper(init_state(phi0, p, t0), dt, p, source)
         state = stepper(stepper(first, dt, p, source), dt, p, source)
@@ -1002,29 +967,6 @@ class TestVariableStep:
 
 
 class TestSav:
-    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-    @pytest.mark.parametrize("case", ["desk", "manufactured", "lam"])
-    def test_one_solve_matches_two_solve_superposition(self, case, dealias):
-        # the reference's sav row is the two-solve superposition
-        assert_matches_reference(SAV, dealias, *reference_case(case))
-
-    @pytest.mark.parametrize("with_source", [False, True], ids=["plain", "source"])
-    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-    def test_one_solve_per_step(self, monkeypatch, dealias, with_source):
-        calls, solve = [], cahnpav.schemes.solve_linear_step
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(cahnpav.schemes, "solve_linear_step", counted)
-        grid = GridSpec(16, 16, 2.0, 2.0)
-        f = smooth_ic(grid, 33, amp=0.1).coeffs
-        state = init_state(smooth_ic(grid, 34), THEORY)
-        for step in range(1, 4):  # the cold-start step 1 (prev is cur) through step 3
-            state = STEPPERS[SAV](state, 0.05, THEORY, (lambda t: f) if with_source else None, dealias=dealias)
-            assert calls == [1.5] * step
-
     def test_modified_energy_decays(self):
         grid = GridSpec(16, 16, 2.0, 2.0)
         state = init_state(smooth_ic(grid, 31, amp=0.8), THEORY)
@@ -1174,38 +1116,26 @@ class TestStepMemory:
 
 
 class TestTransformBudget:
-    """Each step of every scheme makes one forward transform (of xi^2 h(ext),
-    or of SAV's b) and one inverse (of the new phi_hat); set-up is not counted."""
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        return count_transforms(monkeypatch)
-
-    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
-    def test_drop_steps(self, counts, kind, dealias):
-        problem = desk_scale_drop_spec()
-        state = init_state(problem.initial_condition(), problem.params)
-        for _ in range(3):  # the cold-start step 1 (prev is cur) through step 3
-            before = dict(counts)
-            state = STEPPERS[kind](state, 1e-3, problem.params, dealias=dealias)
-            assert (counts["fft"] - before["fft"], counts["ifft"] - before["ifft"]) == (1, 1)
+    """A runner-driven manufactured run with its source makes one forward
+    transform (of xi^2 h(ext), or of SAV's b), one inverse (of the new phi_hat)
+    and one solve per step; set-up is not counted.  TestStepRuns counts each
+    step of every way a step runs."""
 
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
-    def test_manufactured_run_with_source(self, counts, monkeypatch, kind):
-        # the source, the records and the steps together: two transforms a step
-        stepper, per_step, first = STEPPERS[kind], [], {}
+    def test_manufactured_run_with_source(self, monkeypatch, kind):
+        # the source, the records and the steps together
+        work, stepper, per_step, first = count_work(monkeypatch), STEPPERS[kind], [], {}
 
         def counted_step(*args, **kwargs):
-            first.setdefault("counts", dict(counts))
-            before = dict(counts)
+            first.setdefault("counts", dict(work))
+            before = dict(work)
             state = stepper(*args, **kwargs)
-            per_step.append((counts["fft"] - before["fft"], counts["ifft"] - before["ifft"]))
+            per_step.append({name: work[name] - before[name] for name in work})
             return state
 
         monkeypatch.setitem(STEPPERS, kind, counted_step)
         result = run_simulation(manufactured_spec(dt=0.1), kind, exact_history=True)
         assert result.failure is None
-        assert per_step == [(1, 1)] * 10
+        assert per_step == [{"fft": 1, "ifft": 1, "solve": 1}] * 10
         after_setup = first["counts"]
-        assert counts["fft"] - after_setup["fft"] == counts["ifft"] - after_setup["ifft"] == 10
+        assert {name: work[name] - after_setup[name] for name in work} == {"fft": 10, "ifft": 10, "solve": 10}
