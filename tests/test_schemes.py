@@ -804,41 +804,64 @@ def state_bytes(state):
     return [c.phi.values.tobytes(), c.phi.coeffs.tobytes(), c.mu.coeffs.tobytes(), np.array(scalars).tobytes()]
 
 
+def step_table(cases=STEP_CASES):
+    """Parametrize a test over the step table: six schemes x cases x dealias off/on."""
+    def parametrize(test):
+        test = pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)(test)
+        test = pytest.mark.parametrize("case", cases)(test)
+        return pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])(test)
+    return parametrize
+
+
+ONE_STEP = {"fft": 1, "ifft": 1, "solve": 1}
+
+
 class TestStepRuns:
     """Every way a step can run gives the same bytes (state_bytes after each of
-    five steps from init_state), and each step makes one forward transform, one
-    inverse and one solve.  A step runs its array work as whole arrays up to
-    128^2 points and as row kernels above, in two row halves, the second on a
-    worker thread (the schemes and grid module docstrings); an order-2 PAV step
-    carries the cross terms of its new level to the next step."""
+    five steps from init_state) and the same work, and each step makes one
+    forward transform, one inverse and one solve.  A step runs its array work as
+    whole arrays up to 128^2 points and as row kernels above, in two row halves,
+    the second on a worker thread (the schemes and grid module docstrings); an
+    order-2 PAV step carries the cross terms of its new level to the next step."""
 
     def test_130_is_the_smallest_split_square(self):
         assert 128 * 128 <= cahnpav.grid._SPLIT_OVER < 130 * 130
 
-    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-    @pytest.mark.parametrize("case", STEP_CASES)
-    @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
-    def test_every_way_gives_the_bytes(self, monkeypatch, kind, case, dealias):
+    @pytest.fixture
+    def run(self, monkeypatch, kind, case, dealias):
+        """run(carry=True): the case's five steps on the test worker thread, as
+        (state_bytes after each step, each step's work by name)."""
         monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
         work = count_work(monkeypatch)
         phi0, p, t0, dts, source = step_case(case)
 
         def run(carry=True):
             # without the carry each state goes through dataclasses.replace, which drops it
-            state, out = init_state(phi0, p, t0), []
+            state, out, per_step = init_state(phi0, p, t0), [], []
             for dt in dts:
                 if not carry:
                     state = replace(state)
                     assert state._cross is None
                 before = dict(work)
                 state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
-                assert {name: work[name] - before[name] for name in work} == {"fft": 1, "ifft": 1, "solve": 1}
+                per_step.append({name: work[name] - before[name] for name in work})
                 out += state_bytes(state)
-            return out
+            return out, per_step
 
-        plain = run()
-        assert run(carry=False) == plain
-        if phi0.grid.nx * phi0.grid.ny <= cahnpav.grid._SPLIT_OVER:
+        return run
+
+    @step_table()
+    def test_each_step_makes_one_transform_pair_and_one_solve(self, run):
+        assert run()[1] == [ONE_STEP] * 5
+
+    @step_table()
+    def test_a_run_without_the_carry_gives_the_bytes(self, run):
+        assert run(carry=False) == run()
+
+    @step_table()
+    def test_the_other_array_form_gives_the_bytes(self, monkeypatch, run, case):
+        plain, grid = run(), step_case(case)[0].grid
+        if grid.nx * grid.ny <= cahnpav.grid._SPLIT_OVER:
             # the limit that schemes reads lowered to 0: the row form, whose
             # kernels grid._rows still runs once over all rows
             calls, ext_rows = [], cahnpav.schemes._ext_rows
@@ -849,7 +872,11 @@ class TestStepRuns:
         else:  # both halves on this thread
             monkeypatch.setattr(cahnpav.grid, "_tasks", cahnpav.grid._Inline)
             assert run() == plain
-            assert_matches_reference(kind, dealias, phi0, p, t0, dts, source)
+
+    @step_table(["mfg-130", "drops-130"])  # the cases above 128^2
+    def test_every_split_step_matches_the_reference(self, monkeypatch, kind, case, dealias):
+        monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
+        assert_matches_reference(kind, dealias, *step_case(case))
 
     def test_desk_run_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(cahnpav.grid, "_tasks", None)  # as in a fresh process
