@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import parse_config, parse_scheme
 from .diagnostics import fit_convergence_order
 from .errors import SolverError, ValidationError
-from .output import write_history_csv
+from .output import _fmt, write_history_csv
 from .problems import PRESETS, manufactured_spec
 from .runner import run_simulation
 from .schemes import SchemeKind
@@ -155,7 +155,7 @@ def cmd_convergence(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"convergence_{scheme.value}.csv"
     lines = ["dt,linf_err,l2_err"]
-    lines += [f"{format(dt, '.17g')},{format(li, '.17g')},{format(l2, '.17g')}" for dt, li, l2 in rows]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     slope_linf = fit_convergence_order([r[0] for r in rows], [r[1] for r in rows])

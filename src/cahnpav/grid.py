@@ -25,10 +25,11 @@ complex loop, so holding ``x + 0j`` gives the same bytes and skips the cast.
 ``k2`` stays real (the formulas are written in it), and ``dealias_mask``
 boolean: dealiasing is off unless a run asks for it.
 
-Reductions: every full-array sum in the package, the Parseval sums here, the
-well integral in ``model`` and the source and SAV sums in ``schemes``, is
-``_dot(a, b)``, Re sum(conj(a) w b) with w one of the three Parseval weights
-or 1.  Up to ``_SERIAL_MAX`` = 10,000 elements it is ``np.vdot(a, w * b)``,
+Reductions: every full-array sum of a step and of the energy, the Parseval
+sums here, the well integral in ``model`` and the source and SAV sums in
+``schemes``, is ``_dot(a, b)``, Re sum(conj(a) w b) with w one of the three
+Parseval weights or 1.  ``integrate`` and ``l2_norm``, which only a history
+record's mass and error norms read, sum with ``np.sum``.  Up to ``_SERIAL_MAX`` = 10,000 elements it is ``np.vdot(a, w * b)``,
 whose BLAS dot runs on one thread at that size.  Above it, a BLAS dot splits
 the sum across threads, so its bits would follow the host's thread count; the
 sum is then one ``np.einsum`` pass over the arrays' float64 views (a complex

@@ -35,7 +35,7 @@ class DropLayout:
     def __post_init__(self) -> None:
         for name in ("count_x", "count_y"):
             count = getattr(self, name)
-            if not isinstance(count, Integral):
+            if not isinstance(count, Integral) or isinstance(count, bool):  # a bool is an Integral
                 raise ValidationError(name, f"must be an integer, got {count!r}")
         for name in ("count_x", "count_y", "spacing", "radius"):
             value = getattr(self, name)

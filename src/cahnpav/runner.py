@@ -93,7 +93,7 @@ def run_simulation(
         n_steps = problem.n_steps
     counts = (("n_steps", n_steps, 1), ("history_every", history_every, 1), ("snapshot_every", snapshot_every, 0))
     for name, value, least in counts:
-        if not isinstance(value, Integral):
+        if not isinstance(value, Integral) or isinstance(value, bool):  # a bool is an Integral
             raise ValidationError(name, f"must be an integer, got {value!r}")
         if value < least:
             raise ValidationError(name, f"must be >= {least}, got {value}")

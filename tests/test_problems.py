@@ -255,11 +255,12 @@ class TestProblemSpecValidation:
             DropLayout(count_x=0, count_y=5, spacing=0.4, radius=0.17)
         with pytest.raises(ValueError):
             DropLayout(count_x=5, count_y=5, spacing=-0.4, radius=0.17)
-        # count_x = 2.5 once built three columns of drops, off the domain's centre
-        for name, count in (("count_x", 2.5), ("count_y", 5.0)):
+        # count_x = 2.5 once built three columns of drops, off the domain's centre, and
+        # count_x = True (an Integral) one column
+        for name, count in (("count_x", 2.5), ("count_y", 5.0), ("count_x", True)):
             with pytest.raises(ValidationError) as excinfo:
                 DropLayout(**{"count_x": 5, "count_y": 5, name: count}, spacing=0.4, radius=0.17)
-            assert excinfo.value.field == name
+            assert (excinfo.value.field, excinfo.value.reason) == (name, f"must be an integer, got {count!r}")
         assert n_drops(DropLayout(np.int64(3), np.int32(2), 0.4, 0.17)) == 6
 
     @pytest.mark.parametrize("name", ["spacing", "radius"])
