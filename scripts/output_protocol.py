@@ -1,6 +1,5 @@
 """Write the outputs of the byte-identity protocol: ``cahnpav run`` for each of
-the six schemes on five problems, dealias off and on, with a snapshot every
-10 steps.
+the six schemes on five problems, with a snapshot every 10 steps.
 
     PYTHONPATH=src python3 scripts/output_protocol.py OUT
 
@@ -8,9 +7,9 @@ The problems are the desk drop array (``tf = 0.05``, ``dt = 1e-3``), the same
 on a 130^2 grid (the smallest square whose steps run their array work as two
 row halves), the paper preset at 512^2 for 3 steps (``tf = 0.003``,
 ``dt = 1e-3``), the manufactured problem (``dt = 0.1``) and the manufactured
-problem with ``lambda = 0.6`` (``dt = 0.05``).  Each of the 60 runs writes its
-``history.csv`` and snapshots to ``OUT/<problem>-<scheme>-<dealias>/``: 288
-files in all.  To compare two checkouts, or one checkout under two BLAS
+problem with ``lambda = 0.6`` (``dt = 0.05``).  Each of the 30 runs writes its
+``history.csv`` and snapshots to ``OUT/<problem>-<scheme>/``: 144 files in
+all.  To compare two checkouts, or one checkout under two BLAS
 thread counts or CPU sets, run the script under each and then ``diff -r`` the
 output directories.  The exit code is 1 if a run did not complete, and 2 if
 OUT already exists.
@@ -45,21 +44,19 @@ def main(out: Path) -> int:
     with tempfile.TemporaryDirectory() as configs:
         for name, (problem, time) in PROBLEMS.items():
             for scheme in SchemeKind:
-                for dealias in (False, True):
-                    run = f"{name}-{scheme.value}-{'dealias' if dealias else 'plain'}"
-                    config = {
-                        "problem": problem,
-                        "scheme": scheme.value,
-                        "time": time,
-                        "output": {"dir": str(out / run), "history_every": 1, "snapshot_every": 10},
-                        "dealias": dealias,
-                    }
-                    path = Path(configs) / f"{run}.json"
-                    path.write_text(json.dumps(config), encoding="utf-8")
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = cahnpav_main(["run", "--config", str(path)])
-                    if code:
-                        failed.append(f"{run} (exit {code})")
+                run = f"{name}-{scheme.value}"
+                config = {
+                    "problem": problem,
+                    "scheme": scheme.value,
+                    "time": time,
+                    "output": {"dir": str(out / run), "history_every": 1, "snapshot_every": 10},
+                }
+                path = Path(configs) / f"{run}.json"
+                path.write_text(json.dumps(config), encoding="utf-8")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cahnpav_main(["run", "--config", str(path)])
+                if code:
+                    failed.append(f"{run} (exit {code})")
     n_files = sum(1 for f in out.rglob("*") if f.is_file())
     print(f"{n_files} files in {out}" + (f"; not completed: {', '.join(failed)}" if failed else ""))
     return 1 if failed else 0

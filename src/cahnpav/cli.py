@@ -105,7 +105,6 @@ def cmd_run(args) -> int:
         history_every=config.history_every,
         snapshot_every=config.snapshot_every,
         output_dir=out,
-        dealias=config.dealias,
     )
     write_history_csv(result.history, out / "history.csv")
     if result.failure is not None:

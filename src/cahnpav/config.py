@@ -6,7 +6,7 @@ sections, and ``PROBLEMS[kind]`` for a problem of that ``kind``.  Only
 ``problem``, its ``kind``, and ``scheme`` are required; README's "Config
 schema" section has an example.
 
-Defaults: c0 = 1, lambda = 0, dealias = false; the manufactured problem
+Defaults: c0 = 1, lambda = 0; the manufactured problem
 defaults to the 20x20 convergence-test setup, drop_array to its ``preset``
 (desk-scale unless it names "paper").  Under its dotted key, ``_read``
 refuses a key not in its section's table, a null, a value of another type (a
@@ -36,7 +36,6 @@ class RunConfig:
     problem: ProblemSpec
     scheme: SchemeKind
     output_dir: Path
-    dealias: bool
     history_every: int = 1
     snapshot_every: int = 0
 
@@ -48,7 +47,7 @@ class RunConfig:
 
 
 #: The schema (a float may be given as a JSON integer); ``_SHARED`` holds the keys of every problem kind.
-TOP = {"problem": dict, "scheme": str, "time": dict, "output": dict, "dealias": bool}
+TOP = {"problem": dict, "scheme": str, "time": dict, "output": dict}
 TIME = {"t0": float, "tf": float, "dt": float}
 OUTPUT = {"dir": str, "history_every": int, "snapshot_every": int}
 _SHARED = {"kind": str, "nx": int, "ny": int, "m0": float, "beta": float, "eta": float, "lambda": float, "c0": float}
@@ -70,7 +69,7 @@ def _read(doc: dict, schema: dict, prefix: str) -> dict:
             raise ValidationError(field, f"unknown key; expected one of {', '.join(schema)}")
         if value is None:
             raise ValidationError(field, "must not be null; omit the key for the default")
-        if isinstance(value, bool) and kind is not bool or not isinstance(value, (int, float) if kind is float else kind):
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
             raise ValidationError(field, f"expected {kind.__name__}, got {type(value).__name__}")
         if kind is float:
             try:
@@ -135,7 +134,7 @@ def parse_config(text: str) -> RunConfig:
 
     output = _read(top.get("output", {}), OUTPUT, "output.")
     output_dir = Path(output.pop("dir", "out"))  # the counts default in RunConfig
-    return RunConfig(problem=problem, scheme=scheme, output_dir=output_dir, dealias=top.get("dealias", False), **output)
+    return RunConfig(problem=problem, scheme=scheme, output_dir=output_dir, **output)
 
 
 def _parse_problem(doc: dict) -> ProblemSpec:

@@ -2,8 +2,8 @@
 
 :class:`GridSpec` is the only code that knows the transform convention: its
 ``fft``/``ifft`` pair takes and returns plain arrays, and its multipliers
-``k2``, ``dealias_mask``, ``parseval``, ``grad_weight``, ``h2_weight`` and the one entry
-``kept`` under a key (the solve's operator) act on coefficients.  A
+``k2``, ``parseval``, ``grad_weight``, ``h2_weight`` and the one entry ``kept``
+under a key (the solve's operator) act on coefficients.  A
 :class:`RealField` holds a field's values, its coefficients or both; the
 reductions below take one and read the form they need.
 
@@ -22,8 +22,7 @@ float64 formula plus 0j, and so is the manufactured source a step reads
 (``problems.source_term``).  numpy has no real-by-complex loop: it would cast a
 real operand to ``x + 0j`` through a buffer on every product and then run the
 complex loop, so holding ``x + 0j`` gives the same bytes and skips the cast.
-``k2`` stays real (the formulas are written in it), and ``dealias_mask``
-boolean: dealiasing is off unless a run asks for it.
+``k2`` stays real: the formulas are written in it.
 
 Reductions: every full-array sum of a step and of the energy, the Parseval
 sums here, the well integral in ``model`` and the source and SAV sums in
@@ -185,13 +184,6 @@ class GridSpec:
         if name not in kept:
             kept[name] = np.repeat(self._weight(name), 2, axis=1)
         return kept[name]
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule truncation mask for products of Fourier series."""
-        kx_cut = (2.0 / 3.0) * np.abs(self.kx).max()
-        ky_cut = (2.0 / 3.0) * np.abs(self.ky).max()
-        return (np.abs(self.kx) <= kx_cut) & (np.abs(self.ky) <= ky_cut)
 
     def kept(self, key: tuple, make: Callable[[], tuple]) -> tuple:
         """``make()`` (the solve's operator), kept for calls with an equal key; another key rebuilds it.

@@ -75,7 +75,6 @@ def run_simulation(
     history_every: int = 1,
     snapshot_every: int = 0,
     output_dir: Path | None = None,
-    dealias: bool = False,
     exact_history: bool = False,
 ) -> RunResult:
     """Advance the problem n_steps times, collecting history records.
@@ -120,7 +119,7 @@ def run_simulation(
     failure = None
     for _ in range(n_steps):
         try:
-            state = step_fn(state, dt, params, source, dealias=dealias)
+            state = step_fn(state, dt, params, source)
         except SolverError as exc:
             failure = exc
             break

@@ -504,7 +504,7 @@ def _sav_r1(r: float, g_hat: np.ndarray, b_hat: np.ndarray, state: SchemeState, 
 
 def _imex_step(
     scheme: Scheme, state: SchemeState, dt: float, p: PhysicalParams,
-    source: Source | None = None, *, dealias: bool = False,
+    source: Source | None = None,
 ) -> SchemeState:
     """Advance one step of a table scheme (see the module docstring).  ``source``
     maps a time to the source's half-spectrum; g reads it at t^{n+1} and the xi
@@ -514,9 +514,7 @@ def _imex_step(
     guard; ``sav`` raises NonPositiveEnergy when e1[ext] <= 0, at a cold start
     e1[phi^0].  Each of the three array stretches runs in the form the grid's
     size picks (the module docstring's "Two array forms") and hands its floats
-    to the one copy of the scalar steps.  The row form keeps dealiasing one pass
-    on this thread: numpy casts the boolean mask through a buffer, which a
-    kernel would take on the worker."""
+    to the one copy of the scalar steps."""
     if not 0.0 < dt < math.inf:
         raise ValidationError("dt", f"must be positive and finite, got {dt}")
     t0 = state.t0 if state.dt_prev in (None, dt) else state.time() - state.step * dt  # cur keeps its time
@@ -605,8 +603,6 @@ def _imex_step(
     del w  # not read again: freed before the solve, and g_hat, s_hat after it, for a lower peak
     if split and g_done is not None:
         g_done()
-    if dealias:
-        s_hat *= grid.dealias_mask
     if scheme.sav:
         r1 = _sav_r1(r, g_hat, s_hat, state, dt, p)
         _rows(grid, _scale_rows, s_hat, r1)

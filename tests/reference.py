@@ -31,7 +31,7 @@ TABLE = {
 }
 
 
-def reference_step(kind, state, dt, p, source=None, dealias=False):
+def reference_step(kind, state, dt, p, source=None):
     """The SchemeState after one step of the scheme ``kind`` from ``state``."""
     order, update, drain_level = TABLE[kind.value]
     cur, prev = state.cur, state.prev
@@ -39,7 +39,6 @@ def reference_step(kind, state, dt, p, source=None, dealias=False):
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.hx)[:, None]
     ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.hy)[None, :]
     k2, lin = kx**2 + ky**2, p.beta * (kx**2 + ky**2) + p.lam
-    mask = (np.abs(kx) <= 2.0 / 3.0 * np.abs(kx).max()) & (np.abs(ky) <= 2.0 / 3.0 * np.abs(ky).max())
 
     def integral(v):
         return grid.hx * grid.hy * float(np.sum(v))
@@ -70,9 +69,8 @@ def reference_step(kind, state, dt, p, source=None, dealias=False):
             f_drain = np.fft.irfft2(source(t + drain_level * dt), s=grid.shape, norm="forward")
 
     def solve(g, s):
-        """(phi, mu) of (sigma/dt) phi = m0 lap mu + g/dt, mu = -beta lap phi + lam phi + s;
-        with dealias on, s is first cut to the 2/3-rule modes."""
-        s_hat = np.fft.fft2(s) * mask if dealias else np.fft.fft2(s)
+        """(phi, mu) of (sigma/dt) phi = m0 lap mu + g/dt, mu = -beta lap phi + lam phi + s."""
+        s_hat = np.fft.fft2(s)
         phi_hat = (np.fft.fft2(g) - dt * p.m0 * k2 * s_hat) / (sigma + dt * p.m0 * k2 * lin)
         return np.fft.ifft2(phi_hat).real, np.fft.ifft2(lin * phi_hat + s_hat).real
 
@@ -84,10 +82,8 @@ def reference_step(kind, state, dt, p, source=None, dealias=False):
         return cur.r / (math.sqrt(e_num) + dt * drain / (2.0 * math.sqrt(e_den)))
 
     xi, r_new, r1 = state.xi, cur.r, cur.sav_r
-    if update == "sav":  # b = h(ext) / sqrt(e1[ext]), e1 = int H + c0; dealias cuts b everywhere
+    if update == "sav":  # b = h(ext) / sqrt(e1[ext]), e1 = int H + c0
         b = h(ext) / math.sqrt(integral(0.25 * p.well_amp * (ext * ext - 1.0) ** 2) + p.c0)
-        if dealias:
-            b = np.fft.ifft2(np.fft.fft2(b) * mask).real
         (phi_1, mu_1), (phi_2, mu_2) = solve(g, np.zeros_like(b)), solve(np.zeros_like(b), b)
         # 2 (sigma r1 - g_n r1^n - g_p r1^{n-1}) = int b (sigma (phi_1 + r1 phi_2) - history)
         r1 = (2.0 * (g_n * cur.sav_r + g_p * prev.sav_r) + integral(b * (sigma * phi_1 - history))) / (

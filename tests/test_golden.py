@@ -3,8 +3,8 @@
 ``tests/data/golden_histories.json`` holds the middle and final history
 record of short runs recorded with an earlier version of the steppers:
 all six schemes on the desk drop array (30 steps), and the four PAV schemes
-on the manufactured problem (source term, exact history seeding) with
-dealiasing off and on.  A refactor of the time stepping must reproduce them.
+on the manufactured problem (source term, exact history seeding).  A
+refactor of the time stepping must reproduce them.
 
 Re-record (only when a change of results is intended)::
 
@@ -30,26 +30,19 @@ PAV = ("1a", "1b", "2a", "2b")
 
 
 def _cases() -> dict:
-    cases = {f"desk-{s.value}": (s.value, "desk", False) for s in SchemeKind}
-    for dealias in (False, True):
-        for name in PAV:
-            cases[f"manufactured-{name}-dealias{int(dealias)}"] = (name, "manufactured", dealias)
-    return cases
+    cases = {f"desk-{s.value}": (s.value, "desk") for s in SchemeKind}
+    return cases | {f"manufactured-{name}": (name, "manufactured") for name in PAV}
 
 
 CASES = _cases()
 
 
-def run_case(scheme: str, problem: str, dealias: bool) -> dict:
+def run_case(scheme: str, problem: str) -> dict:
     """The middle and final records of one case, keyed by step."""
     if problem == "desk":
-        result = run_simulation(
-            desk_scale_drop_spec(), SchemeKind(scheme), n_steps=DESK_STEPS, dealias=dealias
-        )
+        result = run_simulation(desk_scale_drop_spec(), SchemeKind(scheme), n_steps=DESK_STEPS)
     else:
-        result = run_simulation(
-            manufactured_spec(), SchemeKind(scheme), dealias=dealias, exact_history=True
-        )
+        result = run_simulation(manufactured_spec(), SchemeKind(scheme), exact_history=True)
     history = result.history
     picked = (history[len(history) // 2], history[-1])
     return {str(rec.step): {f: getattr(rec, f) for f in FIELDS} for rec in picked}

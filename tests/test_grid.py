@@ -94,15 +94,6 @@ class TestGridSpec:
         kx = np.tile(2 * np.pi * np.fft.fftfreq(8, d=grid.hx)[:, None], (1, 6))
         ky = np.tile(2 * np.pi * np.fft.fftfreq(6, d=grid.hy)[None, :], (8, 1))
         assert np.array_equal(grid.k2, (kx**2 + ky**2)[:, :4])
-        cut_x, cut_y = 2 / 3 * np.abs(kx).max(), 2 / 3 * np.abs(ky).max()
-        full_mask = (np.abs(kx) <= cut_x) & (np.abs(ky) <= cut_y)
-        assert np.array_equal(grid.dealias_mask, full_mask[:, :4])
-
-    def test_dealias_mask_keeps_low_kills_high(self):
-        grid = GridSpec(12, 12, 2.0, 2.0)
-        assert grid.dealias_mask[0, 0]
-        assert grid.dealias_mask[1, 1]
-        assert not grid.dealias_mask[6, 0]  # Nyquist column
 
 
 class TestKeptMultipliers:
@@ -125,7 +116,7 @@ class TestKeptMultipliers:
         self.assert_complex_of(grid.parseval, weight)
         self.assert_complex_of(grid.grad_weight, weight * grid.k2)
         self.assert_complex_of(grid.h2_weight, weight * (1.0 + grid.k2) ** 2)
-        assert grid.k2.dtype == np.float64 and grid.dealias_mask.dtype == bool
+        assert grid.k2.dtype == np.float64
 
     @pytest.mark.parametrize("lam", [0.0, 0.6])
     @pytest.mark.parametrize("sigma,dt", [(1.0, 1e-3), (1.5, 0.07)])
@@ -297,15 +288,6 @@ class TestLaplacian:
             out = grid.fft(laplacian(grid, grid.ifft(coeffs)))
             k2 = (2 * np.pi * p / grid.lx) ** 2 + (2 * np.pi * q / grid.ly) ** 2
             assert out[p, q] == pytest.approx(-k2)
-
-
-class TestDealias:
-    def test_keeps_resolved_mode_kills_high_mode(self):
-        grid = GridSpec(12, 12, 2.0, 2.0)
-        low = from_function(grid, lambda X, Y: np.cos(np.pi * X) * np.cos(np.pi * Y))
-        high = from_function(grid, lambda X, Y: np.cos(5 * np.pi * X))
-        out = grid.ifft(grid.fft(low.values + high.values) * grid.dealias_mask)
-        assert np.max(np.abs(out - low.values)) < 1e-14
 
 
 class TestQuadrature:

@@ -36,7 +36,6 @@ class TestParseConfig:
         assert config.problem.params.m0 == 0.01
         assert config.problem.t0 == 0.1
         assert config.problem.tf == 1.1
-        assert config.dealias is False
         assert config.history_every == 1
         assert config.snapshot_every == 0
         assert str(config.output_dir) == "out"
@@ -116,7 +115,6 @@ class TestParseConfig:
             "scheme": "sav",
             "time": {"t0": 0.0, "tf": 0.5, "dt": 0.01},
             "output": {"dir": "runs/x", "history_every": 5, "snapshot_every": 100},
-            "dealias": True,
         }
         config = parse_config(json.dumps(doc))
         assert config.problem.grid.shape == (64, 64)
@@ -128,7 +126,6 @@ class TestParseConfig:
         assert config.problem.dt == 0.01
         assert config.history_every == 5
         assert config.snapshot_every == 100
-        assert config.dealias is True
         assert str(config.output_dir) == "runs/x"
 
     def test_explicit_zero_c0_respected(self):
@@ -189,7 +186,6 @@ class TestParseConfig:
             "scheme": "1a",
             "time": {"t0": 0.0, "tf": 0.1, "dt": 0.01},
             "output": {"dir": "o", "history_every": 2, "snapshot_every": 5},
-            "dealias": True,
         }
         assert parse_config(json.dumps(doc)).problem.grid.shape == (problem["nx"], problem["ny"])
 
@@ -223,7 +219,6 @@ class TestParseConfig:
             ({"problem": {"kind": "drop_array", "preset": None}, "scheme": "1a"}, "problem.preset"),
             ({"problem": None, "scheme": "1a"}, "problem"),
             (dict(MINIMAL, scheme=None), "scheme"),
-            (dict(MINIMAL, dealias=None), "dealias"),
             (dict(MINIMAL, time=None), "time"),
             (dict(MINIMAL, time={"dt": None}), "time.dt"),
             (dict(MINIMAL, output={"dir": None}), "output.dir"),

@@ -323,6 +323,11 @@ REFUSALS = {
     "run-unknown-time-key": (
         ["run", "--config", "../steps.json"], "time.steps: unknown key; expected one of t0, tf, dt"
     ),
+    # h(phi) is formed with no filter, so the key that switched the 2/3-rule mask on is unknown
+    "run-stale-dealias-key": (
+        ["run", "--config", "../stale.json"],
+        "dealias: unknown key; expected one of problem, scheme, time, output",
+    ),
     "run-unknown-scheme": (
         ["run", "--config", "../scheme.json"],
         "scheme: unknown scheme '9z'; expected one of 1a, 1b, 2a, 2b, semi, sav",
@@ -373,6 +378,9 @@ CONFIGS = {
     "nx.json": refused_config({"kind": "manufactured", "nx": 10**400}),
     "every.json": refused_config({"kind": "manufactured"}, history_every="7"),
     "steps.json": refused_config({"kind": "manufactured"}, time={"steps": 3}),
+    "stale.json": json.dumps(
+        {"problem": {"kind": "manufactured"}, "scheme": "2a", "output": {"snapshot_every": 1}, "dealias": False}
+    ),
     "scheme.json": refused_config({"kind": "manufactured"}, scheme="9z", time={"dt": 0.05}),
     "tiny_eta.json": refused_config({"kind": "manufactured", "eta": 1e-200}, time={"dt": 0.05}),
     "wide.json": refused_config({"kind": "drop_array", "count_x": 20}),

@@ -253,7 +253,6 @@ class TestStepperTable:
                 ("dt", Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty),
                 ("p", Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty),
                 ("source", Parameter.POSITIONAL_OR_KEYWORD, None),
-                ("dealias", Parameter.KEYWORD_ONLY, False),
             ]
         assert {kind.value for kind in PAV} == {"1a", "1b", "2a", "2b"}
 
@@ -718,15 +717,15 @@ def reference_case(case):
     return problem.initial_condition(), problem.params, problem.t0, (problem.dt,) * n_steps, source
 
 
-def assert_matches_reference(kind, dealias, phi0, p, t0, dts, source):
+def assert_matches_reference(kind, phi0, p, t0, dts, source):
     """Every step of a run from init_state, one of each size in ``dts``,
     against the reference step from the same state: phi, mu, R and xi (PAV)
     and r1 (sav) agree to 1e-12 relative.  The reference reads no scalar a
     Level keeps, so a wrong one shows at the next step."""
     state = init_state(phi0, p, t0)
     for dt in dts:
-        ref = reference_step(kind, state, dt, p, source, dealias)
-        state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
+        ref = reference_step(kind, state, dt, p, source)
+        state = STEPPERS[kind](state, dt, p, source)
         for got, want in ((state.cur.phi.values, ref.cur.phi.values), (state.cur.mu.values, ref.cur.mu.values)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         if kind.is_pav:
@@ -742,11 +741,10 @@ class TestReferenceStep:
     """Each stepper against tests/reference.py, a plain step written from the
     schemes docstring's equations; its sav row is the two-solve superposition."""
 
-    @pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
     @pytest.mark.parametrize("case", ["desk", "manufactured", "lam"])
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
-    def test_matches_reference(self, kind, case, dealias):
-        assert_matches_reference(kind, dealias, *reference_case(case))
+    def test_matches_reference(self, kind, case):
+        assert_matches_reference(kind, *reference_case(case))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -760,11 +758,10 @@ class TestReferenceStep:
         lam=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
         amp=st.floats(0.05, 1.0),
         with_source=st.booleans(),
-        dealias=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_reference_for_random_parameters(
-        self, kind, dt, ratios, nx, ny, eta, c0, lam, amp, with_source, dealias, seed
+        self, kind, dt, ratios, nx, ny, eta, c0, lam, amp, with_source, seed
     ):
         # six steps, fixed or not; the source grows in time, so each drain level reads its own value
         grid = GridSpec(nx, ny, 2.0, 2.0)
@@ -773,7 +770,7 @@ class TestReferenceStep:
         source = (lambda t: (1.0 + t) * f_hat) if with_source else None
         dts = accumulate(ratios, operator.mul, initial=dt)
         try:
-            assert_matches_reference(kind, dealias, smooth_ic(grid, seed, amp=amp), params, 0.0, dts, source)
+            assert_matches_reference(kind, smooth_ic(grid, seed, amp=amp), params, 0.0, dts, source)
         except Diverged:
             assert kind is SEMI  # only the conditionally stable baseline may blow up
         except InvalidState:
@@ -811,11 +808,10 @@ def state_bytes(state):
 
 
 def step_table(cases=STEP_CASES):
-    """Parametrize a test over the step table: six schemes x cases x dealias off/on."""
+    """Parametrize a test over the step table: six schemes x cases."""
     def parametrize(test):
         test = pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)(test)
-        test = pytest.mark.parametrize("case", cases)(test)
-        return pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])(test)
+        return pytest.mark.parametrize("case", cases)(test)
     return parametrize
 
 
@@ -834,7 +830,7 @@ class TestStepRuns:
         assert 128 * 128 <= cahnpav.grid._SPLIT_OVER < 130 * 130
 
     @pytest.fixture
-    def run(self, monkeypatch, kind, case, dealias):
+    def run(self, monkeypatch, kind, case):
         """run(carry=True): the case's five steps on the test worker thread, as
         (state_bytes after each step, each step's work by name)."""
         monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
@@ -849,7 +845,7 @@ class TestStepRuns:
                     state = replace(state)
                     assert state._cross is None
                 before = dict(work)
-                state = STEPPERS[kind](state, dt, p, source, dealias=dealias)
+                state = STEPPERS[kind](state, dt, p, source)
                 per_step.append({name: work[name] - before[name] for name in work})
                 out += state_bytes(state)
             return out, per_step
@@ -880,9 +876,9 @@ class TestStepRuns:
             assert run() == plain
 
     @step_table(["mfg-130", "drops-130"])  # the cases above 128^2
-    def test_every_split_step_matches_the_reference(self, monkeypatch, kind, case, dealias):
+    def test_every_split_step_matches_the_reference(self, monkeypatch, kind, case):
         monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
-        assert_matches_reference(kind, dealias, *step_case(case))
+        assert_matches_reference(kind, *step_case(case))
 
     def test_desk_run_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(cahnpav.grid, "_tasks", None)  # as in a fresh process
@@ -1042,43 +1038,6 @@ class TestSav:
         assert cur.sav_r > 0 and prev.sav_r > 0 and cur.energy > 0 and prev.energy > 0
         with pytest.raises(NonPositiveEnergy, match="potential energy"):
             STEPPERS[SAV](SchemeState(cur, prev, step=1), 0.1, params)
-
-
-class TestDealias:
-    def test_filters_nonlinear_source_exactly(self):
-        # step with dealias on equals a manual solve with the 2/3-truncated source
-        grid = GridSpec(16, 16, 2.0, 2.0)
-        state = init_state(smooth_ic(grid, 40, amp=1.0), THEORY)
-        dt = 0.1
-        e_n = energy_total(state.cur.phi, THEORY)
-        xi = _xi_update(state.cur.r, e_n, e_n, dissipation(state.cur.mu, THEORY), dt)
-        s_raw = xi**2 * potential_h(state.cur.phi, THEORY).values
-        s_filtered = grid.ifft(grid.fft(s_raw) * grid.dealias_mask)
-        manual_phi, _ = solve_linear_step(
-            1.0, grid, state.cur.phi.coeffs, RealField(grid, s_filtered).coeffs, dt, THEORY
-        )
-        new = STEPPERS[SchemeKind.PAV_1A](state, dt, THEORY, dealias=True)
-        assert np.max(np.abs(new.cur.phi.values - manual_phi.values)) < 1e-14
-
-    def test_no_effect_on_band_limited_nonlinearity(self):
-        # the manufactured cubic tops out at mode 3, far below the 2/3 cutoff,
-        # so filtering only shuffles last-ulp roundoff
-        problem = manufactured_spec()
-        a = run_simulation(problem, SchemeKind.PAV_2A, n_steps=5)
-        b = run_simulation(problem, SchemeKind.PAV_2A, n_steps=5, dealias=True)
-        for ra, rb in zip(a.history, b.history):
-            assert rb.l2_err == pytest.approx(ra.l2_err, rel=1e-12, abs=1e-15)
-            assert rb.energy == pytest.approx(ra.energy, rel=1e-13)
-            assert rb.xi == pytest.approx(ra.xi, rel=1e-13)
-
-    @pytest.mark.parametrize("kind", list(SchemeKind), ids=step_id)
-    def test_preserves_mass(self, kind):
-        grid = GridSpec(16, 16, 2.0, 2.0)
-        state = init_state(smooth_ic(grid, 41, amp=1.0), THEORY)
-        mass0 = integrate(state.cur.phi)
-        for _ in range(3):
-            state = STEPPERS[kind](state, 0.1, THEORY, dealias=True)
-        assert integrate(state.cur.phi) == pytest.approx(mass0, rel=1e-13, abs=1e-14)
 
 
 class TestXiAccuracyOrder:
