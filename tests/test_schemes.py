@@ -704,17 +704,28 @@ class TestDivergenceGuard:
         assert state.cur.r > 0
 
 
+# A run's step sizes, as multiples of its dt taken in turn: all the same, or
+# shorter and longer steps in between, so that every ratio dt / dt_prev differs.
+STEPS = {"fixed": (1.0,), "varied": (1.0, 0.5, 1.25, 2.0, 0.75)}
+
+
+def step_sizes(dt, n_steps, steps):
+    """``n_steps`` step sizes: ``dt`` times the multiples ``STEPS[steps]`` in turn."""
+    multiples = STEPS[steps]
+    return tuple(dt * multiples[i % len(multiples)] for i in range(n_steps))
+
+
 @cache
-def reference_case(case):
+def reference_case(case, steps="fixed"):
     """(initial field, params, t0, step sizes, source) of a reference
     comparison: 30 desk steps at the preset dt, the manufactured run with its
-    source, and 30 steps with lam > 0."""
+    source, and 30 steps with lam > 0, each ``steps`` (see STEPS)."""
     if case == "lam":
-        return smooth_ic(GridSpec(32, 32, 2.0, 2.0), 35, amp=0.8), WITH_LAM, 0.0, (0.05,) * 30, None
+        return smooth_ic(GridSpec(32, 32, 2.0, 2.0), 35, amp=0.8), WITH_LAM, 0.0, step_sizes(0.05, 30, steps), None
     problem = desk_scale_drop_spec() if case == "desk" else manufactured_spec()
     source = problem.source() if case == "manufactured" else None
     n_steps = 30 if case == "desk" else problem.n_steps
-    return problem.initial_condition(), problem.params, problem.t0, (problem.dt,) * n_steps, source
+    return problem.initial_condition(), problem.params, problem.t0, step_sizes(problem.dt, n_steps, steps), source
 
 
 def assert_matches_reference(kind, phi0, p, t0, dts, source):
@@ -741,10 +752,11 @@ class TestReferenceStep:
     """Each stepper against tests/reference.py, a plain step written from the
     schemes docstring's equations; its sav row is the two-solve superposition."""
 
+    @pytest.mark.parametrize("steps", list(STEPS))
     @pytest.mark.parametrize("case", ["desk", "manufactured", "lam"])
     @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
-    def test_matches_reference(self, kind, case):
-        assert_matches_reference(kind, *reference_case(case))
+    def test_matches_reference(self, kind, case, steps):
+        assert_matches_reference(kind, *reference_case(case, steps))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -777,26 +789,30 @@ class TestReferenceStep:
             assert kind.is_pav and with_source  # source work can make the drain negative
 
 
-STEP_CASES = ["mfg-20", "mfg-lam-20", "mfg-64", "mfg-128", "mfg-130", "drops-64", "drops-128", "drops-130"]
+STEP_CASES = [
+    "mfg-20", "mfg-lam-20", "mfg-64", "mfg-128", "mfg-130", "drops-64", "drops-128", "drops-130", "drops-192x96",
+]
 
 
 @cache
-def step_case(name):
-    """(initial field, params, t0, step sizes, source) of five steps on n^2, the
-    name's last part: ``mfg-n`` the manufactured problem with its source on
+def step_case(name, steps="fixed"):
+    """(initial field, params, t0, step sizes, source) of five steps, ``steps``
+    (see STEPS), on n^2, the name's last part, or on nx x ny where it reads
+    ``<nx>x<ny>``: ``mfg-n`` the manufactured problem with its source on
     [0,2]^2 (``mfg-lam-n`` with lam = 0.6), ``drops-n`` the desk drops on [0,4]^2.
     Above 128^2 the manufactured field starts perturbed: cos(pi x) cos(pi y) is
     even about x = 1, where the row halves meet, so both halves' sums would agree."""
     family, *lam, n = name.split("-")
     problem = desk_scale_drop_spec() if family == "drops" else manufactured_spec()
-    grid = GridSpec(int(n), int(n), problem.grid.lx, problem.grid.ly)
+    nx, _, ny = n.partition("x")
+    grid = GridSpec(int(nx), int(ny or nx), problem.grid.lx, problem.grid.ly)
     problem = replace(problem, grid=grid)
     if lam:
         problem = replace(problem, params=replace(problem.params, lam=0.6))
     phi0 = problem.initial_condition()
     if family == "mfg" and grid.nx * grid.ny > cahnpav.grid._SPLIT_OVER:
         phi0 = RealField(grid, phi0.values + smooth_ic(grid, 130, amp=0.01).values)
-    return phi0, problem.params, problem.t0, (problem.dt,) * 5, problem.source()
+    return phi0, problem.params, problem.t0, step_sizes(problem.dt, 5, steps), problem.source()
 
 
 def state_bytes(state):
@@ -808,10 +824,11 @@ def state_bytes(state):
 
 
 def step_table(cases=STEP_CASES):
-    """Parametrize a test over the step table: six schemes x cases."""
+    """Parametrize a test over the step table: six schemes x cases x fixed/varied steps."""
     def parametrize(test):
         test = pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)(test)
-        return pytest.mark.parametrize("case", cases)(test)
+        test = pytest.mark.parametrize("case", cases)(test)
+        return pytest.mark.parametrize("steps", list(STEPS))(test)
     return parametrize
 
 
@@ -820,8 +837,8 @@ ONE_STEP = {"fft": 1, "ifft": 1, "solve": 1}
 
 class TestStepRuns:
     """Every way a step can run gives the same bytes (state_bytes after each of
-    five steps from init_state) and the same work, and each step makes one
-    forward transform, one inverse and one solve.  A step runs its array work as
+    five steps from init_state, of one size or of five) and the same work, and
+    each step makes one forward transform, one inverse and one solve.  A step runs its array work as
     whole arrays up to 128^2 points and as row kernels above, in two row halves,
     the second on a worker thread (the schemes and grid module docstrings); an
     order-2 PAV step carries the cross terms of its new level to the next step."""
@@ -830,12 +847,12 @@ class TestStepRuns:
         assert 128 * 128 <= cahnpav.grid._SPLIT_OVER < 130 * 130
 
     @pytest.fixture
-    def run(self, monkeypatch, kind, case):
+    def run(self, monkeypatch, kind, case, steps):
         """run(carry=True): the case's five steps on the test worker thread, as
         (state_bytes after each step, each step's work by name)."""
         monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
         work = count_work(monkeypatch)
-        phi0, p, t0, dts, source = step_case(case)
+        phi0, p, t0, dts, source = step_case(case, steps)
 
         def run(carry=True):
             # without the carry each state goes through dataclasses.replace, which drops it
@@ -875,10 +892,10 @@ class TestStepRuns:
             monkeypatch.setattr(cahnpav.grid, "_tasks", cahnpav.grid._Inline)
             assert run() == plain
 
-    @step_table(["mfg-130", "drops-130"])  # the cases above 128^2
-    def test_every_split_step_matches_the_reference(self, monkeypatch, kind, case):
+    @step_table(["mfg-130", "drops-130", "drops-192x96"])  # the cases above 128^2
+    def test_every_split_step_matches_the_reference(self, monkeypatch, kind, case, steps):
         monkeypatch.setattr(cahnpav.grid, "_tasks", worker_tasks())
-        assert_matches_reference(kind, *step_case(case))
+        assert_matches_reference(kind, *step_case(case, steps))
 
     def test_desk_run_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(cahnpav.grid, "_tasks", None)  # as in a fresh process
